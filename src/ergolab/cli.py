@@ -174,18 +174,11 @@ def cmd_build(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _verifiable_js(table: tower.StageTable, j_top: int) -> list[int]:
-    out = []
-    for j in range(1, j_top + 1):
-        q = 2 * j
-        if table.params.carries_markers(q) and q + 1 <= table.j_max:
-            out.append(j)
-    return out
-
-
 def cmd_verify(cfg: RunConfig, out_dir: Path, j_values: list[int] | None = None) -> int:
     table = tower.build_stage_table(cfg.construction())
-    candidates = _verifiable_js(table, cfg.j_top)
+    candidates = [
+        q // 2 for q in table.params.effective_marker_stages() if q // 2 <= cfg.j_top
+    ]
     if j_values is None:
         j_values = candidates
     bad = [j for j in j_values if j not in candidates]

@@ -33,6 +33,7 @@ from .tower import (
     InvalidConstruction,
     StageOverflow,
     StageTable,
+    _max_index_at,
     base_floorset,
     marker_floorset,
     measure,
@@ -51,7 +52,6 @@ __all__ = [
     "flip_orbit",
     "overlap_measure",
     "classify_floor",
-    "on_marker_floor",
     "in_swap_zone",
     "level_swap",
     "claim_windows",
@@ -62,8 +62,8 @@ __all__ = [
     "ConjugacyReport",
 ]
 
-# numpy's int64 kernels are used only when every index in play fits safely
-_NP_SAFE_LIMIT = 2**62
+# overlap_measure re-checks this many step counts of every verified window
+_AUDIT_POINTS = 16
 
 
 class SegmentEscapesTower(ValueError):
@@ -83,6 +83,14 @@ class CocycleContext:
 
 
 def cocycle_context(table: StageTable, stage: int) -> CocycleContext:
+    """Sorted marker floors at ``stage``, whose height must fit in int64.
+
+    Orbit segments never leave the stage, so the height bound also bounds
+    every floor index and step count the numpy kernels see.
+    """
+    h = table.height(stage)
+    if h >= 2**63:
+        raise StageOverflow(f"stage {stage} height {h} >= 2**63 does not fit in int64")
     merged: list[int] = []
     for q in table.params.effective_marker_stages():
         if q + 1 > stage:
@@ -92,17 +100,11 @@ def cocycle_context(table: StageTable, stage: int) -> CocycleContext:
     return CocycleContext(table, stage, tuple(sorted(merged)))
 
 
-def _base_max_at(table: StageTable, stage: int) -> int:
-    m = 0
-    for j in range(1, stage):
-        m += table.column_offsets(j)[-1]
-    return m
-
-
 def context_for(table: StageTable, n_max: int) -> CocycleContext:
     """Context at the smallest stage where every base fragment can take ``n_max`` steps."""
+    unit = FloorSet(1, (0,))
     for stage in range(1, table.j_max + 1):
-        if _base_max_at(table, stage) + n_max < table.height(stage):
+        if _max_index_at(table, unit, stage) + n_max < table.height(stage):
             return cocycle_context(table, stage)
     raise StageOverflow(
         f"no materialized stage admits {n_max} steps from the base;"
@@ -119,13 +121,6 @@ class LeveledSet:
 
     def total_measure(self, table: StageTable) -> Fraction:
         return measure(table, self.level0) + measure(table, self.level1)
-
-    def x_projection(self, table: StageTable) -> FloorSet:
-        J = max(self.level0.stage, self.level1.stage)
-        return FloorSet.of(
-            J,
-            refine(table, self.level0, J).indices + refine(table, self.level1, J).indices,
-        )
 
 
 def base_leveled_set(table: StageTable, stage: int) -> LeveledSet:
@@ -222,15 +217,6 @@ def classify_floor(table: StageTable, stage: int, f: int) -> tuple[int, int]:
             continue
         return l + 1, rel
     return 1, f
-
-
-def on_marker_floor(table: StageTable, stage: int, f: int) -> bool:
-    """Whether floor ``f`` is a marker floor (peel-based, no marker list)."""
-    birth, rel = classify_floor(table, stage, f)
-    q = birth - 1
-    if q >= 2 and table.params.carries_markers(q) and q + 1 <= stage:
-        return rel in (table.height(q), q * table.height(q))
-    return False
 
 
 def in_swap_zone(table: StageTable, stage: int, f: int) -> bool:
@@ -336,26 +322,13 @@ def _parity_zero_counts(
     fragments: tuple[int, ...], e_indices: tuple[int, ...], i_values: list[int]
 ) -> list[int]:
     """Number of parity-0 fragments at each step count, exact integer counts."""
-    if not i_values:
-        return []
-    top = fragments[-1] + i_values[-1] if fragments else 0
-    if top < _NP_SAFE_LIMIT:
-        e = np.asarray(e_indices, dtype=np.int64)
-        frag = np.asarray(fragments, dtype=np.int64)
-        lo = np.searchsorted(e, frag, side="left")
-        out = []
-        for i in i_values:
-            hi = np.searchsorted(e, frag + i, side="left")
-            out.append(int(((hi - lo) % 2 == 0).sum()))
-        return out
-    lo_py = [bisect_left(e_indices, f) for f in fragments]
+    e = np.asarray(e_indices, dtype=np.int64)
+    frag = np.asarray(fragments, dtype=np.int64)
+    lo = np.searchsorted(e, frag, side="left")
     out = []
     for i in i_values:
-        c = 0
-        for f, lf in zip(fragments, lo_py):
-            if (bisect_left(e_indices, f + i) - lf) % 2 == 0:
-                c += 1
-        out.append(c)
+        hi = np.searchsorted(e, frag + i, side="left")
+        out.append(int(((hi - lo) % 2 == 0).sum()))
     return out
 
 
@@ -365,14 +338,14 @@ def verify_windows(
     mode: str = "exhaustive",
     ctx: CocycleContext | None = None,
     grid_points: int = 10_000,
-    audit_points: int = 16,
 ) -> WindowReport:
     """Check the disjointness/coincidence claims for marker stage ``2j``.
 
     ``mode='exhaustive'`` checks every step count strictly inside both
     windows; ``mode='sampled'`` checks a deterministic grid of
-    ``grid_points`` plus the window endpoints +-1.  A small audit subset is
-    re-evaluated through :func:`overlap_measure` and must agree exactly.
+    ``grid_points`` plus the window endpoints +-1.  An evenly spaced subset
+    of ``_AUDIT_POINTS`` step counts per window is re-evaluated through
+    :func:`overlap_measure` and must agree exactly.
 
     The outcome for j=1 is recorded but not asserted anywhere: the smallest
     stage is run as a diagnostic only.
@@ -403,8 +376,8 @@ def verify_windows(
         counts = _parity_zero_counts(fragments, ctx.e_indices, i_values)
         bad = [(i, c) for i, c in zip(i_values, counts) if c != want]
         # audit: a deterministic subsample must match the one-at-a-time route
-        stride = max(len(i_values) // max(audit_points, 1), 1)
-        for i, c in list(zip(i_values, counts))[::stride][:audit_points]:
+        stride = max(len(i_values) // _AUDIT_POINTS, 1)
+        for i, c in list(zip(i_values, counts))[::stride][:_AUDIT_POINTS]:
             direct = overlap_measure(i, a, ctx)
             if direct != Fraction(c, total):
                 raise AssertionError(

@@ -28,13 +28,10 @@ _CHUNK = 1 << 19
 class McConfig:
     seed: int = 1
     samples: int = 1_000_000
-    regions: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if any(m < 0 for _, m in self.regions):
-            raise ValueError("region measures must be >= 0")
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
@@ -111,7 +108,7 @@ def three_sigma_gate(exact: float, runner, cfg: McConfig) -> GateResult:
     est, se = runner(cfg)
     if abs(est - exact) <= 3.0 * se:
         return GateResult(exact, est, se, retried=False, passed=True)
-    retry = McConfig(seed=cfg.seed + 1, samples=cfg.samples, regions=cfg.regions)
+    retry = McConfig(seed=cfg.seed + 1, samples=cfg.samples)
     est, se = runner(retry)
     return GateResult(exact, est, se, retried=True, passed=abs(est - exact) <= 3.0 * se)
 

@@ -23,7 +23,6 @@ from ergolab import (
     overlap_measure,
     pair_integrand,
 )
-from ergolab.averages import _flip_deltas_numpy, _flip_deltas_python
 from ergolab.extension import SegmentEscapesTower
 
 MODEL = SuspensionModel("poisson", 1)
@@ -102,12 +101,32 @@ def test_sweep_plateaus_on_the_j2_windows(table, profile6):
         assert profile6.overlap_at(n) == 1
 
 
-def test_python_and_numpy_event_paths_agree(table):
-    ctx = cocycle_context(table, 5)
-    frags = base_leveled_set(table, 5).level0.indices
-    fast = _flip_deltas_numpy(frags, ctx.e_indices, 3000)
-    slow = _flip_deltas_python(frags, ctx.e_indices, 3000)
-    assert fast == slow
+def _merge_equal_counts(profile):
+    edges, counts = [profile.edges[0]], [profile.counts[0]]
+    for e, c in zip(profile.edges[1:], profile.counts[1:]):
+        if c != counts[-1]:
+            edges.append(e)
+            counts.append(c)
+    return edges, counts
+
+
+def test_zero_change_edges_depend_only_on_chunking(monkeypatch):
+    """Flips cancelling across fragment chunks leave edges that change nothing."""
+    import ergolab.averages as av
+
+    t = build_stage_table(ConstructionParams(preset="staircase-mixing", j_max=7))
+    n_max = 100_000
+    ctx = context_for(t, n_max)
+    a = base_leveled_set(t, ctx.stage)
+    profiles = {}
+    for chunk in (1, 2048):
+        monkeypatch.setattr(av, "_FRAGMENT_CHUNK", chunk)
+        profiles[chunk] = event_sweep(a, ctx, n_max)
+    fine, coarse = profiles[1], profiles[2048]
+    assert len(fine.edges) > len(coarse.edges)
+    assert _merge_equal_counts(fine) == _merge_equal_counts(coarse)
+    for n in range(1, n_max + 1):
+        assert fine.count_at(n) == coarse.count_at(n)
 
 
 def test_sweep_rejects_escaping_fragments(table):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from ergolab import ConstructionParams, build_stage_table
 from ergolab.cli import ConfigError, load_config, main, parse_config
 
 
@@ -100,6 +101,13 @@ def test_verify_with_insufficient_stages_exits_2(tmp_path):
     # j=2 windows reach 23039 steps, which no stage below 6 can absorb
     code, _ = run(tmp_path, "verify", "--j", "2", config={"j_max": 5, "j_top": 2})
     assert code == 2
+
+
+def test_series_beyond_int64_exits_2_naming_the_height(tmp_path, capsys):
+    code, _ = run(tmp_path, "series", config={"j_max": 14, "j_top": 6})
+    assert code == 2
+    h_14 = build_stage_table(ConstructionParams(j_max=14)).height(14)
+    assert str(h_14) in capsys.readouterr().err
 
 
 def test_series_artifacts(tmp_path):
