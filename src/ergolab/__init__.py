@@ -54,6 +54,7 @@ from .averages import (
     DivergenceReport,
     Milestone,
     OverlapProfile,
+    PairBudgetExceeded,
     SeriesPoint,
     average_series,
     default_checkpoints,

@@ -6,6 +6,15 @@ events produces the overlap as a piecewise-constant function of the step
 count with exact integer plateau values, so the running average over tens of
 millions of steps costs O(events + checkpoints) instead of O(N).
 
+:func:`event_sweep` takes the fragments ``_FRAGMENT_CHUNK`` at a time.  It
+packs each flip of a chunk as the int64 key ``2*t + bit`` (``bit = 1`` when
+the flip raises the parity-0 count), sorts the keys in place and reduces
+each run of equal ``t`` to the chunk's net change there.  The chunks' nonzero
+nets are merged with one ``np.unique`` and the profile is their cumulative
+sum, all in numpy.  Before allocating any flip, one ``searchsorted`` pass
+counts the flips of every chunk; a chunk over ``_CHUNK_PAIR_BUDGET`` raises
+:class:`PairBudgetExceeded` instead of exhausting memory.
+
 Running sums use Neumaier-compensated accumulation; given a fixed profile the
 emitted series is bit-identical across runs.
 """
@@ -22,12 +31,13 @@ import numpy as np
 
 from .extension import CocycleContext, LeveledSet, SegmentEscapesTower
 from .suspension import SuspensionModel, cylinder_constant, pair_integrand
-from .tower import StageTable, refine
+from .tower import StageOverflow, StageTable, refine
 
 __all__ = [
     "Milestone",
     "milestone_sequence",
     "OverlapProfile",
+    "PairBudgetExceeded",
     "event_sweep",
     "SeriesPoint",
     "default_checkpoints",
@@ -38,6 +48,11 @@ __all__ = [
 ]
 
 _FRAGMENT_CHUNK = 2048
+# most flips one fragment chunk may hold; the sweep keeps about 24 bytes per
+# flip of a chunk alive at once, so this caps it near 400 MB
+_CHUNK_PAIR_BUDGET = 1 << 24
+# largest n_max whose flip keys 2*t + 1 (t < n_max) fit in int64
+_MAX_STEPS = 2**62
 
 _MILESTONE_KINDS = ("disjoint_start", "disjoint_end", "coincide_start", "coincide_end")
 
@@ -77,16 +92,22 @@ def milestone_sequence(table: StageTable, j_top: int) -> tuple[Milestone, ...]:
     return tuple(out)
 
 
+class PairBudgetExceeded(ValueError):
+    """An event sweep would hold more flips in one fragment chunk than the budget."""
+
+
 @dataclass(frozen=True)
 class OverlapProfile:
     """Piecewise-constant overlap: ``counts[k]`` parity-0 fragments on
     ``(edges[k], edges[k+1]]`` (and past the last edge up to ``n_max``).
 
-    An edge may change nothing (``counts[k] == counts[k-1]``) when flips
-    cancel across the fragment chunks of :func:`event_sweep`, so those edges
-    depend on ``_FRAGMENT_CHUNK``.  ``report.json``'s ``plateau_count`` counts
-    them (68,049 on the ``series-dense`` benchmark, 66,537 merged): an engine
-    that drops them changes that digest, which the benchmark must record first.
+    The edges are the union over the fragment chunks of :func:`event_sweep`
+    of the flip times whose net change within the chunk is nonzero.  An edge
+    may therefore change nothing (``counts[k] == counts[k-1]``) when the nets
+    of several chunks cancel, so those edges depend on ``_FRAGMENT_CHUNK``.
+    ``report.json``'s ``plateau_count`` counts them (68,049 on the
+    ``series-dense`` benchmark, 66,537 merged): an engine that drops them
+    changes that digest, which the benchmark must record first.
     """
 
     stage: int
@@ -114,44 +135,53 @@ class OverlapProfile:
                 yield lo, hi, c
 
 
-def _flip_deltas_numpy(
-    fragments: Sequence[int], e_indices: Sequence[int], n_max: int
-) -> dict[int, int]:
-    e = np.asarray(e_indices, dtype=np.int64)
-    acc: dict[int, int] = {}
-    frags = np.asarray(fragments, dtype=np.int64)
-    for c0 in range(0, len(frags), _FRAGMENT_CHUNK):
-        chunk = frags[c0 : c0 + _FRAGMENT_CHUNK]
-        lo = np.searchsorted(e, chunk, side="left")
-        hi = np.searchsorted(e, chunk + n_max, side="left")
-        lengths = hi - lo
-        total = int(lengths.sum())
-        if total == 0:
-            continue
-        starts = np.zeros(len(chunk), dtype=np.int64)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
-        idx = np.repeat(lo, lengths) + within
-        times = e[idx] - np.repeat(chunk, lengths)
-        # per fragment the first flip takes parity 0 -> 1, then alternates
-        deltas = np.where(within & 1, 1, -1)
-        uniq, inv = np.unique(times, return_inverse=True)
-        pos = np.bincount(inv[deltas > 0], minlength=len(uniq))
-        neg = np.bincount(inv[deltas < 0], minlength=len(uniq))
-        net = pos - neg
-        for t, d in zip(uniq.tolist(), net.tolist()):
-            if d:
-                acc[t] = acc.get(t, 0) + d
-    return acc
+def _chunk_flip_nets(
+    frags: np.ndarray, e: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted flip times of one fragment chunk with their nonzero net changes.
+
+    Fragment ``f`` flips at ``e[k] - f`` for ``k`` in ``[lo, hi)``; its first
+    flip takes parity 0 -> 1, so flip ``k - lo`` lowers the parity-0 count when
+    even and raises it when odd.  Each flip is packed as ``2*t + bit`` with
+    ``bit = 1`` for a raise, so one in-place sort groups equal times and puts
+    the lowering flips of each time before its raising ones.
+    """
+    lengths = hi - lo
+    total = int(lengths.sum())
+    starts = np.zeros(len(frags), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    within = np.arange(total, dtype=np.int64)
+    within -= np.repeat(starts, lengths)
+    keys = e[within + np.repeat(lo, lengths)]
+    keys -= np.repeat(frags, lengths)
+    keys <<= 1
+    keys |= within & 1
+    del within
+    keys.sort()
+    times = keys >> 1
+    run = np.flatnonzero(times[1:] != times[:-1])
+    run += 1
+    run = np.concatenate(([0], run))
+    keys &= 1
+    net = 2 * np.add.reduceat(keys, run) - np.diff(run, append=total)
+    keep = net != 0
+    return times[run[keep]], net[keep]
 
 
 def event_sweep(a: LeveledSet, ctx: CocycleContext, n_max: int) -> OverlapProfile:
     """Build the exact overlap profile of the two lifted images of ``a``.
 
-    All fragments must admit ``n_max`` steps inside the context stage.
+    All fragments must admit ``n_max`` steps inside the context stage, and
+    ``n_max <= 2**62`` so that every packed flip key fits in int64.  Raises
+    :class:`PairBudgetExceeded` before any per-flip allocation when one
+    fragment chunk would hold more than ``_CHUNK_PAIR_BUDGET`` flips.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if n_max > _MAX_STEPS:
+        raise StageOverflow(
+            f"n_max {n_max} > 2**62: flip keys 2*t + 1 would not fit in int64"
+        )
     table = ctx.table
     fragments = (
         refine(table, a.level0, ctx.stage).indices
@@ -165,25 +195,48 @@ def event_sweep(a: LeveledSet, ctx: CocycleContext, n_max: int) -> OverlapProfil
         raise SegmentEscapesTower(
             f"fragment {fragments[-1]} cannot take {n_max} steps inside stage {ctx.stage}"
         )
-    acc = _flip_deltas_numpy(fragments, ctx.e_indices, n_max)
+    frags = np.asarray(fragments, dtype=np.int64)
+    e = np.asarray(ctx.e_indices, dtype=np.int64)
+    lo = np.searchsorted(e, frags, side="left")
+    hi = np.searchsorted(e, frags + n_max, side="left")
+    chunk = _FRAGMENT_CHUNK
+    bounds = range(0, len(frags), chunk)
+    pairs = np.add.reduceat(hi - lo, bounds)
+    if pairs.max() > _CHUNK_PAIR_BUDGET:
+        raise PairBudgetExceeded(
+            f"event sweep needs {int(pairs.sum())} flip pairs; the largest chunk"
+            f" of {chunk} fragments holds {int(pairs.max())}, over the budget of"
+            f" {_CHUNK_PAIR_BUDGET} pairs per chunk"
+        )
 
+    times = [np.zeros(0, dtype=np.int64)]
+    nets = [np.zeros(0, dtype=np.int64)]
+    for c0, n_pairs in zip(bounds, pairs.tolist()):
+        if n_pairs:
+            sl = slice(c0, c0 + chunk)
+            t, d = _chunk_flip_nets(frags[sl], e, lo[sl], hi[sl])
+            times.append(t)
+            nets.append(d)
+    # edges are the times with a nonzero net in some chunk, even where the
+    # chunk nets cancel (see OverlapProfile)
+    edges, inv = np.unique(np.concatenate(times), return_inverse=True)
+    delta = np.zeros(len(edges), dtype=np.int64)
+    np.add.at(delta, inv, np.concatenate(nets))
     total = len(fragments)
     # every flip time t satisfies 0 <= t < n_max; flips at t=0 apply to every
     # step count >= 1, so they fold into the first plateau
-    running = total + acc.pop(0, 0)
-    edges = [0]
-    counts = [running]
-    for t in sorted(acc):
-        running += acc[t]
-        edges.append(t)
-        counts.append(running)
+    if len(edges) and edges[0] == 0:
+        delta[0] += total
+    else:
+        edges = np.concatenate(([0], edges))
+        delta = np.concatenate(([total], delta))
     return OverlapProfile(
         stage=ctx.stage,
         n_max=n_max,
         total=total,
         width=table.width(ctx.stage),
-        edges=tuple(edges),
-        counts=tuple(counts),
+        edges=tuple(edges.tolist()),
+        counts=tuple(np.cumsum(delta).tolist()),
     )
 
 

@@ -364,8 +364,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "mc-check":
             return cmd_mc_check(cfg, out_dir)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, tower.InvalidConstruction, tower.StageOverflow) as exc:
-        # StageOverflow means the requested run needs a larger j_max
+    except (
+        ConfigError,
+        tower.InvalidConstruction,
+        tower.StageOverflow,
+        averages.PairBudgetExceeded,
+    ) as exc:
+        # StageOverflow means the requested run needs a larger j_max;
+        # PairBudgetExceeded that the event sweep would not fit in memory
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -59,6 +59,7 @@ __all__ = [
     "in_swap_zone",
     "level_swap",
     "claim_windows",
+    "sample_grid",
     "verify_windows",
     "verify_conjugacy",
     "WindowCheck",
@@ -311,8 +312,12 @@ def claim_windows(table: StageTable, j: int) -> tuple[tuple[int, int], tuple[int
     return (h_q, q * h_q), (h_q1, q * h_q1)
 
 
-def _sample_grid(lo: int, hi: int, points: int) -> list[int]:
-    """Deterministic grid inside the open window (lo, hi), plus endpoints +-1."""
+def sample_grid(lo: int, hi: int, points: int) -> list[int]:
+    """The step counts ``verify_windows(mode="sampled", grid_points=points)``
+    checks in the open window ``(lo, hi)``: ``points`` evenly spaced steps
+    from ``lo+1`` to ``hi-1`` plus ``lo+2`` and ``hi-2``, sorted and without
+    duplicates; a window with at most one interior step gives all of them.
+    """
     if hi - lo <= 2:
         return list(range(lo + 1, hi))
     span = hi - lo - 2
@@ -346,8 +351,8 @@ def verify_windows(
     """Check the disjointness/coincidence claims for marker stage ``2j``.
 
     ``mode='exhaustive'`` checks every step count strictly inside both
-    windows; ``mode='sampled'`` checks a deterministic grid of
-    ``grid_points`` plus the window endpoints +-1.  An evenly spaced subset
+    windows; ``mode='sampled'`` checks :func:`sample_grid` of each window
+    with ``grid_points`` points.  An evenly spaced subset
     of ``_AUDIT_POINTS`` step counts per window is re-evaluated through
     :func:`overlap_measure` and must agree exactly.
 
@@ -376,7 +381,7 @@ def verify_windows(
         if mode == "exhaustive":
             i_values = list(range(lo + 1, hi))
         else:
-            i_values = _sample_grid(lo, hi, grid_points)
+            i_values = sample_grid(lo, hi, grid_points)
         counts = _parity_zero_counts(fragments, ctx.e_indices, i_values)
         bad = [(i, c) for i, c in zip(i_values, counts) if c != want]
         # audit: a deterministic subsample must match the one-at-a-time route

@@ -46,7 +46,7 @@ from ergolab import (
     verify_windows,
 )
 from ergolab.cli import main
-from ergolab.extension import _sample_grid
+from ergolab.extension import sample_grid
 
 import _reference as ref
 
@@ -159,9 +159,9 @@ def test_criterion_2_sampled_windows_j3(table):
     disjoint, coincide = rep.checks
     m_q, leak_overlap = base_leak(6, disjoint.hi)
     problems = window_problems(
-        disjoint, _sample_grid(disjoint.lo, disjoint.hi, 10_000), leak_overlap
+        disjoint, sample_grid(disjoint.lo, disjoint.hi, 10_000), leak_overlap
     ) + window_problems(
-        coincide, _sample_grid(coincide.lo, coincide.hi, 10_000), lambda i: Fraction(1)
+        coincide, sample_grid(coincide.lo, coincide.hi, 10_000), lambda i: Fraction(1)
     )
 
     # the grid need not hit the leak's first step: probe both sides of it

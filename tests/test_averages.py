@@ -1,7 +1,9 @@
 """Event sweep, running averages, milestones, and the divergence report."""
 
+import hashlib
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +25,9 @@ from ergolab import (
     overlap_measure,
     pair_integrand,
 )
+from ergolab.averages import PairBudgetExceeded
 from ergolab.extension import SegmentEscapesTower
+from ergolab.tower import StageOverflow
 
 MODEL = SuspensionModel("poisson", 1)
 
@@ -127,6 +131,50 @@ def test_zero_change_edges_depend_only_on_chunking(monkeypatch):
     assert _merge_equal_counts(fine) == _merge_equal_counts(coarse)
     for n in range(1, n_max + 1):
         assert fine.count_at(n) == coarse.count_at(n)
+
+
+def test_cross_chunk_edges_are_pinned():
+    """Five chunks of 2048 fragments: pins the edges whose chunk nets cancel."""
+    t = build_stage_table(ConstructionParams(preset="staircase-mixing", j_max=9))
+    n_max = 2_000_000
+    ctx = context_for(t, n_max)
+    a = base_leveled_set(t, ctx.stage)
+    assert (ctx.stage, len(a.level0), len(a.level1)) == (8, 10_080, 0)
+    p = event_sweep(a, ctx, n_max)
+    assert len(p.edges) == len(p.counts) == 8_251
+    assert len(_merge_equal_counts(p)[0]) == 8_029
+    digest = hashlib.sha256(repr((p.edges, p.counts)).encode()).hexdigest()
+    assert digest == "7b93f6be97c97c1234ae25eee922e52412415d0031850104ad6646c1ef58a075"
+
+
+def test_sweep_guards_the_int64_key_range(table):
+    """Flip keys 2*t + 1 need n_max <= 2**62; the guard fires before any work."""
+    ctx = cocycle_context(table, 4)
+    a = base_leveled_set(table, 4)
+    with pytest.raises(StageOverflow, match=str(2**62 + 1)):
+        event_sweep(a, ctx, 2**62 + 1)
+    # 2**62 passes the guard and fails only because it escapes stage 4
+    with pytest.raises(SegmentEscapesTower):
+        event_sweep(a, ctx, 2**62)
+
+
+def test_pair_budget_bounds_the_largest_chunk(table, monkeypatch):
+    import ergolab.averages as av
+
+    n_max = 23040
+    ctx = cocycle_context(table, 6)
+    a = base_leveled_set(table, 6)
+    e = ctx.e_indices
+    pairs = [bisect_left(e, f + n_max) - bisect_left(e, f) for f in a.level0.indices]
+    monkeypatch.setattr(av, "_FRAGMENT_CHUNK", 100)
+    largest = max(sum(pairs[k : k + 100]) for k in range(0, len(pairs), 100))
+    monkeypatch.setattr(av, "_CHUNK_PAIR_BUDGET", largest)
+    event_sweep(a, ctx, n_max)
+    monkeypatch.setattr(av, "_CHUNK_PAIR_BUDGET", largest - 1)
+    with pytest.raises(PairBudgetExceeded) as exc:
+        event_sweep(a, ctx, n_max)
+    assert f"needs {sum(pairs)} flip pairs" in str(exc.value)
+    assert f"holds {largest}," in str(exc.value)
 
 
 def test_sweep_rejects_escaping_fragments(table):

@@ -110,6 +110,16 @@ def test_series_beyond_int64_exits_2_naming_the_height(tmp_path, capsys):
     assert str(h_14) in capsys.readouterr().err
 
 
+def test_series_over_the_pair_budget_exits_2_naming_the_counts(tmp_path, capsys):
+    # 725,760 fragments x 852,912 markers at stage 10; the sweep would need
+    # several GB, so it stops after counting the pairs
+    code, _ = run(tmp_path, "series", config={"j_max": 11, "j_top": 4})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "needs 34392314880 flip pairs" in err
+    assert "holds 191626792," in err
+
+
 def test_series_artifacts(tmp_path):
     code, out = run(tmp_path, "series", config=SMALL)
     assert code == 0

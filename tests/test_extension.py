@@ -231,9 +231,9 @@ def test_verify_windows_sampled_grid_hits_endpoints(table):
 
 
 def _grid_of(check):
-    from ergolab.extension import _sample_grid
+    from ergolab.extension import sample_grid
 
-    return _sample_grid(check.lo, check.hi, 10)
+    return sample_grid(check.lo, check.hi, 10)
 
 
 def test_window_report_json_schema(table):
