@@ -55,6 +55,7 @@ from .averages import (
     Milestone,
     OverlapProfile,
     PairBudgetExceeded,
+    Series,
     SeriesPoint,
     average_series,
     default_checkpoints,

@@ -8,7 +8,6 @@ identical config and seed produce byte-identical artifacts.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -81,6 +80,11 @@ def _expect(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _is_int(x: object) -> bool:
+    # JSON true/false load as bool, which is an int subclass
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_config(raw: dict) -> RunConfig:
     _expect(isinstance(raw, dict), "config must be a JSON object")
     unknown = set(raw) - set(_DEFAULTS)
@@ -89,7 +93,7 @@ def parse_config(raw: dict) -> RunConfig:
 
     _expect(cfg["preset"] in tower.PRESETS, f"preset must be one of {tower.PRESETS}")
     _expect(
-        isinstance(cfg["j_max"], int) and cfg["j_max"] >= 1,
+        _is_int(cfg["j_max"]) and cfg["j_max"] >= 1,
         "j_max must be a positive integer",
     )
     ms = cfg["marker_stages"]
@@ -97,7 +101,7 @@ def parse_config(raw: dict) -> RunConfig:
         marker_stages = None
     else:
         _expect(
-            isinstance(ms, list) and all(isinstance(q, int) for q in ms),
+            isinstance(ms, list) and all(_is_int(q) for q in ms),
             "marker_stages must be 'all-even' or a list of even integers",
         )
         _expect(
@@ -113,9 +117,9 @@ def parse_config(raw: dict) -> RunConfig:
     kind = model.get("kind", "poisson")
     m = model.get("m", 1)
     _expect(kind in ("poisson", "gaussian"), "model.kind must be poisson or gaussian")
-    _expect(isinstance(m, int) and m >= 0, "model.m must be an integer >= 0")
+    _expect(_is_int(m) and m >= 0, "model.m must be an integer >= 0")
     _expect(
-        isinstance(cfg["j_top"], int) and cfg["j_top"] >= 1,
+        _is_int(cfg["j_top"]) and cfg["j_top"] >= 1,
         "j_top must be a positive integer",
     )
     ratio = cfg["checkpoint_ratio"]
@@ -123,9 +127,9 @@ def parse_config(raw: dict) -> RunConfig:
         isinstance(ratio, (int, float)) and ratio > 1.0,
         "checkpoint_ratio must be a number > 1",
     )
-    _expect(isinstance(cfg["seed"], int), "seed must be an integer")
+    _expect(_is_int(cfg["seed"]), "seed must be an integer")
     _expect(
-        isinstance(cfg["mc_samples"], int) and cfg["mc_samples"] >= 1,
+        _is_int(cfg["mc_samples"]) and cfg["mc_samples"] >= 1,
         "mc_samples must be a positive integer",
     )
     return RunConfig(
@@ -234,20 +238,15 @@ def cmd_series(cfg: RunConfig, out_dir: Path) -> int:
     report = averages.divergence_report(series, milestones, model)
 
     csv_path = out_dir / "series.csv"
+    # CRLF line ends and floats as their repr; each level's three columns
+    # are formatted once
+    mid = [f"{o.numerator},{o.denominator},{g!r}" for o, g in series.levels]
     with csv_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "overlap_num", "overlap_den", "integrand", "a_n", "is_milestone"])
-        for p in series:
-            writer.writerow(
-                [
-                    p.n,
-                    p.overlap.numerator,
-                    p.overlap.denominator,
-                    repr(p.integrand),
-                    repr(p.a_n),
-                    int(p.is_milestone),
-                ]
-            )
+        fh.write("n,overlap_num,overlap_den,integrand,a_n,is_milestone\r\n")
+        fh.writelines(
+            f"{n},{mid[k]},{a_n!r},{mile:d}\r\n"
+            for n, k, a_n, mile in zip(series.n, series.level, series.a_n, series.is_milestone)
+        )
     _write_json(
         out_dir / "report.json",
         {
@@ -354,7 +353,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output directory {out_dir}: {exc}"
+            ) from exc
         if args.command == "build":
             return cmd_build(cfg, out_dir)
         if args.command == "verify":

@@ -173,25 +173,18 @@ class StageTable:
         return out
 
 
-def build_stage_table(params: ConstructionParams, j_max: int | None = None) -> StageTable:
+def build_stage_table(params: ConstructionParams) -> StageTable:
     """Materialize heights, widths, spacer counts and column offsets.
 
     Rejects any stage with fewer than two cuts and any marker stage whose
     spacer counts are too small for both markers to land on spacer floors
     (``s_q(i) >= q*h_q`` is required on marker stages ``q``).
     """
-    if j_max is None:
-        j_max = params.j_max
-    if j_max < 1:
-        raise InvalidConstruction(f"j_max must be >= 1, got {j_max}")
-    if j_max != params.j_max:
-        params = ConstructionParams(params.preset, j_max, params.marker_stages)
-
     heights = [1]
     widths = [Fraction(1)]
     spacers: list[tuple[int, ...]] = []
     offsets: list[tuple[int, ...]] = []
-    for j in range(1, j_max):
+    for j in range(1, params.j_max):
         h_j = heights[-1]
         r_j = params.cut_count(j)
         if r_j < 2:

@@ -7,6 +7,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ergolab import (
@@ -25,7 +26,7 @@ from ergolab import (
     overlap_measure,
     pair_integrand,
 )
-from ergolab.averages import PairBudgetExceeded
+from ergolab.averages import PairBudgetExceeded, _neumaier_cumsum
 from ergolab.extension import SegmentEscapesTower
 from ergolab.tower import StageOverflow
 
@@ -209,6 +210,24 @@ def test_series_against_naive_running_mean(table, profile6):
     for p in series:
         naive = math.fsum(g[: p.n]) / p.n
         assert abs(p.a_n - naive) <= 1e-10
+        assert p.overlap == profile6.overlap_at(p.n)
+        assert p.integrand == g[p.n - 1]
+
+
+def test_neumaier_cumsum_matches_scalar_loop_bit_for_bit():
+    """The vectorised compensated sums equal the scalar accumulator exactly."""
+    rng = random.Random(7)
+    x = [rng.choice((1.0, -1.0)) * rng.random() * 10.0 ** rng.randint(-12, 12)
+         for _ in range(5000)]
+    s = comp = 0.0
+    want = []
+    for v in x:
+        t = s + v
+        comp += (s - t) + v if abs(s) >= abs(v) else (v - t) + s
+        s = t
+        want.append(s + comp)
+    got = _neumaier_cumsum(np.asarray(x)).tolist()
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_series_points_stay_between_c_squared_and_c(table, profile6):

@@ -44,9 +44,25 @@ def test_parse_config_rejects_bad_input():
         {"checkpoint_ratio": 1.0},
         {"unknown_key": 1},
         {"mc_samples": 0},
+        # JSON true/false load as bool, an int subclass
+        {"j_max": True},
+        {"j_top": True},
+        {"seed": False},
+        {"mc_samples": True},
+        {"model": {"kind": "poisson", "m": False}},
     ):
         with pytest.raises(ConfigError):
             parse_config(raw)
+
+
+def test_out_that_is_a_file_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "out").write_text("", encoding="utf-8")
+    code, out = run(tmp_path, "build", config={"j_max": 3})
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: cannot create output directory")
+    assert str(out) in err[0]
 
 
 def test_load_config_missing_file(tmp_path):
@@ -66,8 +82,10 @@ def test_build_writes_stage_table(tmp_path, capsys):
 
 
 def test_build_invalid_config_exits_2(tmp_path):
-    code, _ = run(tmp_path, "build", config={"preset": "bogus"})
-    assert code == 2
+    for k, config in enumerate(({"preset": "bogus"}, {"j_max": True, "seed": False})):
+        code, out = run(tmp_path / str(k), "build", config=config)
+        assert code == 2
+        assert not (out / "stages.json").exists()
 
 
 def test_verify_j1_is_diagnostic_only(tmp_path, capsys):

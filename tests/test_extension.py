@@ -149,6 +149,13 @@ def test_overlap_examples(table):
     # coincidence window for j=2 is exact
     for n in (5761, 12345, 23039):
         assert overlap_measure(n, a, ctx) == 1
+    # the top fragment may end on the stage's last floor, not beyond it
+    top = a.level0.indices[-1]
+    assert 0 <= overlap_measure(ctx.height() - 1 - top, a, ctx) <= 1
+    with pytest.raises(SegmentEscapesTower):
+        overlap_measure(ctx.height() - top, a, ctx)
+    with pytest.raises(ValueError, match=">= 0"):
+        overlap_measure(-1, a, ctx)
 
 
 def test_overlap_denominator_divides_cut_product(table, ctx5):

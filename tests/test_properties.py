@@ -13,8 +13,11 @@ from ergolab import (
     build_stage_table,
     context_for,
     event_sweep,
+    flip_orbit,
+    overlap_measure,
     verify_windows,
 )
+from ergolab.extension import sample_grid
 
 import _reference as ref
 
@@ -51,11 +54,20 @@ def test_context_and_profile_match_reference(preset, marker_stages, j_max, n_max
     markers = ref.marker_indices(ctx.stage, sorted(marker_stages), cut, spacer, h)
     assert list(ctx.e_indices) == markers
 
-    profile = event_sweep(base_leveled_set(table, ctx.stage), ctx, n_max)
+    base = base_leveled_set(table, ctx.stage)
+    profile = event_sweep(base, ctx, n_max)
     fragments = ref.base_indices(ctx.stage, cut, spacer, h)
     expected = ref.overlaps(fragments, set(markers), n_max)
     for n in range(1, n_max + 1):
         assert profile.overlap_at(n) == expected[n]
+    for n in range(n_max + 1):
+        assert overlap_measure(n, base, ctx) == expected[n]
+    # an orbit set on both levels, some of its fragments on marker floors
+    k = n_max // 2
+    moved = flip_orbit(base, k, ctx)
+    expected = ref.overlaps([f + k for f in fragments], set(markers), n_max - k)
+    for n in range(n_max - k + 1):
+        assert overlap_measure(n, moved, ctx) == expected[n]
 
 
 @settings(SETTINGS, max_examples=10)
@@ -75,9 +87,17 @@ def test_j1_window_violations_match_reference(preset, j_max):
         windows[-1][1] - 1,
     )
 
-    report = verify_windows(table, 1)
-    for check, (lo, hi, want) in zip(report.checks, windows):
-        assert (check.lo, check.hi) == (lo, hi)
-        bad = [n for n in range(lo + 1, hi) if overlap[n] != want]
-        assert list(check.violations) == bad
-        assert [Fraction(v) for v in check.violation_values] == [overlap[n] for n in bad]
+    for report, steps in (
+        (verify_windows(table, 1), lambda lo, hi: range(lo + 1, hi)),
+        (
+            verify_windows(table, 1, mode="sampled", grid_points=7),
+            lambda lo, hi: sample_grid(lo, hi, 7),
+        ),
+    ):
+        for check, (lo, hi, want) in zip(report.checks, windows):
+            assert (check.lo, check.hi) == (lo, hi)
+            bad = [n for n in steps(lo, hi) if overlap[n] != want]
+            assert list(check.violations) == bad
+            assert [Fraction(v) for v in check.violation_values] == [
+                overlap[n] for n in bad
+            ]
