@@ -11,12 +11,10 @@ from .tower import (
     StageTable,
     base_floorset,
     build_stage_table,
-    intersect,
     marker_floorset,
     measure,
     refine,
     shift,
-    subtract,
 )
 from .extension import (
     CocycleContext,

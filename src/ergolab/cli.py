@@ -123,9 +123,11 @@ def parse_config(raw: dict) -> RunConfig:
         "j_top must be a positive integer",
     )
     ratio = cfg["checkpoint_ratio"]
+    # the upper bound rejects inf and nan (json loads Infinity and NaN) and
+    # an integer too large for a float, where math.isfinite would raise
     _expect(
-        isinstance(ratio, (int, float)) and ratio > 1.0,
-        "checkpoint_ratio must be a number > 1",
+        isinstance(ratio, (int, float)) and 1.0 < ratio <= sys.float_info.max,
+        "checkpoint_ratio must be a finite number > 1",
     )
     _expect(_is_int(cfg["seed"]), "seed must be an integer")
     _expect(
@@ -192,10 +194,12 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, j_values: list[int] | None = None)
             f" materialized (available: {candidates})"
         )
     failed = False
+    stages = []
     for j in j_values:
         mode = "exhaustive" if j <= 2 else "sampled"
         log.info("verifying windows for j=%d (%s)", j, mode)
         report = extension.verify_windows(table, j, mode=mode)
+        stages.append(report.stage)
         _write_json(out_dir / f"verify_j{j}.json", report.to_json_obj())
         for check in report.checks:
             status = "pass" if check.passed else f"{len(check.violations)} violations"
@@ -207,12 +211,16 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, j_values: list[int] | None = None)
         if report.asserted and not report.passed:
             failed = True
 
-    log.info("verifying conjugacy, n_max=1000")
-    conj = extension.verify_conjugacy(table, n_max=1000)
+    # the top window stage carries the markers of every checked window; with
+    # no window checked, take the stage that carries every marker stage
+    top_marker_stage = max(table.params.effective_marker_stages(), default=0)
+    stage = max(stages, default=top_marker_stage + 1)
+    log.info("verifying conjugacy at stage %d", stage)
+    conj = extension.verify_conjugacy(table, stage)
     _write_json(out_dir / "conjugacy.json", conj.to_json_obj())
     print(
-        f"conjugacy n<=1000: "
-        f"{'pass' if conj.passed else f'{len(conj.mismatched_n)} mismatches'}"
+        f"conjugacy at stage {stage} ({conj.floors_checked} floor steps): "
+        f"{'pass' if conj.passed else f'{len(conj.mismatched_floors)} mismatches'}"
     )
     if not conj.passed:
         failed = True

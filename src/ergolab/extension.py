@@ -2,10 +2,13 @@
 
 The phase space gains a level bit.  The *straight* lift moves a point one
 floor up and keeps its level; the *flip* lift additionally toggles the level
-whenever the point currently sits on a marker floor.  For a floor ``f`` and
-``n`` steps the accumulated toggle is the parity of the number of marker
-floors in ``[f, f+n)``, so orbit levels reduce to two binary searches per
-fragment (:func:`cocycle_parity`).
+whenever the point currently sits on a marker floor.  The toggle is a
+coboundary.  The *swap zones* are the runs of spacer floors strictly between
+a column's two markers, at in-column offsets ``h_q + 1 .. q*h_q`` of every
+marker stage ``q``; a zone starts one floor above a marker and ends on the
+next one.  So the parity of the marker floors in ``[f, f+n)`` is
+``zone(f) XOR zone(f+n)`` (:func:`cocycle_parity`), and every orbit level and
+overlap count is two zone lookups per fragment (:meth:`CocycleContext.in_zone`).
 
 The headline claims verified here, for the unit base set ``A`` at level 0:
 
@@ -17,8 +20,11 @@ The headline claims verified here, for the unit base set ``A`` at level 0:
   ``(q*h_q - M_q, q*h_q)`` the images coincide on ``{u : u + i > q*h_q}``;
 * coincidence window ``(h_{q+1}, q*h_{q+1})``: the images should coincide
   (overlap 1);
-* conjugacy: swapping levels on the zone between each column's two markers
-  conjugates the straight lift into the flip lift.
+* conjugacy: swapping levels on the swap zones conjugates the straight lift
+  into the flip lift.  The swap is an involution, so this is the one-step
+  identity ``zone(f) XOR zone(f+1) = marker(f)`` on every floor, which
+  :func:`verify_conjugacy` checks against the markers of
+  :func:`~ergolab.tower.marker_floorset`.
 
 :func:`verify_windows` checks the window claims exactly and reports every
 violating step count; violations are data, not errors.
@@ -26,8 +32,7 @@ violating step count; violations are data, not errors.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -55,8 +60,6 @@ __all__ = [
     "straight_orbit",
     "flip_orbit",
     "overlap_measure",
-    "classify_floor",
-    "in_swap_zone",
     "level_swap",
     "claim_windows",
     "sample_grid",
@@ -73,18 +76,58 @@ class SegmentEscapesTower(ValueError):
 
 @dataclass(frozen=True)
 class CocycleContext:
-    """Marker floor indices of all materialized marker stages, at one stage."""
+    """Marker floors and swap zones of all materialized marker stages, at one stage.
+
+    ``zone_starts`` and ``zone_ends`` are the first and last floor of every
+    swap zone, sorted.  They restate the markers, so they take no part in
+    equality.
+    """
 
     table: StageTable
     stage: int
     e_indices: tuple[int, ...]
+    zone_starts: np.ndarray = field(compare=False, repr=False)
+    zone_ends: np.ndarray = field(compare=False, repr=False)
 
     def height(self) -> int:
         return self.table.height(self.stage)
 
+    def in_zone(self, floors) -> np.ndarray:
+        """Whether each floor lies in a swap zone: the last zone starting at
+        or below it must end at or above it."""
+        f = np.asarray(floors, dtype=np.int64)
+        if not self.zone_starts.size:
+            return np.zeros(f.shape, dtype=bool)
+        k = np.searchsorted(self.zone_starts, f, side="right") - 1
+        return (k >= 0) & (f <= self.zone_ends[k])
+
+
+def _swap_zones(table: StageTable, stage: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and last floor of every swap zone at ``stage``, sorted.
+
+    Above the stage-``q`` column at offset ``o`` the zone is
+    ``o + [h_q + 1, q*h_q]`` at stage ``q+1``; refinement adds the column
+    offsets of each higher stage, so the zone starts are the sumset
+    ``O_q + ... + O_{stage-1} + h_q + 1``.
+    """
+    starts = [np.zeros(0, dtype=np.int64)]
+    ends = [np.zeros(0, dtype=np.int64)]
+    for q in table.params.effective_marker_stages():
+        if q + 1 > stage:
+            continue
+        h_q = table.height(q)
+        s = np.asarray(table.column_offsets(q), dtype=np.int64) + (h_q + 1)
+        for j in range(q + 1, stage):
+            s = (np.asarray(table.column_offsets(j), dtype=np.int64)[:, None] + s).ravel()
+        starts.append(s)
+        ends.append(s + ((q - 1) * h_q - 1))
+    s, e = np.concatenate(starts), np.concatenate(ends)
+    order = np.argsort(s, kind="stable")
+    return s[order], e[order]
+
 
 def cocycle_context(table: StageTable, stage: int) -> CocycleContext:
-    """Sorted marker floors at ``stage``, whose height must fit in int64.
+    """Sorted marker floors and swap zones at ``stage``, whose height must fit in int64.
 
     Orbit segments never leave the stage, so the height bound also bounds
     every floor index and step count the numpy kernels see.
@@ -98,7 +141,7 @@ def cocycle_context(table: StageTable, stage: int) -> CocycleContext:
             continue
         fs = refine(table, marker_floorset(table, q // 2), stage)
         merged.extend(fs.indices)
-    return CocycleContext(table, stage, tuple(sorted(merged)))
+    return CocycleContext(table, stage, tuple(sorted(merged)), *_swap_zones(table, stage))
 
 
 def context_for(table: StageTable, n_max: int) -> CocycleContext:
@@ -139,8 +182,7 @@ def cocycle_parity(f: int, n: int, ctx: CocycleContext) -> int:
         raise SegmentEscapesTower(
             f"segment [{f}, {f + n}] escapes stage {ctx.stage} (height {h})"
         )
-    e = ctx.e_indices
-    return (bisect_left(e, f + n) - bisect_left(e, f)) & 1
+    return int(ctx.in_zone(f) != ctx.in_zone(f + n))
 
 
 def _fragments(table: StageTable, a: LeveledSet, stage: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -196,58 +238,21 @@ def overlap_measure(n: int, a: LeveledSet, ctx: CocycleContext) -> Fraction:
         raise SegmentEscapesTower(
             f"fragment {max(fragments)} cannot take {n} steps inside stage {ctx.stage}"
         )
-    count0 = _parity_zero_counts(fragments, ctx.e_indices, [n])[0]
+    frag = np.asarray(fragments, dtype=np.int64)
+    count0 = int((ctx.in_zone(frag) == ctx.in_zone(frag + n)).sum())
     return count0 * ctx.table.width(ctx.stage)
-
-
-# ---------------------------------------------------------------------------
-# floor classification: birth stage and spacer offset
-
-
-def classify_floor(table: StageTable, stage: int, f: int) -> tuple[int, int]:
-    """Trace floor ``f`` of ``stage`` to its origin.
-
-    Returns ``(birth_stage, offset)``: ``(1, p)`` for base-space floors, or
-    ``(l+1, rel)`` for a spacer floor added above a stage-``l`` column at
-    in-column offset ``rel`` (``h_l <= rel < h_l + s_l(column)``).
-    """
-    for l in range(stage - 1, 0, -1):
-        cols = table.column_offsets(l)
-        c = bisect_right(cols, f) - 1
-        rel = f - cols[c]
-        if rel < table.height(l):
-            f = rel
-            continue
-        return l + 1, rel
-    return 1, f
-
-
-def in_swap_zone(table: StageTable, stage: int, f: int) -> bool:
-    """Whether floor ``f`` lies strictly between a column's two markers.
-
-    The swap zone of marker stage ``q`` is the run of spacer floors at
-    in-column offsets ``h_q + 1 .. q*h_q`` above every column; flipping
-    levels there conjugates the straight lift into the flip lift.
-    """
-    birth, rel = classify_floor(table, stage, f)
-    q = birth - 1
-    if q >= 2 and table.params.carries_markers(q) and q + 1 <= stage:
-        return table.height(q) + 1 <= rel <= q * table.height(q)
-    return False
 
 
 def level_swap(table: StageTable, a: LeveledSet) -> LeveledSet:
     """The involution that flips the level of every swap-zone floor."""
     stage = max(a.level0.stage, a.level1.stage)
-    l0 = refine(table, a.level0, stage).indices
-    l1 = refine(table, a.level1, stage).indices
-    new0: list[int] = []
-    new1: list[int] = []
-    for f in l0:
-        (new1 if in_swap_zone(table, stage, f) else new0).append(f)
-    for f in l1:
-        (new0 if in_swap_zone(table, stage, f) else new1).append(f)
-    return LeveledSet(FloorSet.of(stage, new0), FloorSet.of(stage, new1))
+    ctx = cocycle_context(table, stage)
+    l0, l1 = (np.asarray(frs, dtype=np.int64) for frs in _fragments(table, a, stage))
+    z0, z1 = ctx.in_zone(l0), ctx.in_zone(l1)
+    return LeveledSet(
+        FloorSet.of(stage, np.concatenate((l0[~z0], l1[z1])).tolist()),
+        FloorSet.of(stage, np.concatenate((l0[z0], l1[~z1])).tolist()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +330,6 @@ def sample_grid(lo: int, hi: int, points: int) -> list[int]:
     return sorted(grid)
 
 
-def _parity_zero_counts(
-    fragments: tuple[int, ...], e_indices: tuple[int, ...], i_values: list[int]
-) -> list[int]:
-    """Number of parity-0 fragments at each step count, exact integer counts."""
-    e = np.asarray(e_indices, dtype=np.int64)
-    frag = np.asarray(fragments, dtype=np.int64)
-    lo = np.searchsorted(e, frag, side="left")
-    out = []
-    for i in i_values:
-        hi = np.searchsorted(e, frag + i, side="left")
-        out.append(int(((hi - lo) % 2 == 0).sum()))
-    return out
-
-
 def verify_windows(
     table: StageTable,
     j: int,
@@ -358,8 +349,9 @@ def verify_windows(
         raise ValueError(f"unknown mode {mode!r}")
     (d_lo, d_hi), (c_lo, c_hi) = claim_windows(table, j)
     ctx = context_for(table, c_hi - 1)
-    fragments = base_leveled_set(table, ctx.stage).level0.indices
-    total = len(fragments)
+    frag = np.asarray(base_leveled_set(table, ctx.stage).level0.indices, dtype=np.int64)
+    home = ctx.in_zone(frag)
+    total = len(frag)
 
     checks = []
     for kind, lo, hi, want in (
@@ -370,7 +362,8 @@ def verify_windows(
             i_values = list(range(lo + 1, hi))
         else:
             i_values = sample_grid(lo, hi, grid_points)
-        counts = _parity_zero_counts(fragments, ctx.e_indices, i_values)
+        # parity 0 after i steps: f + i is in a zone iff f is
+        counts = [int((ctx.in_zone(frag + i) == home).sum()) for i in i_values]
         bad = [(i, c) for i, c in zip(i_values, counts) if c != want]
         w = ctx.table.width(ctx.stage)
         checks.append(
@@ -395,42 +388,48 @@ def verify_windows(
 
 @dataclass(frozen=True)
 class ConjugacyReport:
-    n_max: int
     stage: int
-    fragment_count: int
-    mismatched_n: tuple[int, ...]
+    floors_checked: int
+    mismatched_floors: tuple[int, ...]
 
     @property
     def passed(self) -> bool:
-        return not self.mismatched_n
+        return not self.mismatched_floors
 
     def to_json_obj(self) -> dict:
         return {
-            "n_max": self.n_max,
             "stage": self.stage,
-            "fragment_count": self.fragment_count,
-            "mismatch_count": len(self.mismatched_n),
-            "mismatched_n": [str(n) for n in self.mismatched_n],
+            "floors_checked": str(self.floors_checked),
+            "mismatch_count": len(self.mismatched_floors),
+            "mismatched_floors": [str(f) for f in self.mismatched_floors],
         }
 
 
-def verify_conjugacy(table: StageTable, n_max: int) -> ConjugacyReport:
-    """Check swap . straight^n . swap == flip^n on the base set for n <= n_max.
+def _unpaired(a: np.ndarray) -> np.ndarray:
+    """The values of the sorted array ``a`` that occur an odd number of times."""
+    if not a.size:
+        return a
+    first = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+    runs = np.diff(np.concatenate((first, [a.size])))
+    return a[first[runs % 2 == 1]]
 
-    Both sides are materialized as LeveledSets and compared exactly.
+
+def verify_conjugacy(table: StageTable, stage: int) -> ConjugacyReport:
+    """Check ``zone(f) XOR zone(f+1) == marker(f)`` on every floor of ``stage``.
+
+    The level swap is an involution, so this one-step identity is
+    swap . straight . swap == flip, and with it swap . straight^n . swap ==
+    flip^n for every ``n``.  The zone indicator changes between ``f`` and
+    ``f+1`` exactly when ``f`` is a zone start minus 1 or a zone end, except
+    where two zones abut; the mismatches are the floors in exactly one of
+    those boundaries and the markers of :func:`~ergolab.tower.marker_floorset`.
     """
-    ctx = context_for(table, n_max)
-    a = base_leveled_set(table, ctx.stage)
-    swapped = level_swap(table, a)
-    mism = []
-    for n in range(n_max + 1):
-        lhs = level_swap(table, straight_orbit(swapped, n, ctx))
-        rhs = flip_orbit(a, n, ctx)
-        if lhs != rhs:
-            mism.append(n)
+    ctx = cocycle_context(table, stage)
+    boundaries = _unpaired(np.sort(np.concatenate((ctx.zone_starts - 1, ctx.zone_ends))))
+    markers = np.asarray(ctx.e_indices, dtype=np.int64)
+    mism = _unpaired(np.sort(np.concatenate((boundaries, markers))))
     return ConjugacyReport(
-        n_max=n_max,
-        stage=ctx.stage,
-        fragment_count=len(a.level0),
-        mismatched_n=tuple(mism),
+        stage=stage,
+        floors_checked=ctx.height() - 1,
+        mismatched_floors=tuple(mism.tolist()),
     )

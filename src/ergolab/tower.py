@@ -33,8 +33,6 @@ __all__ = [
     "build_stage_table",
     "refine",
     "shift",
-    "intersect",
-    "subtract",
     "measure",
     "base_floorset",
     "marker_floorset",
@@ -296,23 +294,6 @@ def shift(table: StageTable, fs: FloorSet, n: int, to_stage: int | None = None) 
             raise StageOverflow(f"shift by {n} does not fit inside stage {J}")
     refined = refine(table, fs, J)
     return FloorSet(J, tuple(f + n for f in refined.indices))
-
-
-def _common_stage(table: StageTable, a: FloorSet, b: FloorSet) -> tuple[FloorSet, FloorSet]:
-    J = max(a.stage, b.stage)
-    return refine(table, a, J), refine(table, b, J)
-
-
-def intersect(table: StageTable, a: FloorSet, b: FloorSet) -> FloorSet:
-    ra, rb = _common_stage(table, a, b)
-    sb = set(rb.indices)
-    return FloorSet(ra.stage, tuple(f for f in ra.indices if f in sb))
-
-
-def subtract(table: StageTable, a: FloorSet, b: FloorSet) -> FloorSet:
-    ra, rb = _common_stage(table, a, b)
-    sb = set(rb.indices)
-    return FloorSet(ra.stage, tuple(f for f in ra.indices if f not in sb))
 
 
 def measure(table: StageTable, fs: FloorSet) -> Fraction:

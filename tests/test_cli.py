@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -42,6 +43,9 @@ def test_parse_config_rejects_bad_input():
         {"model": {"kind": "poisson", "m": -1}},
         {"model": {"kind": "poisson", "extra": 1}},
         {"checkpoint_ratio": 1.0},
+        {"checkpoint_ratio": math.inf},
+        {"checkpoint_ratio": math.nan},
+        {"checkpoint_ratio": 10**400},
         {"unknown_key": 1},
         {"mc_samples": 0},
         # JSON true/false load as bool, an int subclass
@@ -63,6 +67,17 @@ def test_out_that_is_a_file_exits_2_naming_it(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith("error: cannot create output directory")
     assert str(out) in err[0]
+
+
+def test_series_with_infinite_checkpoint_ratio_exits_2(tmp_path, capsys):
+    # json loads the bare token Infinity as a float
+    code, out = run(
+        tmp_path, "series",
+        config={"checkpoint_ratio": math.inf, "j_max": 5, "j_top": 1},
+    )
+    assert code == 2
+    assert "checkpoint_ratio" in capsys.readouterr().err
+    assert not (out / "series.csv").exists()
 
 
 def test_load_config_missing_file(tmp_path):
@@ -107,7 +122,29 @@ def test_verify_j2_reports_the_window_leak(tmp_path):
     assert disjoint["violations"][-1] == "1151"
     assert coincide["violations"] == []
     conj = read_json(out / "conjugacy.json")
-    assert conj["mismatch_count"] == 0
+    # the j=2 windows are checked at stage 6
+    assert conj == {
+        "stage": 6,
+        "floors_checked": "172799",
+        "mismatch_count": 0,
+        "mismatched_floors": [],
+    }
+
+
+def test_verify_without_a_window_checks_the_marker_stages(tmp_path):
+    # j_top=1 leaves no window for marker stage 4, whose markers sit at
+    # stage 5; with no markers at all the stage-1 tower has no floor step
+    for k, (config, stage, floors) in enumerate((
+        ({"j_max": 9, "j_top": 1, "marker_stages": [4]}, 5, "5759"),
+        ({"j_max": 14, "marker_stages": []}, 1, "0"),
+    )):
+        code, out = run(tmp_path / str(k), "verify", config=config)
+        assert code == 0
+        assert not list(out.glob("verify_j*.json"))
+        conj = read_json(out / "conjugacy.json")
+        assert (conj["stage"], conj["floors_checked"], conj["mismatch_count"]) == (
+            stage, floors, 0
+        )
 
 
 def test_verify_unknown_j_exits_2(tmp_path):

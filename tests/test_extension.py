@@ -26,7 +26,6 @@ from ergolab import (
     verify_conjugacy,
     verify_windows,
 )
-from ergolab.extension import classify_floor, in_swap_zone
 
 import _reference as ref
 
@@ -176,20 +175,11 @@ def test_overlap_requires_level_disjoint_floors(table, ctx5):
         overlap_measure(1, LeveledSet(fs, fs), ctx5)
 
 
-def test_classify_floor_and_marker_membership(table):
-    base = set(base_floorset(table, 5).indices)
-    for p in range(table.height(5)):
-        birth, rel = classify_floor(table, 5, p)
-        assert (birth == 1) == (p in base)
-    for p in cocycle_context(table, 5).e_indices:
-        birth, rel = classify_floor(table, 5, p)
-        q = birth - 1
-        assert rel in (table.height(q), q * table.height(q))
-
-
 def test_swap_zone_sits_strictly_between_markers(table):
-    # stage-2 zone floors at in-column offsets [h_2+1, 2*h_2] = [5..8]
-    zone3 = [p for p in range(table.height(3)) if in_swap_zone(table, 3, p)]
+    # stage-2 zones at in-column offsets [h_2+1, 2*h_2] = [5..8] of each column
+    ctx3 = cocycle_context(table, 3)
+    assert list(zip(ctx3.zone_starts.tolist(), ctx3.zone_ends.tolist())) == [(5, 8), (17, 20)]
+    zone3 = [p for p in range(table.height(3)) if ctx3.in_zone(p)]
     assert zone3 == [5, 6, 7, 8, 17, 18, 19, 20]
 
 
@@ -252,25 +242,39 @@ def test_window_report_json_schema(table):
 
 
 def test_verify_conjugacy_small(table):
-    report = verify_conjugacy(table, 100)
-    assert report.passed
-    assert report.mismatched_n == ()
+    for stage in range(1, 9):
+        report = verify_conjugacy(table, stage)
+        assert report.passed and report.mismatched_floors == ()
+        assert report.floors_checked == table.height(stage) - 1
+    assert verify_conjugacy(table, 8).to_json_obj() == {
+        "stage": 8,
+        "floors_checked": "406425599",
+        "mismatch_count": 0,
+        "mismatched_floors": [],
+    }
 
 
 def test_conjugacy_detects_a_broken_swap_zone(table, monkeypatch):
-    """If the swap zone misses its top floor the conjugation must fail."""
+    """One zone a floor short at its top, or starting a floor late, breaks
+    the one-step identity at exactly the two floors around the moved edge."""
     import ergolab.extension as ext
 
-    real = ext.in_swap_zone
+    real = ext._swap_zones
+    k = 7  # a stage-2 zone inside the stage-6 tower
+    starts, ends = real(table, 6)
+    for edge, moved, expected in (
+        (1, ends[k] - 1, (ends[k] - 1, ends[k])),  # one floor short at the top
+        (0, starts[k] + 1, (starts[k] - 1, starts[k])),  # one floor late
+    ):
 
-    def broken(tbl, stage, f):
-        birth, rel = ext.classify_floor(tbl, stage, f)
-        q = birth - 1
-        if q >= 2 and tbl.params.carries_markers(q) and q + 1 <= stage:
-            return tbl.height(q) + 1 <= rel <= q * tbl.height(q) - 1
-        return False
+        def broken(tbl, stage, edge=edge, moved=moved):
+            zones = [a.copy() for a in real(tbl, stage)]
+            zones[edge][k] = moved
+            return tuple(zones)
 
-    monkeypatch.setattr(ext, "in_swap_zone", broken)
-    assert not verify_conjugacy(table, 30).passed
-    monkeypatch.setattr(ext, "in_swap_zone", real)
-    assert verify_conjugacy(table, 30).passed
+        monkeypatch.setattr(ext, "_swap_zones", broken)
+        report = verify_conjugacy(table, 6)
+        assert report.mismatched_floors == expected
+        assert report.to_json_obj()["mismatch_count"] == 2
+    monkeypatch.setattr(ext, "_swap_zones", real)
+    assert verify_conjugacy(table, 6).passed

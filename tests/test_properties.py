@@ -15,6 +15,7 @@ from ergolab import (
     event_sweep,
     flip_orbit,
     overlap_measure,
+    verify_conjugacy,
     verify_windows,
 )
 from ergolab.extension import sample_grid
@@ -53,10 +54,18 @@ def test_context_and_profile_match_reference(preset, marker_stages, j_max, n_max
     h = ref.heights(ctx.stage, cut, spacer)
     markers = ref.marker_indices(ctx.stage, sorted(marker_stages), cut, spacer, h)
     assert list(ctx.e_indices) == markers
+    # the swap zones are the floors with an odd number of markers below them
+    marker_set, parity, below = set(markers), 0, []
+    for f in range(h[ctx.stage]):
+        below.append(parity)
+        parity ^= f in marker_set
+    assert ctx.in_zone(range(h[ctx.stage])).astype(int).tolist() == below
+    assert verify_conjugacy(table, ctx.stage).passed
 
     base = base_leveled_set(table, ctx.stage)
     profile = event_sweep(base, ctx, n_max)
     fragments = ref.base_indices(ctx.stage, cut, spacer, h)
+    assert not ctx.in_zone(fragments).any()
     expected = ref.overlaps(fragments, set(markers), n_max)
     for n in range(1, n_max + 1):
         assert profile.overlap_at(n) == expected[n]

@@ -14,12 +14,10 @@ from ergolab import (
     StageOverflow,
     base_floorset,
     build_stage_table,
-    intersect,
     marker_floorset,
     measure,
     refine,
     shift,
-    subtract,
 )
 
 import _reference as ref
@@ -164,30 +162,6 @@ def test_shift_overflow():
         shift(t, FloorSet(1, (0,)), t.height(3))
 
 
-def test_intersect_subtract_against_set_arithmetic(table):
-    rng = random.Random(23)
-    for _ in range(25):
-        s1 = rng.randrange(2, 5)
-        s2 = rng.randrange(2, 5)
-        f1 = FloorSet.of(s1, rng.sample(range(table.height(s1)), rng.randrange(1, 4)))
-        f2 = FloorSet.of(s2, rng.sample(range(table.height(s2)), rng.randrange(1, 4)))
-        J = max(s1, s2)
-        e1 = set(ref.expand(f1.indices, s1, J, ref.basic_cut, ref.basic_spacer,
-                            ref.heights(J, ref.basic_cut, ref.basic_spacer)))
-        e2 = set(ref.expand(f2.indices, s2, J, ref.basic_cut, ref.basic_spacer,
-                            ref.heights(J, ref.basic_cut, ref.basic_spacer)))
-        assert set(intersect(table, f1, f2).indices) == e1 & e2
-        assert set(subtract(table, f1, f2).indices) == e1 - e2
-
-
-def test_intersect_trivia(table):
-    fs = base_floorset(table, 2)
-    empty = FloorSet(2, ())
-    assert intersect(table, fs, fs) == fs
-    assert intersect(table, fs, empty).is_empty()
-    assert measure(table, intersect(table, fs, empty)) == 0
-
-
 def test_base_floorset_examples(table):
     assert base_floorset(table, 1).indices == (0,)
     assert base_floorset(table, 2).indices == (0, 2)
@@ -205,12 +179,10 @@ def test_marker_floorset_example_and_measure(table):
 
 
 def test_markers_of_distinct_stages_are_disjoint(table):
-    m1 = marker_floorset(table, 1)
-    m2 = marker_floorset(table, 2)
-    m3 = marker_floorset(table, 3)
-    assert intersect(table, m1, m2).is_empty()
-    assert intersect(table, m1, m3).is_empty()
-    assert intersect(table, m2, m3).is_empty()
+    m1, m2, m3 = (
+        set(refine(table, marker_floorset(table, k), 7).indices) for k in (1, 2, 3)
+    )
+    assert not m1 & m2 and not m1 & m3 and not m2 & m3
 
 
 def test_marker_floorset_requires_materialized_stage():
