@@ -27,7 +27,13 @@ The headline claims verified here, for the unit base set ``A`` at level 0:
   :func:`~ergolab.tower.marker_floorset`.
 
 :func:`verify_windows` checks the window claims exactly and reports every
-violating step count; violations are data, not errors.
+violating step count; violations are data, not errors.  A base fragment's
+parity changes only where its orbit crosses a zone boundary, so each window's
+overlap count is a step function with one change per (fragment, boundary
+crossed) pair.  Four ``searchsorted`` calls of the base floors ``B`` into the
+zone starts and ends find those crossings, and a check costs
+``O(|B| log |Z| + boundary events)``, not a pass over the base per step
+count: the 36,287,999 steps of the j=3 coincidence window take milliseconds.
 """
 
 from __future__ import annotations
@@ -330,6 +336,45 @@ def sample_grid(lo: int, hi: int, points: int) -> list[int]:
     return sorted(grid)
 
 
+def _runs(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``first[k] .. first[k] + lengths[k] - 1``, concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+
+
+def _window_plateaus(
+    ctx: CocycleContext, frag: np.ndarray, home: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parity-0 counts of the fragments ``frag`` over the steps ``lo+1 .. hi-1``,
+    as a step function: ``counts[k]`` holds from ``steps[k]`` up to the next.
+
+    After ``i`` steps fragment ``f`` is at parity 0 iff ``zone(f+i) == home``.
+    Along its segment ``[f+lo+1, f+hi-1]`` that changes only where ``f+i``
+    crosses a zone boundary: at step ``s-f`` for a zone start ``s`` and at
+    ``e+1-f`` for a zone end ``e``, with a sign set by ``home``.  Four
+    ``searchsorted`` calls find those boundaries; the count is the one at
+    ``lo+1`` plus the sorted, summed changes.
+    """
+    first, last = frag + (lo + 1), frag + (hi - 1)
+    into_zone = np.where(home, 1, -1)  # count change where f+i enters a zone
+    at, by = [], []
+    for edges, side, shift, sign in (
+        (ctx.zone_starts, "right", 0, into_zone),
+        (ctx.zone_ends, "left", 1, -into_zone),
+    ):
+        # the edges whose change lands on a step in (lo+1, hi-1]
+        a = np.searchsorted(edges, first, side=side)
+        n = np.searchsorted(edges, last, side=side) - a
+        at.append(edges[_runs(a, n)] + shift - np.repeat(frag, n))
+        by.append(np.repeat(sign, n))
+    at, by = np.concatenate(at), np.concatenate(by)
+    order = np.argsort(at)
+    steps = np.concatenate(([lo + 1], at[order]))
+    counts = np.cumsum(np.concatenate(([0], by[order])))
+    counts += int((ctx.in_zone(first) == home).sum())
+    last_of_run = np.append(steps[1:] != steps[:-1], True)
+    return steps[last_of_run], counts[last_of_run]
+
+
 def verify_windows(
     table: StageTable,
     j: int,
@@ -342,6 +387,14 @@ def verify_windows(
     windows; ``mode='sampled'`` checks :func:`sample_grid` of each window
     with ``grid_points`` points.
 
+    Each window's parity-0 count is built once as a step function over its
+    steps (:func:`_window_plateaus`), in ``O(|B| log |Z| + boundary events)``
+    for base floors ``B`` and swap zones ``Z``: a base floor's count changes
+    only where its orbit crosses a zone boundary.  Sampled mode reads the
+    counts at the grid; exhaustive mode lists the steps of the plateaus whose
+    count misses the window's target, so a clean window costs no per-step
+    work.
+
     The outcome for j=1 is recorded but not asserted anywhere: the smallest
     stage is run as a diagnostic only.
     """
@@ -351,32 +404,34 @@ def verify_windows(
     ctx = context_for(table, c_hi - 1)
     frag = np.asarray(base_leveled_set(table, ctx.stage).level0.indices, dtype=np.int64)
     home = ctx.in_zone(frag)
-    total = len(frag)
+    w = ctx.table.width(ctx.stage)
 
     checks = []
     for kind, lo, hi, want in (
         ("disjoint", d_lo, d_hi, 0),
-        ("coincide", c_lo, c_hi, total),
+        ("coincide", c_lo, c_hi, len(frag)),
     ):
+        starts, counts = _window_plateaus(ctx, frag, home, lo, hi)
         if mode == "exhaustive":
-            i_values = list(range(lo + 1, hi))
+            checked = hi - lo - 1
+            bad = counts != want
+            n = np.diff(np.append(starts, hi))[bad]
+            steps, values = _runs(starts[bad], n), np.repeat(counts[bad], n)
         else:
-            i_values = sample_grid(lo, hi, grid_points)
-        # parity 0 after i steps: f + i is in a zone iff f is
-        counts = [int((ctx.in_zone(frag + i) == home).sum()) for i in i_values]
-        bad = [(i, c) for i, c in zip(i_values, counts) if c != want]
-        w = ctx.table.width(ctx.stage)
+            grid = np.asarray(sample_grid(lo, hi, grid_points), dtype=np.int64)
+            checked = grid.size
+            at = counts[np.searchsorted(starts, grid, side="right") - 1]
+            steps, values = grid[at != want], at[at != want]
+        text = {c: f"{(c * w).numerator}/{(c * w).denominator}" for c in set(values.tolist())}
         checks.append(
             WindowCheck(
                 kind=kind,
                 lo=lo,
                 hi=hi,
                 mode=mode,
-                checked_count=len(i_values),
-                violations=tuple(i for i, _ in bad),
-                violation_values=tuple(
-                    f"{(c * w).numerator}/{(c * w).denominator}" for _, c in bad
-                ),
+                checked_count=checked,
+                violations=tuple(steps.tolist()),
+                violation_values=tuple(text[c] for c in values.tolist()),
             )
         )
     return WindowReport(j=j, stage=ctx.stage, asserted=(j >= 2), checks=tuple(checks))

@@ -1,8 +1,11 @@
 """Two-level lifts, overlaps, window checks, and conjugacy."""
 
 import random
+import time
+from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ergolab import (
@@ -26,6 +29,7 @@ from ergolab import (
     verify_conjugacy,
     verify_windows,
 )
+from ergolab.extension import sample_grid
 
 import _reference as ref
 
@@ -278,3 +282,107 @@ def test_conjugacy_detects_a_broken_swap_zone(table, monkeypatch):
         assert report.to_json_obj()["mismatch_count"] == 2
     monkeypatch.setattr(ext, "_swap_zones", real)
     assert verify_conjugacy(table, 6).passed
+
+
+def _leak(q: int, d_hi: int):
+    """Overlap of the unit base after ``i`` steps of the stage-``q`` disjointness
+    window ``(h_q, d_hi)``: the mass of base fragments at floors ``u`` with
+    ``u + i > d_hi``, from the reference base floors at stage ``q``."""
+    base = ref.base_indices(q)
+    return lambda i: Fraction(len(base) - bisect_right(base, d_hi - i), len(base))
+
+
+def _leak_violations(steps, overlap):
+    """``(step, overlap)`` at each of ``steps`` where the leak overlap is not 0."""
+    return [(i, overlap(i)) for i in steps if overlap(i)]
+
+
+def _reported(check):
+    return list(zip(check.violations, map(Fraction, check.violation_values)))
+
+
+def test_verify_windows_j3_exhaustive(table):
+    """Every step of both j=3 windows, 36M in the coincidence window alone,
+    checked from plateaus: the disjointness window leaks on exactly the
+    142,765 steps of ``(894034, 1036800)``."""
+    t0 = time.perf_counter()
+    report = verify_windows(table, 3, mode="exhaustive")
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0, f"j=3 exhaustive took {elapsed:.2f}s"
+    disjoint, coincide = report.checks
+    assert disjoint.checked_count == 1036800 - 172800 - 1
+    assert coincide.checked_count == 43545600 - 7257600 - 1 == 36287999
+    assert coincide.passed
+
+    overlap = _leak(6, disjoint.hi)
+    assert disjoint.violations == tuple(range(894035, 1036800))
+    assert len(disjoint.violations) == 142765
+    assert _reported(disjoint) == _leak_violations(disjoint.violations, overlap)
+    assert overlap(894034) == 0
+
+    sampled = verify_windows(table, 3, mode="sampled", grid_points=10_000)
+    for full, part in zip(report.checks, sampled.checks):
+        grid = set(sample_grid(full.lo, full.hi, 10_000))
+        kept = [(i, v) for i, v in zip(full.violations, full.violation_values) if i in grid]
+        assert list(zip(part.violations, part.violation_values)) == kept
+
+
+def test_verify_windows_j4_sampled_leak():
+    """At ``j_max=11`` the j=4 disjointness window leaks on exactly
+    ``(q*h_q - M_q, q*h_q)`` = ``(2896849234, 3251404800)`` for ``q = 8``."""
+    table = build_stage_table(ConstructionParams(j_max=11))
+    report = verify_windows(table, 4, mode="sampled")
+    disjoint, coincide = report.checks
+    assert report.stage == 10
+    assert (disjoint.lo, disjoint.hi) == (table.height(8), 3251404800)
+    assert coincide.passed and coincide.checked_count == 10_002
+
+    overlap = _leak(8, disjoint.hi)
+    assert overlap(2896849234) == 0 and overlap(2896849235) > 0
+    grid = sample_grid(disjoint.lo, disjoint.hi, 10_000)
+    assert _reported(disjoint) == _leak_violations(grid, overlap)
+    assert len(disjoint.violations) == 1248
+    assert all(2896849234 < i < 3251404800 for i in disjoint.violations)
+
+
+def test_verify_windows_detects_a_broken_swap_zone(table, monkeypatch):
+    """A stage-4 zone one floor short at its top, or starting one floor late,
+    drops one floor ``p`` from the zones.  The j=2 disjointness count then
+    rises by one base fragment at exactly the steps ``p - f`` that land a
+    base floor ``f`` on ``p``, and the coincidence window does not move."""
+    import ergolab.extension as ext
+
+    real = ext._swap_zones
+    h_4 = table.height(4)
+    starts, ends = real(table, 6)
+    k = int(np.flatnonzero(starts == h_4 + 1)[0])  # above the stage-4 column at 0
+    assert ends[k] == 4 * h_4
+    base = ref.base_indices(6)
+    clean = verify_windows(table, 2)
+    for edge, moved, dropped in (
+        (1, ends[k] - 1, ends[k]),  # one floor short at the top
+        (0, starts[k] + 1, starts[k]),  # one floor late
+    ):
+
+        def broken(tbl, stage, edge=edge, moved=moved):
+            zones = [a.copy() for a in real(tbl, stage)]
+            zones[edge][k] = moved
+            return tuple(zones)
+
+        monkeypatch.setattr(ext, "_swap_zones", broken)
+        report = verify_windows(table, 2)
+        assert report.checks[1] == clean.checks[1]
+        before, after = (
+            {i: Fraction(v) for i, v in zip(c.violations, c.violation_values)}
+            for c in (clean.checks[0], report.checks[0])
+        )
+        lo, hi = clean.checks[0].lo, clean.checks[0].hi
+        predicted = sorted(dropped - f for f in base if lo < dropped - f < hi)
+        assert predicted
+        changed = [i for i in sorted(before.keys() | after.keys()) if before.get(i) != after.get(i)]
+        assert changed == predicted
+        width = Fraction(1, len(base))
+        assert all(after[i] == before.get(i, 0) + width for i in predicted)
+    assert predicted == [h_4 + 1]  # only the fragment at the zone's own column base
+    monkeypatch.setattr(ext, "_swap_zones", real)
+    assert verify_windows(table, 2) == clean

@@ -3,6 +3,8 @@ random small constructions of both presets."""
 
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -11,6 +13,7 @@ from ergolab import (
     StageOverflow,
     base_leveled_set,
     build_stage_table,
+    claim_windows,
     context_for,
     event_sweep,
     flip_orbit,
@@ -110,3 +113,46 @@ def test_j1_window_violations_match_reference(preset, j_max):
             assert [Fraction(v) for v in check.violation_values] == [
                 overlap[n] for n in bad
             ]
+
+
+@settings(SETTINGS, max_examples=40)
+@given(
+    preset=st.sampled_from(["basic", "staircase-mixing"]),
+    marker_stages=st.sets(st.sampled_from([2, 4])),
+    j_max=st.integers(5, 7),
+    grid_points=st.integers(1, 60),
+)
+def test_window_kernel_matches_event_sweep(preset, marker_stages, j_max, grid_points):
+    """Both window modes against the flip-event profile at every step count."""
+    table = build_stage_table(
+        ConstructionParams(preset, j_max, frozenset(marker_stages))
+    )
+    for q in table.params.effective_marker_stages():
+        j = q // 2
+        windows = claim_windows(table, j)
+        n_max = windows[1][1] - 1
+        try:
+            ctx = context_for(table, n_max)
+        except StageOverflow:
+            with pytest.raises(StageOverflow):
+                verify_windows(table, j)
+            continue
+        profile = event_sweep(base_leveled_set(table, ctx.stage), ctx, n_max)
+        # count_at(n) for n = 1..n_max
+        count = np.repeat(profile.counts, np.diff(profile.edges + (n_max,))).tolist()
+        exhaustive = verify_windows(table, j)
+        sampled = verify_windows(table, j, mode="sampled", grid_points=grid_points)
+        for full, part, (lo, hi), want in zip(
+            exhaustive.checks, sampled.checks, windows, (0, profile.total)
+        ):
+            assert (full.lo, full.hi) == (lo, hi)
+            bad = [n for n in range(lo + 1, hi) if count[n - 1] != want]
+            assert list(full.violations) == bad
+            assert [Fraction(v) for v in full.violation_values] == [
+                count[n - 1] * profile.width for n in bad
+            ]
+            grid = set(sample_grid(lo, hi, grid_points))
+            assert part.checked_count == len(grid)
+            assert [
+                (n, v) for n, v in zip(full.violations, full.violation_values) if n in grid
+            ] == list(zip(part.violations, part.violation_values))
