@@ -20,6 +20,7 @@ from .extension import (
     CocycleContext,
     ConjugacyReport,
     LeveledSet,
+    PairBudgetExceeded,
     SegmentEscapesTower,
     WindowReport,
     base_leveled_set,
@@ -52,7 +53,6 @@ from .averages import (
     DivergenceReport,
     Milestone,
     OverlapProfile,
-    PairBudgetExceeded,
     Series,
     SeriesPoint,
     average_series,

@@ -380,10 +380,10 @@ def main(argv: list[str] | None = None) -> int:
         ConfigError,
         tower.InvalidConstruction,
         tower.StageOverflow,
-        averages.PairBudgetExceeded,
+        extension.PairBudgetExceeded,
     ) as exc:
         # StageOverflow means the requested run needs a larger j_max;
-        # PairBudgetExceeded that the event sweep would not fit in memory
+        # PairBudgetExceeded that the flip sweep would not fit in memory
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

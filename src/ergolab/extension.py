@@ -27,13 +27,15 @@ The headline claims verified here, for the unit base set ``A`` at level 0:
   :func:`~ergolab.tower.marker_floorset`.
 
 :func:`verify_windows` checks the window claims exactly and reports every
-violating step count; violations are data, not errors.  A base fragment's
-parity changes only where its orbit crosses a zone boundary, so each window's
-overlap count is a step function with one change per (fragment, boundary
-crossed) pair.  Four ``searchsorted`` calls of the base floors ``B`` into the
-zone starts and ends find those crossings, and a check costs
-``O(|B| log |Z| + boundary events)``, not a pass over the base per step
-count: the 36,287,999 steps of the j=3 coincidence window take milliseconds.
+violating step count; violations are data, not errors.  A fragment's parity
+changes only where its orbit crosses a zone edge, so the overlap count is a
+step function with one change per (fragment, edge crossed) pair.  One flip
+sweep (:func:`_flip_plateaus`) builds that step function from any start step
+``lo``, for the windows here and for
+:func:`~ergolab.averages.event_sweep` from step 0: it costs
+``O(|B| log |Z| + crossings)`` for fragments ``B`` and zone edges ``Z``, not
+a pass over the fragments per step count, so the 36,287,999 steps of the j=3
+coincidence window take milliseconds.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .tower import (
 
 __all__ = [
     "SegmentEscapesTower",
+    "PairBudgetExceeded",
     "CocycleContext",
     "LeveledSet",
     "cocycle_context",
@@ -84,28 +87,24 @@ class SegmentEscapesTower(ValueError):
 class CocycleContext:
     """Marker floors and swap zones of all materialized marker stages, at one stage.
 
-    ``zone_starts`` and ``zone_ends`` are the first and last floor of every
-    swap zone, sorted.  They restate the markers, so they take no part in
-    equality.
+    ``zone_edges`` are the floors ``f`` with ``zone(f) != zone(f+1)``, sorted:
+    one below every zone start and every zone end, less the pairs where two
+    zones abut.  They restate the markers, so they take no part in equality.
     """
 
     table: StageTable
     stage: int
     e_indices: tuple[int, ...]
-    zone_starts: np.ndarray = field(compare=False, repr=False)
-    zone_ends: np.ndarray = field(compare=False, repr=False)
+    zone_edges: np.ndarray = field(compare=False, repr=False)
 
     def height(self) -> int:
         return self.table.height(self.stage)
 
     def in_zone(self, floors) -> np.ndarray:
-        """Whether each floor lies in a swap zone: the last zone starting at
-        or below it must end at or above it."""
+        """Whether each floor lies in a swap zone: an odd number of zone
+        edges lie below it."""
         f = np.asarray(floors, dtype=np.int64)
-        if not self.zone_starts.size:
-            return np.zeros(f.shape, dtype=bool)
-        k = np.searchsorted(self.zone_starts, f, side="right") - 1
-        return (k >= 0) & (f <= self.zone_ends[k])
+        return np.searchsorted(self.zone_edges, f) % 2 == 1
 
 
 def _swap_zones(table: StageTable, stage: int) -> tuple[np.ndarray, np.ndarray]:
@@ -132,6 +131,15 @@ def _swap_zones(table: StageTable, stage: int) -> tuple[np.ndarray, np.ndarray]:
     return s[order], e[order]
 
 
+def _unpaired(a: np.ndarray) -> np.ndarray:
+    """The values of the sorted array ``a`` that occur an odd number of times."""
+    if not a.size:
+        return a
+    first = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+    runs = np.diff(np.concatenate((first, [a.size])))
+    return a[first[runs % 2 == 1]]
+
+
 def cocycle_context(table: StageTable, stage: int) -> CocycleContext:
     """Sorted marker floors and swap zones at ``stage``, whose height must fit in int64.
 
@@ -147,7 +155,9 @@ def cocycle_context(table: StageTable, stage: int) -> CocycleContext:
             continue
         fs = refine(table, marker_floorset(table, q // 2), stage)
         merged.extend(fs.indices)
-    return CocycleContext(table, stage, tuple(sorted(merged)), *_swap_zones(table, stage))
+    starts, ends = _swap_zones(table, stage)
+    edges = _unpaired(np.sort(np.concatenate((starts - 1, ends))))
+    return CocycleContext(table, stage, tuple(sorted(merged)), edges)
 
 
 def context_for(table: StageTable, n_max: int) -> CocycleContext:
@@ -262,6 +272,108 @@ def level_swap(table: StageTable, a: LeveledSet) -> LeveledSet:
 
 
 # ---------------------------------------------------------------------------
+# flip sweep: the parity-0 count as a step function of the step count
+
+_FRAGMENT_CHUNK = 2048
+# most flips one fragment chunk may hold; the sweep keeps about 24 bytes per
+# flip of a chunk alive at once, so this caps it near 400 MB
+_CHUNK_PAIR_BUDGET = 1 << 24
+
+
+class PairBudgetExceeded(ValueError):
+    """A flip sweep would hold more flips in one fragment chunk than the budget."""
+
+
+def _chunk_flip_nets(
+    frags: np.ndarray, e: np.ndarray, first: np.ndarray, lengths: np.ndarray, p0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted flip times of one fragment chunk with their nonzero net changes.
+
+    Fragment ``f`` flips at ``e[k] - f`` for ``k`` in
+    ``[first, first + lengths)``, starting at parity ``p0``; flip ``k - first``
+    raises the parity-0 count when ``k - first + p0`` is odd.  Each flip is
+    packed as ``2*t + bit`` with ``bit = 1`` for a raise, so one in-place sort
+    groups equal times and puts the lowering flips of each time before its
+    raising ones.  ``within`` counts from ``p0``, not 0, so the bit costs no
+    pass of its own.
+    """
+    total = int(lengths.sum())
+    starts = np.zeros(len(frags), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    within = np.arange(total, dtype=np.int64)
+    within -= np.repeat(starts - p0, lengths)
+    keys = e[within + np.repeat(first - p0, lengths)]
+    keys -= np.repeat(frags, lengths)
+    keys <<= 1
+    keys |= within & 1
+    del within
+    keys.sort()
+    times = keys >> 1
+    run = np.flatnonzero(times[1:] != times[:-1])
+    run += 1
+    run = np.concatenate(([0], run))
+    keys &= 1
+    net = 2 * np.add.reduceat(keys, run) - np.diff(run, append=total)
+    keep = net != 0
+    return times[run[keep]], net[keep]
+
+
+def _flip_plateaus(
+    ctx: CocycleContext, frags: np.ndarray, lo: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parity-0 count of the sorted, non-empty fragments ``frags`` over the
+    steps ``lo+1 .. n``: ``counts[k]`` holds on ``(edges[k], edges[k+1]]``
+    (the last up to ``n``), and ``edges[0] == lo``.
+
+    Fragment ``f`` starts at parity ``zone(f) XOR zone(f+lo)`` and flips at
+    step ``t`` for each zone edge ``f + t`` in ``[f+lo, f+n)``; a flip at
+    ``t`` changes the counts from step ``t+1`` on.  The fragments are taken
+    ``_FRAGMENT_CHUNK`` at a time.  The edges are the union over the chunks of
+    the flip times whose net change within the chunk is nonzero, so an edge
+    may change nothing where the nets of several chunks cancel (see
+    :class:`~ergolab.averages.OverlapProfile`).  Before any per-flip
+    allocation, one ``searchsorted`` pass counts the flips of every chunk; a
+    chunk over ``_CHUNK_PAIR_BUDGET`` raises :class:`PairBudgetExceeded`.
+    Every segment must stay inside the context stage, and the packed keys
+    ``2*t + 1`` need ``n <= 2**62``.
+    """
+    z = ctx.zone_edges
+    first = np.searchsorted(z, frags + lo)
+    lengths = np.searchsorted(z, frags + n) - first
+    p0 = (first - np.searchsorted(z, frags)) & 1
+    chunk = _FRAGMENT_CHUNK
+    bounds = range(0, len(frags), chunk)
+    pairs = np.add.reduceat(lengths, bounds)
+    if pairs.max() > _CHUNK_PAIR_BUDGET:
+        raise PairBudgetExceeded(
+            f"event sweep needs {int(pairs.sum())} flip pairs; the largest chunk"
+            f" of {chunk} fragments holds {int(pairs.max())}, over the budget of"
+            f" {_CHUNK_PAIR_BUDGET} pairs per chunk"
+        )
+
+    times = [np.zeros(0, dtype=np.int64)]
+    nets = [np.zeros(0, dtype=np.int64)]
+    for c0, n_pairs in zip(bounds, pairs.tolist()):
+        if n_pairs:
+            sl = slice(c0, c0 + chunk)
+            t, d = _chunk_flip_nets(frags[sl], z, first[sl], lengths[sl], p0[sl])
+            times.append(t)
+            nets.append(d)
+    edges, inv = np.unique(np.concatenate(times), return_inverse=True)
+    delta = np.zeros(len(edges), dtype=np.int64)
+    np.add.at(delta, inv, np.concatenate(nets))
+    start = len(frags) - int(p0.sum())
+    # every flip time t satisfies lo <= t < n; flips at t=lo apply to every
+    # step count > lo, so they fold into the first plateau
+    if len(edges) and edges[0] == lo:
+        delta[0] += start
+    else:
+        edges = np.concatenate(([lo], edges))
+        delta = np.concatenate(([start], delta))
+    return edges, np.cumsum(delta)
+
+
+# ---------------------------------------------------------------------------
 # window verification
 
 
@@ -329,50 +441,14 @@ def sample_grid(lo: int, hi: int, points: int) -> list[int]:
     """
     if hi - lo <= 2:
         return list(range(lo + 1, hi))
-    span = hi - lo - 2
-    grid = {lo + 1, lo + 2, hi - 2, hi - 1}
-    for k in range(points):
-        grid.add(lo + 1 + span * k // max(points - 1, 1))
-    return sorted(grid)
+    span, d = hi - lo - 2, max(points - 1, 1)
+    grid = (lo + 1 + span * k // d for k in range(points))
+    return sorted({lo + 1, lo + 2, hi - 2, hi - 1, *grid})
 
 
 def _runs(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The ranges ``first[k] .. first[k] + lengths[k] - 1``, concatenated."""
     return np.arange(lengths.sum()) + np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
-
-
-def _window_plateaus(
-    ctx: CocycleContext, frag: np.ndarray, home: np.ndarray, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Parity-0 counts of the fragments ``frag`` over the steps ``lo+1 .. hi-1``,
-    as a step function: ``counts[k]`` holds from ``steps[k]`` up to the next.
-
-    After ``i`` steps fragment ``f`` is at parity 0 iff ``zone(f+i) == home``.
-    Along its segment ``[f+lo+1, f+hi-1]`` that changes only where ``f+i``
-    crosses a zone boundary: at step ``s-f`` for a zone start ``s`` and at
-    ``e+1-f`` for a zone end ``e``, with a sign set by ``home``.  Four
-    ``searchsorted`` calls find those boundaries; the count is the one at
-    ``lo+1`` plus the sorted, summed changes.
-    """
-    first, last = frag + (lo + 1), frag + (hi - 1)
-    into_zone = np.where(home, 1, -1)  # count change where f+i enters a zone
-    at, by = [], []
-    for edges, side, shift, sign in (
-        (ctx.zone_starts, "right", 0, into_zone),
-        (ctx.zone_ends, "left", 1, -into_zone),
-    ):
-        # the edges whose change lands on a step in (lo+1, hi-1]
-        a = np.searchsorted(edges, first, side=side)
-        n = np.searchsorted(edges, last, side=side) - a
-        at.append(edges[_runs(a, n)] + shift - np.repeat(frag, n))
-        by.append(np.repeat(sign, n))
-    at, by = np.concatenate(at), np.concatenate(by)
-    order = np.argsort(at)
-    steps = np.concatenate(([lo + 1], at[order]))
-    counts = np.cumsum(np.concatenate(([0], by[order])))
-    counts += int((ctx.in_zone(first) == home).sum())
-    last_of_run = np.append(steps[1:] != steps[:-1], True)
-    return steps[last_of_run], counts[last_of_run]
 
 
 def verify_windows(
@@ -388,12 +464,12 @@ def verify_windows(
     with ``grid_points`` points.
 
     Each window's parity-0 count is built once as a step function over its
-    steps (:func:`_window_plateaus`), in ``O(|B| log |Z| + boundary events)``
-    for base floors ``B`` and swap zones ``Z``: a base floor's count changes
-    only where its orbit crosses a zone boundary.  Sampled mode reads the
-    counts at the grid; exhaustive mode lists the steps of the plateaus whose
-    count misses the window's target, so a clean window costs no per-step
-    work.
+    steps by :func:`_flip_plateaus` from step ``lo``, in
+    ``O(|B| log |Z| + boundary crossings)`` for base floors ``B`` and zone
+    edges ``Z``.  Sampled mode reads the counts at the grid; exhaustive mode
+    lists the steps of the plateaus whose count misses the window's target,
+    so a clean window costs no per-step work.  A window whose flips would
+    not fit the pair budget raises :class:`PairBudgetExceeded`.
 
     The outcome for j=1 is recorded but not asserted anywhere: the smallest
     stage is run as a diagnostic only.
@@ -403,7 +479,6 @@ def verify_windows(
     (d_lo, d_hi), (c_lo, c_hi) = claim_windows(table, j)
     ctx = context_for(table, c_hi - 1)
     frag = np.asarray(base_leveled_set(table, ctx.stage).level0.indices, dtype=np.int64)
-    home = ctx.in_zone(frag)
     w = ctx.table.width(ctx.stage)
 
     checks = []
@@ -411,16 +486,17 @@ def verify_windows(
         ("disjoint", d_lo, d_hi, 0),
         ("coincide", c_lo, c_hi, len(frag)),
     ):
-        starts, counts = _window_plateaus(ctx, frag, home, lo, hi)
+        # plateau k covers the steps edges[k]+1 .. edges[k+1] (the last: .. hi-1)
+        edges, counts = _flip_plateaus(ctx, frag, lo, hi - 1)
         if mode == "exhaustive":
             checked = hi - lo - 1
             bad = counts != want
-            n = np.diff(np.append(starts, hi))[bad]
-            steps, values = _runs(starts[bad], n), np.repeat(counts[bad], n)
+            n = np.diff(np.append(edges, hi - 1))[bad]
+            steps, values = _runs(edges[bad] + 1, n), np.repeat(counts[bad], n)
         else:
             grid = np.asarray(sample_grid(lo, hi, grid_points), dtype=np.int64)
             checked = grid.size
-            at = counts[np.searchsorted(starts, grid, side="right") - 1]
+            at = counts[np.searchsorted(edges, grid) - 1]
             steps, values = grid[at != want], at[at != want]
         text = {c: f"{(c * w).numerator}/{(c * w).denominator}" for c in set(values.tolist())}
         checks.append(
@@ -460,29 +536,19 @@ class ConjugacyReport:
         }
 
 
-def _unpaired(a: np.ndarray) -> np.ndarray:
-    """The values of the sorted array ``a`` that occur an odd number of times."""
-    if not a.size:
-        return a
-    first = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
-    runs = np.diff(np.concatenate((first, [a.size])))
-    return a[first[runs % 2 == 1]]
-
-
 def verify_conjugacy(table: StageTable, stage: int) -> ConjugacyReport:
     """Check ``zone(f) XOR zone(f+1) == marker(f)`` on every floor of ``stage``.
 
     The level swap is an involution, so this one-step identity is
     swap . straight . swap == flip, and with it swap . straight^n . swap ==
     flip^n for every ``n``.  The zone indicator changes between ``f`` and
-    ``f+1`` exactly when ``f`` is a zone start minus 1 or a zone end, except
-    where two zones abut; the mismatches are the floors in exactly one of
-    those boundaries and the markers of :func:`~ergolab.tower.marker_floorset`.
+    ``f+1`` exactly on the zone edges, so the mismatches are the floors in
+    exactly one of the zone edges (built from :func:`_swap_zones`) and the
+    markers of :func:`~ergolab.tower.marker_floorset`.
     """
     ctx = cocycle_context(table, stage)
-    boundaries = _unpaired(np.sort(np.concatenate((ctx.zone_starts - 1, ctx.zone_ends))))
     markers = np.asarray(ctx.e_indices, dtype=np.int64)
-    mism = _unpaired(np.sort(np.concatenate((boundaries, markers))))
+    mism = _unpaired(np.sort(np.concatenate((ctx.zone_edges, markers))))
     return ConjugacyReport(
         stage=stage,
         floors_checked=ctx.height() - 1,

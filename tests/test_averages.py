@@ -12,6 +12,7 @@ import pytest
 
 from ergolab import (
     ConstructionParams,
+    PairBudgetExceeded,
     SuspensionModel,
     average_series,
     base_leveled_set,
@@ -26,7 +27,7 @@ from ergolab import (
     overlap_measure,
     pair_integrand,
 )
-from ergolab.averages import PairBudgetExceeded, _neumaier_cumsum
+from ergolab.averages import _neumaier_cumsum
 from ergolab.extension import SegmentEscapesTower
 from ergolab.tower import StageOverflow
 
@@ -117,7 +118,7 @@ def _merge_equal_counts(profile):
 
 def test_zero_change_edges_depend_only_on_chunking(monkeypatch):
     """Flips cancelling across fragment chunks leave edges that change nothing."""
-    import ergolab.averages as av
+    import ergolab.extension as ext
 
     t = build_stage_table(ConstructionParams(preset="staircase-mixing", j_max=7))
     n_max = 100_000
@@ -125,7 +126,7 @@ def test_zero_change_edges_depend_only_on_chunking(monkeypatch):
     a = base_leveled_set(t, ctx.stage)
     profiles = {}
     for chunk in (1, 2048):
-        monkeypatch.setattr(av, "_FRAGMENT_CHUNK", chunk)
+        monkeypatch.setattr(ext, "_FRAGMENT_CHUNK", chunk)
         profiles[chunk] = event_sweep(a, ctx, n_max)
     fine, coarse = profiles[1], profiles[2048]
     assert len(fine.edges) > len(coarse.edges)
@@ -160,18 +161,18 @@ def test_sweep_guards_the_int64_key_range(table):
 
 
 def test_pair_budget_bounds_the_largest_chunk(table, monkeypatch):
-    import ergolab.averages as av
+    import ergolab.extension as ext
 
     n_max = 23040
     ctx = cocycle_context(table, 6)
     a = base_leveled_set(table, 6)
     e = ctx.e_indices
     pairs = [bisect_left(e, f + n_max) - bisect_left(e, f) for f in a.level0.indices]
-    monkeypatch.setattr(av, "_FRAGMENT_CHUNK", 100)
+    monkeypatch.setattr(ext, "_FRAGMENT_CHUNK", 100)
     largest = max(sum(pairs[k : k + 100]) for k in range(0, len(pairs), 100))
-    monkeypatch.setattr(av, "_CHUNK_PAIR_BUDGET", largest)
+    monkeypatch.setattr(ext, "_CHUNK_PAIR_BUDGET", largest)
     event_sweep(a, ctx, n_max)
-    monkeypatch.setattr(av, "_CHUNK_PAIR_BUDGET", largest - 1)
+    monkeypatch.setattr(ext, "_CHUNK_PAIR_BUDGET", largest - 1)
     with pytest.raises(PairBudgetExceeded) as exc:
         event_sweep(a, ctx, n_max)
     assert f"needs {sum(pairs)} flip pairs" in str(exc.value)

@@ -3,10 +3,19 @@
 import csv
 import json
 import math
+from bisect import bisect_left
 
 import pytest
 
-from ergolab import ConstructionParams, build_stage_table
+from ergolab import (
+    ConstructionParams,
+    PairBudgetExceeded,
+    base_floorset,
+    build_stage_table,
+    claim_windows,
+    context_for,
+    verify_windows,
+)
 from ergolab.cli import ConfigError, load_config, main, parse_config
 
 
@@ -173,6 +182,33 @@ def test_series_over_the_pair_budget_exits_2_naming_the_counts(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "needs 34392314880 flip pairs" in err
     assert "holds 191626792," in err
+
+
+def test_verify_over_the_pair_budget_exits_2_naming_the_counts(tmp_path, capsys, monkeypatch):
+    """The window check shares the flip sweep's budget: a budget one pair
+    below the largest chunk of the j=2 disjointness window stops it."""
+    import ergolab.extension as ext
+
+    table = build_stage_table(ConstructionParams(j_max=SMALL["j_max"]))
+    (lo, hi), (_, c_hi) = claim_windows(table, 2)
+    ctx = context_for(table, c_hi - 1)
+    e = ctx.e_indices
+    base = base_floorset(table, ctx.stage).indices
+    pairs = [bisect_left(e, f + hi - 1) - bisect_left(e, f + lo) for f in base]
+    chunk = ext._FRAGMENT_CHUNK
+    largest = max(sum(pairs[k : k + chunk]) for k in range(0, len(pairs), chunk))
+    assert largest > 0
+    monkeypatch.setattr(ext, "_CHUNK_PAIR_BUDGET", largest - 1)
+    with pytest.raises(PairBudgetExceeded) as exc:
+        verify_windows(table, 2)
+    assert f"needs {sum(pairs)} flip pairs" in str(exc.value)
+    assert f"holds {largest}," in str(exc.value)
+
+    code, _ = run(tmp_path, "verify", "--j", "2", config=SMALL)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0] == f"error: {exc.value}"
 
 
 def test_series_artifacts(tmp_path):

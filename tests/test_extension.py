@@ -182,7 +182,7 @@ def test_overlap_requires_level_disjoint_floors(table, ctx5):
 def test_swap_zone_sits_strictly_between_markers(table):
     # stage-2 zones at in-column offsets [h_2+1, 2*h_2] = [5..8] of each column
     ctx3 = cocycle_context(table, 3)
-    assert list(zip(ctx3.zone_starts.tolist(), ctx3.zone_ends.tolist())) == [(5, 8), (17, 20)]
+    assert ctx3.zone_edges.tolist() == [4, 8, 16, 20]
     zone3 = [p for p in range(table.height(3)) if ctx3.in_zone(p)]
     assert zone3 == [5, 6, 7, 8, 17, 18, 19, 20]
 

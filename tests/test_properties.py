@@ -21,7 +21,7 @@ from ergolab import (
     verify_conjugacy,
     verify_windows,
 )
-from ergolab.extension import sample_grid
+from ergolab.extension import _flip_plateaus, sample_grid
 
 import _reference as ref
 
@@ -38,14 +38,22 @@ def _reference_schedule(preset, marker_stages):
     return ref.basic_cut, spacer
 
 
+def _counts_from(ctx, fragments, lo, n):
+    """The flip sweep's parity-0 count at each step ``lo+1 .. n``."""
+    edges, counts = _flip_plateaus(ctx, np.asarray(sorted(fragments), dtype=np.int64), lo, n)
+    assert edges[0] == lo
+    return np.repeat(counts, np.diff(np.append(edges, n))).tolist()
+
+
 @settings(SETTINGS, max_examples=40)
 @given(
     preset=st.sampled_from(["basic", "staircase-mixing"]),
     marker_stages=st.sets(st.sampled_from([2, 4])),
     j_max=st.integers(3, 6),
     n_max=st.integers(1, 600),
+    data=st.data(),
 )
-def test_context_and_profile_match_reference(preset, marker_stages, j_max, n_max):
+def test_context_and_profile_match_reference(preset, marker_stages, j_max, n_max, data):
     table = build_stage_table(
         ConstructionParams(preset, j_max, frozenset(marker_stages))
     )
@@ -74,12 +82,20 @@ def test_context_and_profile_match_reference(preset, marker_stages, j_max, n_max
         assert profile.overlap_at(n) == expected[n]
     for n in range(n_max + 1):
         assert overlap_measure(n, base, ctx) == expected[n]
+    # the flip sweep from a start step lo > 0, whose fragments start at
+    # parity zone(f) XOR zone(f+lo)
+    lo = data.draw(st.integers(0, n_max - 1), label="lo")
+    counts = _counts_from(ctx, fragments, lo, n_max)
+    assert [Fraction(c, len(fragments)) for c in counts] == expected[lo + 1 :]
     # an orbit set on both levels, some of its fragments on marker floors
     k = n_max // 2
     moved = flip_orbit(base, k, ctx)
     expected = ref.overlaps([f + k for f in fragments], set(markers), n_max - k)
     for n in range(n_max - k + 1):
         assert overlap_measure(n, moved, ctx) == expected[n]
+    lo = data.draw(st.integers(0, n_max - k - 1), label="lo of the orbit set")
+    counts = _counts_from(ctx, moved.level0.indices + moved.level1.indices, lo, n_max - k)
+    assert [Fraction(c, len(fragments)) for c in counts] == expected[lo + 1 :]
 
 
 @settings(SETTINGS, max_examples=10)
@@ -123,7 +139,9 @@ def test_j1_window_violations_match_reference(preset, j_max):
     grid_points=st.integers(1, 60),
 )
 def test_window_kernel_matches_event_sweep(preset, marker_stages, j_max, grid_points):
-    """Both window modes against the flip-event profile at every step count."""
+    """Both window modes against the flip-event profile at every step count:
+    the window path starts the flip sweep at step ``lo`` from each fragment's
+    parity there, the profile starts it at step 0."""
     table = build_stage_table(
         ConstructionParams(preset, j_max, frozenset(marker_stages))
     )
