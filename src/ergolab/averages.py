@@ -1,7 +1,7 @@
 """Event-driven overlap profile and running pair-integral averages.
 
 Per base fragment ``f``, the overlap's parity flips exactly at step counts
-``e - f`` for zone edges ``e`` (the marker floors) in ``[f, f + n_max)``.
+``e - f`` for zone edges ``e`` (where swap zones start and end) in ``[f, f + n_max)``.
 Merging all flip events produces the overlap as a piecewise-constant
 function of the step count with exact integer plateau values, so the
 running average over tens of millions of steps costs O(events + checkpoints)
@@ -120,10 +120,10 @@ class OverlapProfile:
 def event_sweep(a: LeveledSet, ctx: CocycleContext, n_max: int) -> OverlapProfile:
     """Build the exact overlap profile of the two lifted images of ``a``.
 
-    All fragments must admit ``n_max`` steps inside the context stage, and
-    ``n_max <= 2**62`` so that every packed flip key fits in int64.  Raises
-    :class:`~ergolab.extension.PairBudgetExceeded` before any per-flip
-    allocation when one fragment chunk would hold too many flips.
+    The flip sweep from step 0 sorts its keys ``2*t + bit`` as int32 when
+    ``2*n_max + 1 < 2**31``, else as int64 (``n_max <= 2**62``).  Fragments
+    must admit ``n_max`` steps inside the context stage; a fragment chunk over
+    the pair budget raises :class:`~ergolab.extension.PairBudgetExceeded`.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -199,9 +199,15 @@ def default_checkpoints(n_max: int, ratio: float = 1.05) -> tuple[int, ...]:
     n = 1
     while n < n_max:
         out.append(n)
-        n = max(n + 1, int(n * ratio))
+        n = m if (m := int(n * ratio)) > n else n + 1
     out.append(n_max)
     return tuple(out)
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, sorted: one sort, no hashing."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
 def _neumaier_cumsum(x: np.ndarray) -> np.ndarray:
@@ -231,22 +237,18 @@ def average_series(
     integrand (once per distinct count) and the emitted points.
     """
     mile_ns = {m.n for m in milestones}
-    targets = sorted(set(checkpoints) | mile_ns)
-    if not targets:
-        raise ValueError("no checkpoints requested")
-    if targets[0] < 1 or targets[-1] > profile.n_max:
-        raise ValueError(
-            f"checkpoints must lie in [1, {profile.n_max}], got"
-            f" [{targets[0]}, {targets[-1]}]"
-        )
+    requested = [*checkpoints, *mile_ns]
+    if not requested or min(requested) < 1 or max(requested) > profile.n_max:
+        raise ValueError(f"checkpoints must be a non-empty subset of [1, {profile.n_max}]")
     distinct, count_of = np.unique(np.asarray(profile.counts), return_inverse=True)
     levels = tuple(
         (o, pair_integrand(model, o)) for o in (c * profile.width for c in distinct.tolist())
     )
     g_of = np.array([g for _, g in levels], dtype=np.float64)
     edges = np.asarray(profile.edges, dtype=np.int64)
-    t = np.asarray(targets, dtype=np.int64)
-    stops = np.union1d(t, edges[(edges > 0) & (edges < t[-1])])
+    t = _sorted_unique(np.asarray(requested, dtype=np.int64))
+    targets = t.tolist()
+    stops = _sorted_unique(np.concatenate((t, edges[(edges > 0) & (edges < t[-1])])))
     # plateau k holds on (edges[k], edges[k+1]]
     at = count_of[np.searchsorted(edges, stops) - 1]
     sums = _neumaier_cumsum(np.diff(stops, prepend=0) * g_of[at])

@@ -275,8 +275,8 @@ def level_swap(table: StageTable, a: LeveledSet) -> LeveledSet:
 # flip sweep: the parity-0 count as a step function of the step count
 
 _FRAGMENT_CHUNK = 2048
-# most flips one fragment chunk may hold; the sweep keeps about 24 bytes per
-# flip of a chunk alive at once, so this caps it near 400 MB
+# most flips one fragment chunk may hold; the sweep keeps at most about 18
+# bytes per flip of a chunk alive at once, so this caps it near 300 MB
 _CHUNK_PAIR_BUDGET = 1 << 24
 
 
@@ -284,38 +284,32 @@ class PairBudgetExceeded(ValueError):
     """A flip sweep would hold more flips in one fragment chunk than the budget."""
 
 
-def _chunk_flip_nets(
-    frags: np.ndarray, e: np.ndarray, first: np.ndarray, lengths: np.ndarray, p0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted flip times of one fragment chunk with their nonzero net changes.
+def _runs(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``first[k] .. first[k] + lengths[k] - 1``, concatenated."""
+    runs = np.arange(lengths.sum())
+    runs += np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+    return runs
 
-    Fragment ``f`` flips at ``e[k] - f`` for ``k`` in
-    ``[first, first + lengths)``, starting at parity ``p0``; flip ``k - first``
-    raises the parity-0 count when ``k - first + p0`` is odd.  Each flip is
-    packed as ``2*t + bit`` with ``bit = 1`` for a raise, so one in-place sort
-    groups equal times and puts the lowering flips of each time before its
-    raising ones.  ``within`` counts from ``p0``, not 0, so the bit costs no
-    pass of its own.
-    """
-    total = int(lengths.sum())
-    starts = np.zeros(len(frags), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    within = np.arange(total, dtype=np.int64)
-    within -= np.repeat(starts - p0, lengths)
-    keys = e[within + np.repeat(first - p0, lengths)]
-    keys -= np.repeat(frags, lengths)
-    keys <<= 1
-    keys |= within & 1
-    del within
+
+def _chunk_flip_nets(
+    keyed: np.ndarray, frags: np.ndarray, shift: np.ndarray, lengths: np.ndarray, dtype: type
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted flip times of one fragment chunk with their nonzero net changes:
+    the keys ``keyed[shift_f + i] - 2*f`` of the flips ``i < lengths_f`` of
+    each ``f`` (see :func:`_flip_plateaus`), sorted as ``dtype``, group equal
+    times with the lowering flips of each time before its raising ones."""
+    keys = keyed[_runs(shift, lengths)]
+    keys -= np.repeat(2 * frags, lengths)
+    keys = keys.astype(dtype, copy=False)
     keys.sort()
     times = keys >> 1
     run = np.flatnonzero(times[1:] != times[:-1])
     run += 1
     run = np.concatenate(([0], run))
     keys &= 1
-    net = 2 * np.add.reduceat(keys, run) - np.diff(run, append=total)
+    net = 2 * np.add.reduceat(keys, run) - np.diff(run, append=len(keys))
     keep = net != 0
-    return times[run[keep]], net[keep]
+    return times[run[keep]].astype(np.int64, copy=False), net[keep]
 
 
 def _flip_plateaus(
@@ -334,29 +328,38 @@ def _flip_plateaus(
     :class:`~ergolab.averages.OverlapProfile`).  Before any per-flip
     allocation, one ``searchsorted`` pass counts the flips of every chunk; a
     chunk over ``_CHUNK_PAIR_BUDGET`` raises :class:`PairBudgetExceeded`.
-    Every segment must stay inside the context stage, and the packed keys
-    ``2*t + 1`` need ``n <= 2**62``.
+    Past zone edge ``k``, ``zone(f+t) = (k+1) & 1``, so that flip raises the
+    count when ``(k & 1) XOR zone(f)``: with one table ``keyed`` of
+    ``2*z + (k & 1)`` then ``2*z + 1 - (k & 1)``, it is the key
+    ``keyed[k + zone(f)*len(z)] - 2*f = 2*t + bit``, sorted as int32 when
+    ``2*n + 1 < 2**31``, else as int64.  ``2*z`` and ``2*f`` may wrap in int64;
+    the keys are exact while segments stay in the stage and ``n <= 2**62``.
     """
     z = ctx.zone_edges
     first = np.searchsorted(z, frags + lo)
     lengths = np.searchsorted(z, frags + n) - first
-    p0 = (first - np.searchsorted(z, frags)) & 1
+    below = np.searchsorted(z, frags)
+    p0 = (first - below) & 1
     chunk = _FRAGMENT_CHUNK
     bounds = range(0, len(frags), chunk)
     pairs = np.add.reduceat(lengths, bounds)
     if pairs.max() > _CHUNK_PAIR_BUDGET:
         raise PairBudgetExceeded(
-            f"event sweep needs {int(pairs.sum())} flip pairs; the largest chunk"
+            f"flip sweep needs {int(pairs.sum())} flip pairs; the largest chunk"
             f" of {chunk} fragments holds {int(pairs.max())}, over the budget of"
             f" {_CHUNK_PAIR_BUDGET} pairs per chunk"
         )
 
+    odd = np.arange(len(z), dtype=np.int64) & 1
+    keyed = np.concatenate((odd, 1 - odd)) + np.tile(2 * z, 2)
+    shift = first + (below & 1) * len(z)
+    dtype = np.int32 if 2 * n + 1 < 2**31 else np.int64
     times = [np.zeros(0, dtype=np.int64)]
     nets = [np.zeros(0, dtype=np.int64)]
     for c0, n_pairs in zip(bounds, pairs.tolist()):
         if n_pairs:
             sl = slice(c0, c0 + chunk)
-            t, d = _chunk_flip_nets(frags[sl], z, first[sl], lengths[sl], p0[sl])
+            t, d = _chunk_flip_nets(keyed, frags[sl], shift[sl], lengths[sl], dtype)
             times.append(t)
             nets.append(d)
     edges, inv = np.unique(np.concatenate(times), return_inverse=True)
@@ -444,11 +447,6 @@ def sample_grid(lo: int, hi: int, points: int) -> list[int]:
     span, d = hi - lo - 2, max(points - 1, 1)
     grid = (lo + 1 + span * k // d for k in range(points))
     return sorted({lo + 1, lo + 2, hi - 2, hi - 1, *grid})
-
-
-def _runs(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges ``first[k] .. first[k] + lengths[k] - 1``, concatenated."""
-    return np.arange(lengths.sum()) + np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
 
 
 def verify_windows(

@@ -192,6 +192,21 @@ def test_profile_count_at_domain(profile6):
         profile6.count_at(profile6.n_max + 1)
 
 
+def test_default_checkpoints_match_the_max_loop():
+    """The grid equals the ``n = max(n + 1, int(n * ratio))`` loop."""
+
+    def max_loop(n_max, ratio):
+        out, n = [], 1
+        while n < n_max:
+            out.append(n)
+            n = max(n + 1, int(n * ratio))
+        return (*out, n_max)
+
+    for ratio in (1.00005, 1.05, 1.5, 2.0, 10.0):
+        for n_max in (1, 2, 3, 10, 999, 23_040, 43_545_600):
+            assert default_checkpoints(n_max, ratio) == max_loop(n_max, ratio)
+
+
 def test_default_checkpoints_shape():
     cps = default_checkpoints(100_000)
     assert cps[0] == 1 and cps[-1] == 100_000
@@ -213,6 +228,12 @@ def test_series_against_naive_running_mean(table, profile6):
         assert abs(p.a_n - naive) <= 1e-10
         assert p.overlap == profile6.overlap_at(p.n)
         assert p.integrand == g[p.n - 1]
+    # unsorted and repeated checkpoints and the milestones merge into one grid
+    again = average_series(
+        MODEL, profile6, [*range(n_top, 0, -1), 1, 1500, 7], milestone_sequence(table, 1)
+    )
+    assert (again.n, again.level, again.a_n) == (series.n, series.level, series.a_n)
+    assert [n for n, m in zip(again.n, again.is_milestone) if m] == [4, 8, 24, 48]
 
 
 def test_neumaier_cumsum_matches_scalar_loop_bit_for_bit():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ergolab import (
+    CocycleContext,
     ConstructionParams,
     FloorSet,
     LeveledSet,
@@ -29,7 +30,7 @@ from ergolab import (
     verify_conjugacy,
     verify_windows,
 )
-from ergolab.extension import sample_grid
+from ergolab.extension import _flip_plateaus, sample_grid
 
 import _reference as ref
 
@@ -343,6 +344,46 @@ def test_verify_windows_j4_sampled_leak():
     assert _reported(disjoint) == _leak_violations(grid, overlap)
     assert len(disjoint.violations) == 1248
     assert all(2896849234 < i < 3251404800 for i in disjoint.violations)
+
+
+def test_flip_sweep_sorts_int64_keys_past_2_31(table):
+    """A window of the stage-9 context past ``2**31``: ``2*n + 1 >= 2**31``,
+    so the keys are sorted as int64; every step matches ``overlap_measure``."""
+    ctx = cocycle_context(table, 9)
+    z = ctx.zone_edges
+    lo = int(z[np.searchsorted(z, 2**31) + 1]) - 100
+    n = lo + 1500
+    assert 2 * n + 1 >= 2**31
+    frags = base_floorset(table, 9).indices[:6]
+    edges, counts = _flip_plateaus(ctx, np.asarray(frags, dtype=np.int64), lo, n)
+    assert len(edges) == 65 and set(counts.tolist()) == set(range(7))
+    a = LeveledSet(FloorSet(9, frags), FloorSet(9, ()))
+    w = table.width(9)
+    for t in range(lo + 1, n + 1):
+        assert overlap_measure(t, a, ctx) == counts[np.searchsorted(edges, t) - 1] * w
+
+
+def test_flip_sweep_keys_survive_int64_wrap(table):
+    """Zone edges in ``[2**62, 2**63)``: ``2*z`` wraps in int64, and so does
+    ``2*f`` for the fragments above ``2**62``, but the keys ``2*t + bit`` do
+    not.  The sweep reads only the zone edges of the context; both key widths,
+    from fragments in and out of a zone, are checked at every step against a
+    direct zone count."""
+    below, far, wide_lo = 2**62 - 64, 2**63 - 2**31 - 2048, 2**31 - 300
+    frags = np.array([below, below + 3, below + 40, below + 63, far, far + 17, far + 80])
+    near = (64, 65, 70, 83, 120, 121, 200, 333)
+    zone_edges = sorted({f + s + d for f in (below, far) for s in (0, wide_lo) for d in near})
+    ctx = CocycleContext(table, 9, (), np.asarray(zone_edges, dtype=np.int64))
+    assert 2**62 <= zone_edges[0] and zone_edges[-1] < 2**63
+    assert (2 * ctx.zone_edges < 0).all()
+    assert ctx.in_zone(frags).tolist() == [False] * 6 + [True]
+    for lo, n in ((0, 400), (wide_lo, wide_lo + 400)):
+        edges, counts = _flip_plateaus(ctx, frags, lo, n)
+        assert edges[0] == lo and len(edges) > 20
+        steps = np.arange(lo + 1, n + 1)
+        zone_at = ctx.in_zone(frags[:, None] + steps)
+        want = (ctx.in_zone(frags)[:, None] == zone_at).sum(axis=0)
+        assert counts[np.searchsorted(edges, steps) - 1].tolist() == want.tolist()
 
 
 def test_verify_windows_detects_a_broken_swap_zone(table, monkeypatch):
