@@ -236,17 +236,23 @@ def average_series(
     to the number of plateaus plus checkpoints, all of it in numpy but the
     integrand (once per distinct count) and the emitted points.
     """
-    mile_ns = {m.n for m in milestones}
-    requested = [*checkpoints, *mile_ns]
-    if not requested or min(requested) < 1 or max(requested) > profile.n_max:
-        raise ValueError(f"checkpoints must be a non-empty subset of [1, {profile.n_max}]")
+    out_of_range = ValueError(
+        f"checkpoints must be a non-empty subset of [1, {profile.n_max}]"
+    )
+    try:
+        miles = np.array([m.n for m in milestones], dtype=np.int64)
+        requested = np.concatenate((np.array([*checkpoints], dtype=np.int64), miles))
+    except OverflowError as exc:  # beyond int64 is beyond n_max too
+        raise out_of_range from exc
+    if not requested.size or requested.min() < 1 or requested.max() > profile.n_max:
+        raise out_of_range
     distinct, count_of = np.unique(np.asarray(profile.counts), return_inverse=True)
     levels = tuple(
         (o, pair_integrand(model, o)) for o in (c * profile.width for c in distinct.tolist())
     )
     g_of = np.array([g for _, g in levels], dtype=np.float64)
     edges = np.asarray(profile.edges, dtype=np.int64)
-    t = _sorted_unique(np.asarray(requested, dtype=np.int64))
+    t = _sorted_unique(requested)
     targets = t.tolist()
     stops = _sorted_unique(np.concatenate((t, edges[(edges > 0) & (edges < t[-1])])))
     # plateau k holds on (edges[k], edges[k+1]]
@@ -257,7 +263,7 @@ def average_series(
         n=tuple(targets),
         level=tuple(at[hit].tolist()),
         a_n=tuple((sums[hit] / t).tolist()),
-        is_milestone=tuple(n in mile_ns for n in targets),
+        is_milestone=tuple(np.isin(t, miles).tolist()),
         levels=levels,
     )
 
@@ -327,13 +333,15 @@ def divergence_report(
     coincidence window near c (bound c*(1 - 1/(2j))); each bound is checked
     with an absolute slack of 1e-9 for float rounding.
     """
-    a_by_n = dict(zip(series.n, series.a_n))
-    missing = [m.n for m in milestones if m.n not in a_by_n]
+    at = [bisect_left(series.n, m.n) for m in milestones]
+    missing = [
+        m.n for m, i in zip(milestones, at) if i == len(series) or series.n[i] != m.n
+    ]
     if missing:
         raise ValueError(f"series does not cover milestones {missing}")
     c = cylinder_constant(model)
     c2 = c * c
-    points = tuple((m, a_by_n[m.n]) for m in milestones)
+    points = tuple((m, series.a_n[i]) for m, i in zip(milestones, at))
     checks: list[BoundCheck] = []
     for m, a_n in points:
         if m.kind == "disjoint_end":

@@ -8,6 +8,8 @@ identical config and seed produce byte-identical artifacts.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import logging
 import sys
@@ -31,6 +33,10 @@ _DEFAULTS = {
     "seed": 1,
     "mc_samples": 1_000_000,
 }
+
+
+# rows of series.csv formatted per write
+_CSV_BLOCK_ROWS = 1 << 14
 
 
 class ConfigError(ValueError):
@@ -246,15 +252,23 @@ def cmd_series(cfg: RunConfig, out_dir: Path) -> int:
     report = averages.divergence_report(series, milestones, model)
 
     csv_path = out_dir / "series.csv"
-    # CRLF line ends and floats as their repr; each level's three columns
-    # are formatted once
-    mid = [f"{o.numerator},{o.denominator},{g!r}" for o, g in series.levels]
+    # CRLF line ends and floats as their repr, built column by column: each
+    # level's middle columns, with the commas around them, are formatted once
+    mid = [f",{o.numerator},{o.denominator},{g!r}," for o, g in series.levels]
+    rows = zip(
+        map(str, series.n),
+        map(mid.__getitem__, series.level),
+        map(repr, series.a_n),
+        map((",0\r\n", ",1\r\n").__getitem__, series.is_milestone),
+    )
     with csv_path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("n,overlap_num,overlap_den,integrand,a_n,is_milestone\r\n")
-        fh.writelines(
-            f"{n},{mid[k]},{a_n!r},{mile:d}\r\n"
-            for n, k, a_n, mile in zip(series.n, series.level, series.a_n, series.is_milestone)
-        )
+        # one join per block of rows: a single join would hold every row's
+        # strings at once: about 40 MB more peak memory on 196,695 rows
+        while block := "".join(
+            itertools.chain.from_iterable(itertools.islice(rows, _CSV_BLOCK_ROWS))
+        ):
+            fh.write(block)
     _write_json(
         out_dir / "report.json",
         {
@@ -301,7 +315,17 @@ def cmd_mc_check(cfg: RunConfig, out_dir: Path) -> int:
             "passed": res.passed,
         }
 
-    for name, lam in poisson_overlaps:
+    # each family draws its chunk stream once per seed: every gate of the
+    # family indexes into that batch, and a retry at seed+1 runs one batch
+    poisson_batch = functools.cache(
+        lambda c: oracle.mc_pair_integral_poisson(
+            [lam for _, lam in poisson_overlaps], a, model.m, c
+        )
+    )
+    gaussian_batch = functools.cache(
+        lambda c: oracle.mc_gaussian_orthant([rho for _, rho in gaussian_rhos], c)
+    )
+    for i, (name, lam) in enumerate(poisson_overlaps):
         exact = suspension.pair_integrand(
             suspension.SuspensionModel("poisson", model.m, model.a), lam
         )
@@ -309,10 +333,10 @@ def cmd_mc_check(cfg: RunConfig, out_dir: Path) -> int:
             gate(
                 f"poisson m={model.m} {name} (lam={lam})",
                 exact,
-                lambda c, lam=lam: oracle.mc_pair_integral_poisson(lam, a, model.m, c),
+                lambda c, i=i: poisson_batch(c)[i],
             )
         )
-    for name, rho in gaussian_rhos:
+    for i, (name, rho) in enumerate(gaussian_rhos):
         exact = suspension.pair_integrand(
             suspension.SuspensionModel("gaussian"), Fraction(rho)
         )
@@ -320,7 +344,7 @@ def cmd_mc_check(cfg: RunConfig, out_dir: Path) -> int:
             gate(
                 f"gaussian {name} (rho={rho})",
                 exact,
-                lambda c, rho=rho: oracle.mc_gaussian_orthant(rho, c),
+                lambda c, i=i: gaussian_batch(c)[i],
             )
         )
     _write_json(out_dir / "mc_check.json", {"config": cfg.echo(), "rows": rows})

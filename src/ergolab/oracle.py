@@ -4,12 +4,21 @@ Randomness comes from numpy's counter-based Philox generator.  Samples are
 drawn in fixed-size chunks and chunk ``k`` is seeded with
 ``SeedSequence((seed, k))``, so estimates are bit-identical across runs and
 platforms and independent of any parallel execution of the chunks.
+
+Each estimator makes one pass per gate family: it takes a sequence of
+parameters (overlap masses, correlations), draws each chunk once and tests
+it against every parameter, so a batch gives bit for bit the estimates of
+its parameters run one at a time.  Poisson counts are not inverted one by
+one: the sampler counts the uniforms that fall in each count's bucket
+between consecutive CDF values, which hits exactly the samples that
+inversion by ``searchsorted`` would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -60,34 +69,57 @@ def _poisson_cdf(lam: float) -> np.ndarray:
     return np.cumsum(np.array(probs))
 
 
-def _binomial_se(p_hat: float, n: int) -> float:
-    return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
+def _estimate(hits: int, n: int) -> tuple[float, float]:
+    """The hit fraction and its binomial standard error."""
+    p_hat = hits / n
+    return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
+
+
+def _buckets(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of each count's bucket: count ``k`` is drawn for ``u`` in
+    ``[lo[k], hi[k])``, with -inf and +inf at the ends.
+
+    These are exactly the ``u`` with ``searchsorted(cdf, u, side="right") ==
+    k``, so counting bucket hits gives what inversion sampling would.
+    """
+    return np.concatenate(([-np.inf], cdf)), np.concatenate((cdf, [np.inf]))
 
 
 def mc_pair_integral_poisson(
-    lam_overlap: float, a: float, m: int, cfg: McConfig
-) -> tuple[float, float]:
-    """Estimate P(m points in each image set) by sampling region counts.
+    lam_overlaps: Sequence[float], a: float, m: int, cfg: McConfig
+) -> list[tuple[float, float]]:
+    """Estimate P(m points in each image set) for each overlap mass.
 
-    Draws independent Poisson counts for the common region and the two
-    difference regions (inversion sampling), and counts samples where both
-    sums hit ``m`` exactly.  Returns (estimate, binomial standard error).
+    Draws one uniform each for the common region and the two difference
+    regions, whose Poisson counts are the CDF buckets they fall in, and
+    counts samples where both sums hit ``m`` exactly: the common count ``c``
+    and both difference counts ``m - c``.  One draw of the chunk stream
+    serves every overlap in ``lam_overlaps``.  Returns (estimate, binomial
+    standard error) per overlap, in order.
     """
-    lam = float(lam_overlap)
-    if not 0.0 <= lam <= a:
-        raise ValueError(f"overlap {lam} outside [0, {a}]")
-    cdf_common = _poisson_cdf(lam)
-    cdf_diff = _poisson_cdf(a - lam)
-    hits = 0
+    lams = [float(lam) for lam in lam_overlaps]
+    for lam in lams:
+        if not 0.0 <= lam <= a:
+            raise ValueError(f"overlap {lam} outside [0, {a}]")
+    # per overlap, the (common, difference) bucket bounds of every split
+    # c + (m - c) = m whose two buckets both exist
+    splits = []
+    for lam in lams:
+        lo0, hi0 = _buckets(_poisson_cdf(lam))
+        lo1, hi1 = _buckets(_poisson_cdf(a - lam))
+        cs = range(max(0, m - len(lo1) + 1), min(m, len(lo0) - 1) + 1)
+        splits.append([(lo0[c], hi0[c], lo1[m - c], hi1[m - c]) for c in cs])
+    hits = [0] * len(lams)
     for k, n in _chunks(cfg.samples):
-        rng = _chunk_rng(cfg.seed, k)
-        u = rng.random((3, n))
-        k_common = np.searchsorted(cdf_common, u[0], side="right")
-        k_one = np.searchsorted(cdf_diff, u[1], side="right")
-        k_two = np.searchsorted(cdf_diff, u[2], side="right")
-        hits += int(np.count_nonzero((k_common + k_one == m) & (k_common + k_two == m)))
-    p_hat = hits / cfg.samples
-    return p_hat, _binomial_se(p_hat, cfg.samples)
+        u = _chunk_rng(cfg.seed, k).random((3, n))
+        # both difference counts fall in one bucket iff their min and max do
+        lo_u, hi_u = np.minimum(u[1], u[2]), np.maximum(u[1], u[2])
+        for i, split in enumerate(splits):
+            for lo0, hi0, lo1, hi1 in split:
+                hits[i] += int(np.count_nonzero(
+                    (u[0] >= lo0) & (u[0] < hi0) & (lo_u >= lo1) & (hi_u < hi1)
+                ))
+    return [_estimate(h, cfg.samples) for h in hits]
 
 
 @dataclass(frozen=True)
@@ -113,17 +145,26 @@ def three_sigma_gate(exact: float, runner, cfg: McConfig) -> GateResult:
     return GateResult(exact, est, se, retried=True, passed=abs(est - exact) <= 3.0 * se)
 
 
-def mc_gaussian_orthant(rho: float, cfg: McConfig) -> tuple[float, float]:
-    """Estimate P(X > 0, Z > 0) for standard normals with correlation rho."""
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"correlation {rho} outside [-1, 1]")
-    tail = math.sqrt(1.0 - rho * rho)
-    hits = 0
+def mc_gaussian_orthant(
+    rhos: Sequence[float], cfg: McConfig
+) -> list[tuple[float, float]]:
+    """Estimate P(X > 0, Z > 0) for standard normals with correlation rho.
+
+    One draw of the chunk stream serves every correlation in ``rhos``.
+    Returns (estimate, binomial standard error) per correlation, in order.
+    """
+    rhos = [float(rho) for rho in rhos]
+    for rho in rhos:
+        if not -1.0 <= rho <= 1.0:
+            raise ValueError(f"correlation {rho} outside [-1, 1]")
+    tails = [math.sqrt(1.0 - rho * rho) for rho in rhos]
+    hits = [0] * len(rhos)
     for k, n in _chunks(cfg.samples):
         rng = _chunk_rng(cfg.seed, k)
         x = rng.standard_normal(n)
         y = rng.standard_normal(n)
-        z = rho * x + tail * y
-        hits += int(np.count_nonzero((x > 0.0) & (z > 0.0)))
-    p_hat = hits / cfg.samples
-    return p_hat, _binomial_se(p_hat, cfg.samples)
+        x_pos = x > 0.0
+        for i, (rho, tail) in enumerate(zip(rhos, tails)):
+            z = rho * x + tail * y
+            hits[i] += int(np.count_nonzero(x_pos & (z > 0.0)))
+    return [_estimate(h, cfg.samples) for h in hits]

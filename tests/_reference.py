@@ -81,3 +81,29 @@ def overlaps(fragments, marker_set, n_max):
     levels = step_levels(fragments, marker_set, n_max)
     total = len(fragments)
     return [Fraction(sum(1 for z in row if z == 0), total) for row in levels]
+
+
+def poisson_pair_estimate(lam, a, m, cfg):
+    """P(m points in each image set) by inversion sampling, one overlap.
+
+    The estimator the bucket counter of ``oracle.mc_pair_integral_poisson``
+    replaced: three ``searchsorted`` calls per chunk turn the same Philox
+    uniforms into region counts.  Returns (estimate, standard error).
+    """
+    import math
+
+    import numpy as np
+
+    from ergolab.oracle import _chunk_rng, _chunks, _poisson_cdf
+
+    cdf_common = _poisson_cdf(lam)
+    cdf_diff = _poisson_cdf(a - lam)
+    hits = 0
+    for k, n in _chunks(cfg.samples):
+        u = _chunk_rng(cfg.seed, k).random((3, n))
+        k_common = np.searchsorted(cdf_common, u[0], side="right")
+        k_one = np.searchsorted(cdf_diff, u[1], side="right")
+        k_two = np.searchsorted(cdf_diff, u[2], side="right")
+        hits += int(np.count_nonzero((k_common + k_one == m) & (k_common + k_two == m)))
+    p_hat = hits / cfg.samples
+    return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / cfg.samples)

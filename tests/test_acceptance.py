@@ -261,7 +261,7 @@ def test_criterion_6_monte_carlo_gates():
         exact = pair_integrand(model, lam)
         gates.append(
             three_sigma_gate(
-                exact, lambda c, lam=lam: mc_pair_integral_poisson(lam, 1.0, 1, c), cfg
+                exact, lambda c, lam=lam: mc_pair_integral_poisson((lam,), 1.0, 1, c)[0], cfg
             )
         )
     gauss = SuspensionModel("gaussian")
@@ -269,7 +269,7 @@ def test_criterion_6_monte_carlo_gates():
         exact = pair_integrand(gauss, rho)
         gates.append(
             three_sigma_gate(
-                exact, lambda c, rho=rho: mc_gaussian_orthant(rho, c), cfg
+                exact, lambda c, rho=rho: mc_gaussian_orthant((rho,), c)[0], cfg
             )
         )
     elapsed = time.perf_counter() - t0

@@ -1,12 +1,18 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from bisect import bisect_left
+from pathlib import Path
 
 import pytest
 
+import ergolab
 from ergolab import (
     ConstructionParams,
     PairBudgetExceeded,
@@ -16,6 +22,7 @@ from ergolab import (
     context_for,
     verify_windows,
 )
+from ergolab import oracle
 from ergolab.cli import ConfigError, load_config, main, parse_config
 
 
@@ -247,6 +254,52 @@ def test_mc_check_passes_and_is_deterministic(tmp_path):
     code2, out2 = run(tmp_path / "b", "mc-check", config=SMALL)
     assert code2 == 0
     assert (out1 / "mc_check.json").read_bytes() == (out2 / "mc_check.json").read_bytes()
+
+
+def test_mc_check_default_artifact_is_pinned(tmp_path):
+    code, out = run(tmp_path, "mc-check", config={})
+    assert code == 0
+    digest = hashlib.sha256((out / "mc_check.json").read_bytes()).hexdigest()
+    assert digest == "7b01993442970ca8095fb2fed8e91474faf2d55885ba07c4f2755398f93d91c6"
+
+
+def test_mc_check_retries_one_batch_at_the_next_seed(tmp_path, monkeypatch):
+    seed = 7
+    poisson, gaussian = oracle.mc_pair_integral_poisson, oracle.mc_gaussian_orthant
+    calls = {"poisson": [], "gaussian": []}
+
+    def poisson_missing_gate_2(lams, a, m, cfg):
+        calls["poisson"].append(cfg.seed)
+        got = poisson(lams, a, m, cfg)
+        if cfg.seed == seed:
+            got[1] = (0.9, 1e-6)  # far from the exact value: forces the retry
+        return got
+
+    def counted_gaussian(rhos, cfg):
+        calls["gaussian"].append(cfg.seed)
+        return gaussian(rhos, cfg)
+
+    monkeypatch.setattr(oracle, "mc_pair_integral_poisson", poisson_missing_gate_2)
+    monkeypatch.setattr(oracle, "mc_gaussian_orthant", counted_gaussian)
+    code, out = run(tmp_path, "mc-check", config={**SMALL, "seed": seed})
+    assert code == 0
+    assert calls == {"poisson": [seed, seed + 1], "gaussian": [seed]}
+    rows = read_json(out / "mc_check.json")["rows"]
+    assert [r["retried"] for r in rows] == [False, True, False, False, False, False]
+    assert all(r["passed"] for r in rows)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(ergolab.__file__).parents[1])}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(SMALL), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ergolab", "--config", str(cfg_path),
+         "--out", str(tmp_path / "out"), "build"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "stages.json").is_file()
 
 
 def test_series_with_single_marker_stage_flags_insufficiency(tmp_path):

@@ -1,6 +1,8 @@
 """Seeded Monte Carlo estimators and the 3-sigma gate."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab import (
     McConfig,
@@ -10,22 +12,25 @@ from ergolab import (
     pair_integrand,
     three_sigma_gate,
 )
+from ergolab.oracle import _CHUNK, _poisson_cdf
+
+import _reference as ref
 
 CFG = McConfig(seed=20240801, samples=200_000)
 
 
 def test_fixed_seed_is_bit_identical():
-    a = mc_pair_integral_poisson(0.4, 1.0, 1, CFG)
-    b = mc_pair_integral_poisson(0.4, 1.0, 1, CFG)
+    a = mc_pair_integral_poisson((0.4,), 1.0, 1, CFG)[0]
+    b = mc_pair_integral_poisson((0.4,), 1.0, 1, CFG)[0]
     assert a == b
-    c = mc_gaussian_orthant(0.3, CFG)
-    d = mc_gaussian_orthant(0.3, CFG)
+    c = mc_gaussian_orthant((0.3,), CFG)[0]
+    d = mc_gaussian_orthant((0.3,), CFG)[0]
     assert c == d
 
 
 def test_seed_changes_the_stream():
-    a = mc_gaussian_orthant(0.3, CFG)
-    b = mc_gaussian_orthant(0.3, McConfig(seed=CFG.seed + 1, samples=CFG.samples))
+    a = mc_gaussian_orthant((0.3,), CFG)[0]
+    b = mc_gaussian_orthant((0.3,), McConfig(seed=CFG.seed + 1, samples=CFG.samples))[0]
     assert a != b
 
 
@@ -33,7 +38,7 @@ def test_poisson_estimates_match_exact_formula():
     model = SuspensionModel("poisson", 1)
     for lam in (1.0, 0.0, 0.4):
         exact = pair_integrand(model, lam)
-        est, se = mc_pair_integral_poisson(lam, 1.0, 1, CFG)
+        est, se = mc_pair_integral_poisson((lam,), 1.0, 1, CFG)[0]
         assert se > 0
         assert abs(est - exact) <= 3 * se
 
@@ -42,7 +47,7 @@ def test_gaussian_estimates_match_orthant_formula():
     model = SuspensionModel("gaussian")
     for rho in (0.0, 0.5, 1.0):
         exact = pair_integrand(model, rho)
-        est, se = mc_gaussian_orthant(rho, CFG)
+        est, se = mc_gaussian_orthant((rho,), CFG)[0]
         assert abs(est - exact) <= 3 * se
 
 
@@ -56,14 +61,14 @@ def test_poisson_estimates_on_randomized_parameters():
         a = rng.uniform(0.5, 3.0)
         lam = rng.uniform(0.0, a)
         exact = pair_integrand(SuspensionModel("poisson", m, a), lam)
-        est, se = mc_pair_integral_poisson(lam, a, m, cfg)
+        est, se = mc_pair_integral_poisson((lam,), a, m, cfg)[0]
         assert abs(est - exact) <= 3 * se, (m, a, lam)
 
 
 def test_estimators_span_chunk_boundaries_deterministically():
     big = McConfig(seed=3, samples=(1 << 19) + 1234)
-    a = mc_gaussian_orthant(0.0, big)
-    b = mc_gaussian_orthant(0.0, big)
+    a = mc_gaussian_orthant((0.0,), big)[0]
+    b = mc_gaussian_orthant((0.0,), big)[0]
     assert a == b
     assert abs(a[0] - 0.25) <= 3 * a[1]
 
@@ -72,13 +77,13 @@ def test_input_validation():
     with pytest.raises(ValueError):
         McConfig(seed=1, samples=0)
     with pytest.raises(ValueError):
-        mc_pair_integral_poisson(2.0, 1.0, 1, CFG)
+        mc_pair_integral_poisson((2.0,), 1.0, 1, CFG)[0]
     with pytest.raises(ValueError):
-        mc_gaussian_orthant(1.5, CFG)
+        mc_gaussian_orthant((1.5,), CFG)[0]
 
 
 def test_three_sigma_gate_passes_without_retry():
-    res = three_sigma_gate(0.25, lambda c: mc_gaussian_orthant(0.0, c), CFG)
+    res = three_sigma_gate(0.25, lambda c: mc_gaussian_orthant((0.0,), c)[0], CFG)
     assert res.passed and not res.retried
 
 
@@ -99,3 +104,40 @@ def test_three_sigma_gate_retries_once_with_next_seed():
 def test_three_sigma_gate_fails_after_two_misses():
     res = three_sigma_gate(0.25, lambda c: (0.9, 0.001), CFG)
     assert res.retried and not res.passed
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(
+    a=st.floats(0.5, 3.0),
+    frac=st.floats(0.0, 1.0),
+    m=st.one_of(st.integers(0, 6), st.none()),
+    seed=st.integers(0, 2**32 - 1),
+    samples=st.integers(1, 4000),
+)
+def test_bucket_counting_equals_inversion_sampling(a, frac, m, seed, samples):
+    if m is None:  # more points than the CDF has entries
+        m = len(_poisson_cdf(a)) + 1
+    lams = (0.0, a, frac * a)
+    cfg = McConfig(seed=seed, samples=samples)
+    got = mc_pair_integral_poisson(lams, a, m, cfg)
+    assert got == [ref.poisson_pair_estimate(lam, a, m, cfg) for lam in lams]
+
+
+def test_bucket_counting_equals_inversion_sampling_across_chunks():
+    cfg = McConfig(seed=5, samples=_CHUNK + 1234)
+    lams = (1.7, 0.0, 0.6)
+    for m in (0, 2):
+        got = mc_pair_integral_poisson(lams, 1.7, m, cfg)
+        assert got == [ref.poisson_pair_estimate(lam, 1.7, m, cfg) for lam in lams]
+
+
+def test_batches_equal_single_parameter_runs():
+    cfg = McConfig(seed=9, samples=_CHUNK + 77)
+    lams = (1.0, 0.0, 0.4, 0.4)
+    assert mc_pair_integral_poisson(lams, 1.0, 2, cfg) == [
+        mc_pair_integral_poisson((lam,), 1.0, 2, cfg)[0] for lam in lams
+    ]
+    rhos = (0.0, 0.5, 1.0, -1.0, -0.3)
+    assert mc_gaussian_orthant(rhos, cfg) == [
+        mc_gaussian_orthant((rho,), cfg)[0] for rho in rhos
+    ]
