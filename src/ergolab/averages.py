@@ -9,8 +9,10 @@ instead of O(N).
 
 :func:`event_sweep` takes that step function from step 0 out of the flip
 sweep of :mod:`ergolab.extension`, the same kernel that checks the claimed
-windows; a sweep whose fragment chunks hold too many flips raises
-:class:`~ergolab.extension.PairBudgetExceeded` instead of exhausting memory.
+windows.  It sorts the flips of each fragment chunk one time slice of
+bounded size at a time, and a sweep whose fragment chunks hold too many
+flips raises :class:`~ergolab.extension.PairBudgetExceeded` before any
+per-flip work.
 
 Running sums use Neumaier-compensated accumulation, vectorised as two
 sequential ``np.cumsum``s; given a fixed profile the emitted series is
@@ -20,7 +22,6 @@ bit-identical across runs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -49,6 +50,11 @@ __all__ = [
 _MAX_STEPS = 2**62
 
 _MILESTONE_KINDS = ("disjoint_start", "disjoint_end", "coincide_start", "coincide_end")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -86,16 +92,18 @@ def milestone_sequence(table: StageTable, j_top: int) -> tuple[Milestone, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OverlapProfile:
     """Piecewise-constant overlap: ``counts[k]`` parity-0 fragments on
     ``(edges[k], edges[k+1]]`` (and past the last edge up to ``n_max``).
+    ``edges`` and ``counts`` are read-only int64 arrays.
 
     The edges are the union over the fragment chunks of the flip sweep in
     :mod:`ergolab.extension` of the flip times whose net change within the
     chunk is nonzero.  An edge may therefore change nothing
     (``counts[k] == counts[k-1]``) when the nets of several chunks cancel, so
-    those edges depend on ``extension._FRAGMENT_CHUNK``.
+    those edges depend on ``extension._FRAGMENT_CHUNK``; the time windows
+    that split each chunk bound only memory and change no edge.
     ``report.json``'s ``plateau_count`` counts them (68,049 on the
     ``series-dense`` benchmark, 66,537 merged): an engine that drops them
     changes that digest, which the benchmark must record first.
@@ -105,13 +113,13 @@ class OverlapProfile:
     n_max: int
     total: int
     width: Fraction
-    edges: tuple[int, ...]  # strictly increasing, edges[0] == 0
-    counts: tuple[int, ...]
+    edges: np.ndarray  # strictly increasing, edges[0] == 0
+    counts: np.ndarray
 
     def count_at(self, n: int) -> int:
         if not 1 <= n <= self.n_max:
             raise ValueError(f"step count {n} outside [1, {self.n_max}]")
-        return self.counts[bisect_left(self.edges, n) - 1]
+        return int(self.counts[np.searchsorted(self.edges, n) - 1])
 
     def overlap_at(self, n: int) -> Fraction:
         return self.count_at(n) * self.width
@@ -150,8 +158,8 @@ def event_sweep(a: LeveledSet, ctx: CocycleContext, n_max: int) -> OverlapProfil
         n_max=n_max,
         total=len(fragments),
         width=table.width(ctx.stage),
-        edges=tuple(edges.tolist()),
-        counts=tuple(counts.tolist()),
+        edges=_read_only(edges),
+        counts=_read_only(counts),
     )
 
 
@@ -164,44 +172,52 @@ class SeriesPoint:
     is_milestone: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Series:
-    """The running averages at every checkpoint, held column by column.
+    """The running averages at every checkpoint, held column by column in
+    read-only numpy arrays.
 
     ``levels`` are the distinct ``(overlap, integrand)`` pairs of the profile
     and ``level[i]`` is the one at checkpoint ``n[i]``: the 196,695
     checkpoints of the densest benchmark grid share 793 of them.  Iterating
-    yields one :class:`SeriesPoint` per checkpoint.
+    yields one :class:`SeriesPoint` of Python numbers per checkpoint.
     """
 
-    n: tuple[int, ...]  # strictly increasing
-    level: tuple[int, ...]
-    a_n: tuple[float, ...]
-    is_milestone: tuple[bool, ...]
+    n: np.ndarray  # int64, strictly increasing
+    level: np.ndarray
+    a_n: np.ndarray  # float64
+    is_milestone: np.ndarray  # bool
     levels: tuple[tuple[Fraction, float], ...]
 
     def __len__(self) -> int:
         return len(self.n)
 
     def __iter__(self) -> Iterator[SeriesPoint]:
-        for n, k, a_n, mile in zip(self.n, self.level, self.a_n, self.is_milestone):
+        columns = (self.n, self.level, self.a_n, self.is_milestone)
+        for n, k, a_n, mile in zip(*(c.tolist() for c in columns)):
             overlap, g = self.levels[k]
             yield SeriesPoint(n, overlap, g, a_n, mile)
 
 
-def default_checkpoints(n_max: int, ratio: float = 1.05) -> tuple[int, ...]:
-    """Geometric grid of step counts from 1 to n_max inclusive."""
+def default_checkpoints(n_max: int, ratio: float = 1.05) -> np.ndarray:
+    """Geometric grid of step counts from 1 to n_max inclusive, as a
+    read-only int64 array: ``n`` steps to ``max(int(n * ratio), n + 1)``."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if ratio <= 1.0:
         raise ValueError(f"checkpoint ratio must be > 1, got {ratio}")
-    out = []
-    n = 1
+    # the grid steps by 1 below the first n with int(n * ratio) > n, that is
+    # n * ratio >= n + 1, which lies near 1 / (ratio - 1); numpy multiplies
+    # the float of n by ratio as Python does, exactly so while n < 2**53
+    head = np.arange(1, min(n_max, int(2 / (ratio - 1)) + 2), dtype=np.int64)
+    jump = np.flatnonzero(head * ratio >= head + 1)
+    start = n = int(head[jump[0]]) if jump.size else len(head) + 1
+    rest = []
     while n < n_max:
-        out.append(n)
+        rest.append(n)
         n = m if (m := int(n * ratio)) > n else n + 1
-    out.append(n_max)
-    return tuple(out)
+    rest.append(n_max)
+    return _read_only(np.concatenate((head[: start - 1], np.array(rest, dtype=np.int64))))
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -241,29 +257,30 @@ def average_series(
     )
     try:
         miles = np.array([m.n for m in milestones], dtype=np.int64)
-        requested = np.concatenate((np.array([*checkpoints], dtype=np.int64), miles))
+        if not isinstance(checkpoints, np.ndarray):
+            checkpoints = [*checkpoints]
+        requested = np.concatenate((np.asarray(checkpoints, dtype=np.int64), miles))
     except OverflowError as exc:  # beyond int64 is beyond n_max too
         raise out_of_range from exc
     if not requested.size or requested.min() < 1 or requested.max() > profile.n_max:
         raise out_of_range
-    distinct, count_of = np.unique(np.asarray(profile.counts), return_inverse=True)
+    distinct, count_of = np.unique(profile.counts, return_inverse=True)
     levels = tuple(
         (o, pair_integrand(model, o)) for o in (c * profile.width for c in distinct.tolist())
     )
     g_of = np.array([g for _, g in levels], dtype=np.float64)
-    edges = np.asarray(profile.edges, dtype=np.int64)
+    edges = profile.edges
     t = _sorted_unique(requested)
-    targets = t.tolist()
     stops = _sorted_unique(np.concatenate((t, edges[(edges > 0) & (edges < t[-1])])))
     # plateau k holds on (edges[k], edges[k+1]]
     at = count_of[np.searchsorted(edges, stops) - 1]
     sums = _neumaier_cumsum(np.diff(stops, prepend=0) * g_of[at])
     hit = np.searchsorted(stops, t)
     return Series(
-        n=tuple(targets),
-        level=tuple(at[hit].tolist()),
-        a_n=tuple((sums[hit] / t).tolist()),
-        is_milestone=tuple(np.isin(t, miles).tolist()),
+        n=_read_only(t),
+        level=_read_only(at[hit]),
+        a_n=_read_only(sums[hit] / t),
+        is_milestone=_read_only(np.isin(t, miles)),
         levels=levels,
     )
 
@@ -333,15 +350,14 @@ def divergence_report(
     coincidence window near c (bound c*(1 - 1/(2j))); each bound is checked
     with an absolute slack of 1e-9 for float rounding.
     """
-    at = [bisect_left(series.n, m.n) for m in milestones]
-    missing = [
-        m.n for m, i in zip(milestones, at) if i == len(series) or series.n[i] != m.n
-    ]
-    if missing:
-        raise ValueError(f"series does not cover milestones {missing}")
+    want = np.array([m.n for m in milestones], dtype=np.int64)
+    at = np.minimum(np.searchsorted(series.n, want), len(series) - 1)
+    missing = want[series.n[at] != want]
+    if missing.size:
+        raise ValueError(f"series does not cover milestones {missing.tolist()}")
     c = cylinder_constant(model)
     c2 = c * c
-    points = tuple((m, series.a_n[i]) for m, i in zip(milestones, at))
+    points = tuple(zip(milestones, series.a_n[at].tolist()))
     checks: list[BoundCheck] = []
     for m, a_n in points:
         if m.kind == "disjoint_end":

@@ -255,20 +255,20 @@ def cmd_series(cfg: RunConfig, out_dir: Path) -> int:
     # CRLF line ends and floats as their repr, built column by column: each
     # level's middle columns, with the commas around them, are formatted once
     mid = [f",{o.numerator},{o.denominator},{g!r}," for o, g in series.levels]
-    rows = zip(
-        map(str, series.n),
-        map(mid.__getitem__, series.level),
-        map(repr, series.a_n),
-        map((",0\r\n", ",1\r\n").__getitem__, series.is_milestone),
-    )
+    ends = (",0\r\n", ",1\r\n")
     with csv_path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("n,overlap_num,overlap_den,integrand,a_n,is_milestone\r\n")
-        # one join per block of rows: a single join would hold every row's
-        # strings at once: about 40 MB more peak memory on 196,695 rows
-        while block := "".join(
-            itertools.chain.from_iterable(itertools.islice(rows, _CSV_BLOCK_ROWS))
-        ):
-            fh.write(block)
+        # one block of rows at a time, as Python numbers and strings: all
+        # 196,695 rows at once would hold about 40 MB more at the peak
+        for i in range(0, len(series), _CSV_BLOCK_ROWS):
+            block = slice(i, i + _CSV_BLOCK_ROWS)
+            rows = zip(
+                map(str, series.n[block].tolist()),
+                map(mid.__getitem__, series.level[block].tolist()),
+                map(repr, series.a_n[block].tolist()),
+                map(ends.__getitem__, series.is_milestone[block].tolist()),
+            )
+            fh.write("".join(itertools.chain.from_iterable(rows)))
     _write_json(
         out_dir / "report.json",
         {
@@ -407,7 +407,8 @@ def main(argv: list[str] | None = None) -> int:
         extension.PairBudgetExceeded,
     ) as exc:
         # StageOverflow means the requested run needs a larger j_max;
-        # PairBudgetExceeded that the flip sweep would not fit in memory
+        # PairBudgetExceeded that a fragment chunk holds more flips than
+        # the sweep takes on
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -157,7 +157,7 @@ def test_window_kernel_matches_event_sweep(preset, marker_stages, j_max, grid_po
             continue
         profile = event_sweep(base_leveled_set(table, ctx.stage), ctx, n_max)
         # count_at(n) for n = 1..n_max
-        count = np.repeat(profile.counts, np.diff(profile.edges + (n_max,))).tolist()
+        count = np.repeat(profile.counts, np.diff(np.append(profile.edges, n_max))).tolist()
         exhaustive = verify_windows(table, j)
         sampled = verify_windows(table, j, mode="sampled", grid_points=grid_points)
         for full, part, (lo, hi), want in zip(
@@ -174,3 +174,52 @@ def test_window_kernel_matches_event_sweep(preset, marker_stages, j_max, grid_po
             assert [
                 (n, v) for n, v in zip(full.violations, full.violation_values) if n in grid
             ] == list(zip(part.violations, part.violation_values))
+
+
+@pytest.mark.parametrize("preset", ["basic", "staircase-mixing"])
+@pytest.mark.parametrize("marker_stages", [None, (2,), (4,), (2, 6)])
+def test_flip_sweep_time_windows_change_nothing(preset, marker_stages, monkeypatch):
+    """Time windows only bound memory: forced down to 1, 7 or 64 flips each,
+    the sweep from step 0 and from each claim window's ``lo`` gives the
+    one-window edges and counts, and on the short windows the reference."""
+    import ergolab.extension as ext
+
+    ms = None if marker_stages is None else frozenset(marker_stages)
+    table = build_stage_table(ConstructionParams(preset, 7, ms))
+    stages = table.params.effective_marker_stages()
+    cut, spacer = _reference_schedule(preset, stages)
+    sweeps = []
+    for q in stages:
+        for lo, hi in claim_windows(table, q // 2):
+            try:
+                ctx = context_for(table, hi - 1)
+            except StageOverflow:
+                continue
+            sweeps += [(ctx, 0, hi - 1), (ctx, lo, hi - 1)]
+    assert sweeps
+    frags = {}
+    for ctx, _, _ in sweeps:
+        h = ref.heights(ctx.stage, cut, spacer)
+        frags[ctx.stage] = ref.base_indices(ctx.stage, cut, spacer, h)
+    calls = []
+    nets = ext._chunk_flip_nets
+    monkeypatch.setattr(ext, "_chunk_flip_nets", lambda *a: calls.append(1) or nets(*a))
+    monkeypatch.setattr(ext, "_WINDOW_PAIRS", ext._CHUNK_PAIR_BUDGET)
+    whole = [_flip_plateaus(ctx, np.asarray(frags[ctx.stage]), lo, n) for ctx, lo, n in sweeps]
+    window_calls = {None: len(calls)}
+    for pairs in (1, 7, 64):
+        monkeypatch.setattr(ext, "_WINDOW_PAIRS", pairs)
+        del calls[:]
+        for (ctx, lo, n), (edges, counts) in zip(sweeps, whole):
+            e, c = _flip_plateaus(ctx, np.asarray(frags[ctx.stage]), lo, n)
+            assert np.array_equal(e, edges) and e.dtype == edges.dtype
+            assert np.array_equal(c, counts) and c.dtype == counts.dtype
+        window_calls[pairs] = len(calls)
+    assert window_calls[1] > window_calls[None]  # the sweeps did split
+    for ctx, lo, n in sweeps:
+        if n * len(frags[ctx.stage]) <= 200_000:
+            h = ref.heights(ctx.stage, cut, spacer)
+            markers = set(ref.marker_indices(ctx.stage, sorted(stages), cut, spacer, h))
+            expected = ref.overlaps(frags[ctx.stage], markers, n)
+            counts = _counts_from(ctx, frags[ctx.stage], lo, n)
+            assert [Fraction(k, len(frags[ctx.stage])) for k in counts] == expected[lo + 1 :]
