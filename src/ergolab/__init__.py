@@ -14,7 +14,6 @@ from .tower import (
     marker_floorset,
     measure,
     refine,
-    shift,
 )
 from .extension import (
     CocycleContext,
@@ -26,7 +25,6 @@ from .extension import (
     base_leveled_set,
     claim_windows,
     cocycle_context,
-    cocycle_parity,
     context_for,
     flip_orbit,
     level_swap,
@@ -50,6 +48,7 @@ from .oracle import (
     three_sigma_gate,
 )
 from .averages import (
+    CheckpointBudgetExceeded,
     DivergenceReport,
     Milestone,
     OverlapProfile,

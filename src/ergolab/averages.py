@@ -28,7 +28,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .extension import CocycleContext, LeveledSet, SegmentEscapesTower, _flip_plateaus
+from .extension import CocycleContext, LeveledSet, SegmentEscapesTower, claim_windows
+from .extension import _flip_plateaus
 from .suspension import SuspensionModel, cylinder_constant, pair_integrand
 from .tower import StageOverflow, StageTable, refine
 
@@ -40,6 +41,7 @@ __all__ = [
     "SeriesPoint",
     "Series",
     "default_checkpoints",
+    "CheckpointBudgetExceeded",
     "average_series",
     "BoundCheck",
     "DivergenceReport",
@@ -49,7 +51,14 @@ __all__ = [
 # largest n_max whose flip keys 2*t + 1 (t < n_max) fit in int64
 _MAX_STEPS = 2**62
 
+# most checkpoints a series may emit, each a CSV row and ~9 numpy temporaries
+_CHECKPOINT_BUDGET = 1 << 22
+
 _MILESTONE_KINDS = ("disjoint_start", "disjoint_end", "coincide_start", "coincide_end")
+
+
+class CheckpointBudgetExceeded(ValueError):
+    """A checkpoint grid would hold more steps than the budget."""
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -79,10 +88,8 @@ def milestone_sequence(table: StageTable, j_top: int) -> tuple[Milestone, ...]:
         j = q // 2
         if j > j_top:
             break
-        h_q = table.height(q)
-        h_q1 = table.height(q + 1)
-        ns = (h_q, q * h_q, h_q1, q * h_q1)
-        for k, (n, kind) in enumerate(zip(ns, _MILESTONE_KINDS)):
+        (d_lo, d_hi), (c_lo, c_hi) = claim_windows(table, j)
+        for k, (n, kind) in enumerate(zip((d_lo, d_hi, c_lo, c_hi), _MILESTONE_KINDS)):
             out.append(Milestone(index=4 * j + k, n=n, j=j, kind=kind))
     for prev, cur in zip(out, out[1:]):
         if cur.n < 2 * prev.n:
@@ -199,25 +206,36 @@ class Series:
             yield SeriesPoint(n, overlap, g, a_n, mile)
 
 
+def _checkpoint_bound(n_max: int, ratio: float) -> int:
+    """An upper bound on ``len(default_checkpoints(n_max, ratio))``, sound where
+    it is within the budget: below ``n0 = 2/(ratio - 1) + 2`` the grid steps by
+    at least 1, and from ``n0`` on ``int(n * ratio) >= n * (1 + (ratio - 1)/2)``
+    (the 2 covers the float rounding of ``n * ratio``)."""
+    d = ratio - 1.0
+    n0 = int(2 / d) + 2
+    return min(n_max, n0 + math.ceil(math.log(max(n_max, n0) / n0) / math.log1p(d / 2)) + 2)
+
+
 def default_checkpoints(n_max: int, ratio: float = 1.05) -> np.ndarray:
     """Geometric grid of step counts from 1 to n_max inclusive, as a
-    read-only int64 array: ``n`` steps to ``max(int(n * ratio), n + 1)``."""
+    read-only int64 array: ``n`` steps to ``max(int(n * ratio), n + 1)``.
+    Raises :class:`CheckpointBudgetExceeded` first if it may pass the budget."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if ratio <= 1.0:
         raise ValueError(f"checkpoint ratio must be > 1, got {ratio}")
-    # the grid steps by 1 below the first n with int(n * ratio) > n, that is
-    # n * ratio >= n + 1, which lies near 1 / (ratio - 1); numpy multiplies
-    # the float of n by ratio as Python does, exactly so while n < 2**53
-    head = np.arange(1, min(n_max, int(2 / (ratio - 1)) + 2), dtype=np.int64)
-    jump = np.flatnonzero(head * ratio >= head + 1)
-    start = n = int(head[jump[0]]) if jump.size else len(head) + 1
-    rest = []
+    bound = _checkpoint_bound(n_max, ratio)
+    if bound > _CHECKPOINT_BUDGET:
+        raise CheckpointBudgetExceeded(
+            f"checkpoint ratio {ratio!r} up to N={n_max} gives up to {bound} checkpoints,"
+            f" over the budget of {_CHECKPOINT_BUDGET}"
+        )
+    out, n = [], 1
     while n < n_max:
-        rest.append(n)
+        out.append(n)
         n = m if (m := int(n * ratio)) > n else n + 1
-    rest.append(n_max)
-    return _read_only(np.concatenate((head[: start - 1], np.array(rest, dtype=np.int64))))
+    out.append(n_max)
+    return _read_only(np.array(out, dtype=np.int64))
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:

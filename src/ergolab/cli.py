@@ -405,10 +405,11 @@ def main(argv: list[str] | None = None) -> int:
         tower.InvalidConstruction,
         tower.StageOverflow,
         extension.PairBudgetExceeded,
+        averages.CheckpointBudgetExceeded,
     ) as exc:
         # StageOverflow means the requested run needs a larger j_max;
         # PairBudgetExceeded that a fragment chunk holds more flips than
-        # the sweep takes on
+        # the sweep takes on; CheckpointBudgetExceeded, too many series rows
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

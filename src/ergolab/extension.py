@@ -7,8 +7,8 @@ coboundary.  The *swap zones* are the runs of spacer floors strictly between
 a column's two markers, at in-column offsets ``h_q + 1 .. q*h_q`` of every
 marker stage ``q``; a zone starts one floor above a marker and ends on the
 next one.  So the parity of the marker floors in ``[f, f+n)`` is
-``zone(f) XOR zone(f+n)`` (:func:`cocycle_parity`), and every orbit level and
-overlap count is two zone lookups per fragment (:meth:`CocycleContext.in_zone`).
+``zone(f) XOR zone(f+n)``, and every orbit level and overlap count is two
+zone lookups per fragment (:meth:`CocycleContext.in_zone`).
 
 The headline claims verified here, for the unit base set ``A`` at level 0:
 
@@ -65,7 +65,6 @@ __all__ = [
     "cocycle_context",
     "context_for",
     "base_leveled_set",
-    "cocycle_parity",
     "straight_orbit",
     "flip_orbit",
     "overlap_measure",
@@ -187,88 +186,59 @@ def base_leveled_set(table: StageTable, stage: int) -> LeveledSet:
     return LeveledSet(base_floorset(table, stage), FloorSet(stage, ()))
 
 
-def cocycle_parity(f: int, n: int, ctx: CocycleContext) -> int:
-    """Parity of the number of marker floors met in ``n`` steps from floor ``f``."""
+def _lift(a: LeveledSet, n: int, ctx: CocycleContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fragments of ``a`` at the context stage as int64 floors, their
+    level bits, and the parity ``zone(f) XOR zone(f+n)`` of the markers each
+    meets in ``n`` steps.  Raises :class:`SegmentEscapesTower` when a
+    fragment cannot take ``n`` steps inside the stage."""
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
-    h = ctx.height()
-    if not 0 <= f < h:
-        raise ValueError(f"floor {f} outside stage {ctx.stage} range [0, {h})")
-    if f + n >= h:
+    l0, l1 = (refine(ctx.table, fs, ctx.stage).indices for fs in (a.level0, a.level1))
+    floors = np.asarray(l0 + l1, dtype=np.int64)
+    level = np.repeat(np.array([False, True]), (len(l0), len(l1)))
+    if floors.size and int(floors.max()) + n >= ctx.height():
         raise SegmentEscapesTower(
-            f"segment [{f}, {f + n}] escapes stage {ctx.stage} (height {h})"
+            f"fragment {int(floors.max())} cannot take {n} steps inside stage {ctx.stage}"
         )
-    return int(ctx.in_zone(f) != ctx.in_zone(f + n))
+    return floors, level, ctx.in_zone(floors) != ctx.in_zone(floors + n)
 
 
-def _fragments(table: StageTable, a: LeveledSet, stage: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (
-        refine(table, a.level0, stage).indices,
-        refine(table, a.level1, stage).indices,
+def _leveled(stage: int, floors: np.ndarray, level: np.ndarray) -> LeveledSet:
+    return LeveledSet(
+        FloorSet.of(stage, floors[~level].tolist()), FloorSet.of(stage, floors[level].tolist())
     )
 
 
 def straight_orbit(a: LeveledSet, n: int, ctx: CocycleContext) -> LeveledSet:
     """n-fold straight lift: every fragment moves up n floors, levels unchanged."""
-    l0, l1 = _fragments(ctx.table, a, ctx.stage)
-    h = ctx.height()
-    for frs in (l0, l1):
-        if frs and frs[-1] + n >= h:
-            raise SegmentEscapesTower(
-                f"fragment {frs[-1]} cannot take {n} steps inside stage {ctx.stage}"
-            )
-    return LeveledSet(
-        FloorSet(ctx.stage, tuple(f + n for f in l0)),
-        FloorSet(ctx.stage, tuple(f + n for f in l1)),
-    )
+    floors, level, _ = _lift(a, n, ctx)
+    return _leveled(ctx.stage, floors + n, level)
 
 
 def flip_orbit(a: LeveledSet, n: int, ctx: CocycleContext) -> LeveledSet:
-    """n-fold flip lift: fragment f lands on level z XOR cocycle_parity(f, n)."""
-    l0, l1 = _fragments(ctx.table, a, ctx.stage)
-    new0: list[int] = []
-    new1: list[int] = []
-    for z, frs in ((0, l0), (1, l1)):
-        for f in frs:
-            if z ^ cocycle_parity(f, n, ctx):
-                new1.append(f + n)
-            else:
-                new0.append(f + n)
-    return LeveledSet(FloorSet.of(ctx.stage, new0), FloorSet.of(ctx.stage, new1))
+    """n-fold flip lift: fragment f on level z lands on level z XOR zone(f) XOR zone(f+n)."""
+    floors, level, parity = _lift(a, n, ctx)
+    return _leveled(ctx.stage, floors + n, level ^ parity)
 
 
 def overlap_measure(n: int, a: LeveledSet, ctx: CocycleContext) -> Fraction:
     """Exact measure of (straight-lift image) intersect (flip-lift image) after n steps.
 
     Both lifts move fragments to the same x-floors, so the intersection is
-    the mass of fragments whose cocycle parity is 0.  Requires the two
-    levels of ``a`` to occupy disjoint x-floors (orbit sets of the base do).
+    the mass of fragments whose parity is 0.  Requires the two levels of
+    ``a`` to occupy disjoint x-floors (orbit sets of the base do).
     """
-    if n < 0:
-        raise ValueError(f"step count must be >= 0, got {n}")
-    l0, l1 = _fragments(ctx.table, a, ctx.stage)
-    if l0 and l1 and set(l0) & set(l1):
+    floors, _, parity = _lift(a, n, ctx)
+    if np.unique(floors).size < floors.size:
         raise ValueError("overlap_measure needs level-disjoint x-floors")
-    fragments = l0 + l1
-    if fragments and max(fragments) + n >= ctx.height():
-        raise SegmentEscapesTower(
-            f"fragment {max(fragments)} cannot take {n} steps inside stage {ctx.stage}"
-        )
-    frag = np.asarray(fragments, dtype=np.int64)
-    count0 = int((ctx.in_zone(frag) == ctx.in_zone(frag + n)).sum())
-    return count0 * ctx.table.width(ctx.stage)
+    return int(np.count_nonzero(~parity)) * ctx.table.width(ctx.stage)
 
 
 def level_swap(table: StageTable, a: LeveledSet) -> LeveledSet:
     """The involution that flips the level of every swap-zone floor."""
-    stage = max(a.level0.stage, a.level1.stage)
-    ctx = cocycle_context(table, stage)
-    l0, l1 = (np.asarray(frs, dtype=np.int64) for frs in _fragments(table, a, stage))
-    z0, z1 = ctx.in_zone(l0), ctx.in_zone(l1)
-    return LeveledSet(
-        FloorSet.of(stage, np.concatenate((l0[~z0], l1[z1])).tolist()),
-        FloorSet.of(stage, np.concatenate((l0[z0], l1[~z1])).tolist()),
-    )
+    ctx = cocycle_context(table, max(a.level0.stage, a.level1.stage))
+    floors, level, _ = _lift(a, 0, ctx)
+    return _leveled(ctx.stage, floors, level ^ ctx.in_zone(floors))
 
 
 # ---------------------------------------------------------------------------

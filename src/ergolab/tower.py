@@ -32,7 +32,6 @@ __all__ = [
     "StageOverflow",
     "build_stage_table",
     "refine",
-    "shift",
     "measure",
     "base_floorset",
     "marker_floorset",
@@ -230,9 +229,6 @@ class FloorSet:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def is_empty(self) -> bool:
-        return not self.indices
-
 
 def _check_bounds(table: StageTable, fs: FloorSet) -> None:
     h = table.height(fs.stage)
@@ -268,34 +264,6 @@ def _max_index_at(table: StageTable, fs: FloorSet, to_stage: int) -> int:
     return m
 
 
-def shift(table: StageTable, fs: FloorSet, n: int, to_stage: int | None = None) -> FloorSet:
-    """Apply the step map n times: refine until the whole set fits, then add n.
-
-    Refines to the smallest stage ``J`` with ``max(refine(fs, J)) + n < h_J``
-    (or to ``to_stage`` if given), then adds ``n`` to every index.  Raises
-    :class:`StageOverflow` when no materialized stage is high enough.
-    """
-    if n < 0:
-        raise ValueError(f"shift count must be >= 0, got {n}")
-    if fs.is_empty():
-        return fs
-    if to_stage is None:
-        J = fs.stage
-        while J <= table.j_max and _max_index_at(table, fs, J) + n >= table.height(J):
-            J += 1
-        if J > table.j_max:
-            raise StageOverflow(
-                f"shift by {n} does not fit below stage {table.j_max};"
-                " rebuild the table with a larger j_max"
-            )
-    else:
-        J = to_stage
-        if _max_index_at(table, fs, J) + n >= table.height(J):
-            raise StageOverflow(f"shift by {n} does not fit inside stage {J}")
-    refined = refine(table, fs, J)
-    return FloorSet(J, tuple(f + n for f in refined.indices))
-
-
 def measure(table: StageTable, fs: FloorSet) -> Fraction:
     return len(fs.indices) * table.width(fs.stage)
 
@@ -308,8 +276,8 @@ def base_floorset(table: StageTable, stage: int) -> FloorSet:
 def marker_floorset(table: StageTable, half_index: int) -> FloorSet:
     """Both marker floors of marker stage ``q = 2*half_index``, at stage ``q+1``.
 
-    The bottom floor of stage ``q`` is shifted up by ``h_q`` and by ``q*h_q``;
-    each lands on a spacer floor of every column.  Raises
+    Above the stage-``q`` column at offset ``o`` they are ``o + h_q`` and
+    ``o + q*h_q``; each lands on a spacer floor of every column.  Raises
     :class:`MarkerOutsideSpacers` if any landing floor is not a spacer.
     """
     q = 2 * half_index
@@ -318,18 +286,12 @@ def marker_floorset(table: StageTable, half_index: int) -> FloorSet:
     if q + 1 > table.j_max:
         raise StageOverflow(f"marker stage {q} needs stage {q + 1} materialized")
     h_q = table.height(q)
-    bottom = FloorSet(q, (0,))
-    lower = shift(table, bottom, h_q, to_stage=q + 1)
-    upper = shift(table, bottom, q * h_q, to_stage=q + 1)
     cols = table.column_offsets(q)
+    floors = [o + h_q for o in cols] + [o + q * h_q for o in cols]
     spc = table.spacer_counts(q)
-    for fs in (lower, upper):
-        for f in fs.indices:
-            ok = any(
-                o + h_q <= f < o + h_q + s for o, s in zip(cols, spc)
+    for f in floors:
+        if not any(o + h_q <= f < o + h_q + s for o, s in zip(cols, spc)):
+            raise MarkerOutsideSpacers(
+                f"marker floor {f} of stage {q + 1} is not a spacer floor"
             )
-            if not ok:
-                raise MarkerOutsideSpacers(
-                    f"marker floor {f} of stage {q + 1} is not a spacer floor"
-                )
-    return FloorSet.of(q + 1, lower.indices + upper.indices)
+    return FloorSet.of(q + 1, floors)

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ergolab import (
     ConstructionParams,
@@ -28,7 +30,12 @@ from ergolab import (
     overlap_measure,
     pair_integrand,
 )
-from ergolab.averages import _neumaier_cumsum
+from ergolab.averages import (
+    _CHECKPOINT_BUDGET,
+    CheckpointBudgetExceeded,
+    _checkpoint_bound,
+    _neumaier_cumsum,
+)
 from ergolab.extension import SegmentEscapesTower
 from ergolab.tower import StageOverflow
 
@@ -226,6 +233,23 @@ def test_default_checkpoints_match_the_max_loop():
             assert default_checkpoints(n_max, ratio).tolist() == list(max_loop(n_max, ratio))
 
 
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(
+    grid=st.one_of(
+        st.tuples(st.integers(1, 10**9), st.floats(-4, 1)),
+        st.tuples(st.integers(1, 2000), st.floats(-12, 1)),
+    )
+)
+@example(grid=(43_545_600, -4.0))
+@example(grid=(10**9, -1.0))
+def test_checkpoint_bound_covers_the_grid(grid):
+    """The preflight bound, from ``n_max`` and the ratio alone, is at least the
+    length of the grid it admits."""
+    n_max, exponent = grid
+    ratio = 1 + 10**exponent
+    assert _checkpoint_bound(n_max, ratio) >= len(default_checkpoints(n_max, ratio))
+
+
 def test_default_checkpoints_shape():
     cps = default_checkpoints(100_000)
     assert cps[0] == 1 and cps[-1] == 100_000
@@ -233,6 +257,11 @@ def test_default_checkpoints_shape():
     assert len(cps) < 400
     with pytest.raises(ValueError):
         default_checkpoints(100, ratio=1.0)
+    # the series-dense grid passes the preflight; a ratio this near 1 does not
+    dense = (77_115_780, 1.00005)
+    assert len(default_checkpoints(*dense)) < _checkpoint_bound(*dense) < _CHECKPOINT_BUDGET
+    with pytest.raises(CheckpointBudgetExceeded, match="up to 43545600 checkpoints"):
+        default_checkpoints(43_545_600, 1.0000000001)
 
 
 def test_series_against_naive_running_mean(table, profile6):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from bisect import bisect_left
 from pathlib import Path
 
@@ -93,6 +94,18 @@ def test_series_with_infinite_checkpoint_ratio_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "checkpoint_ratio" in capsys.readouterr().err
+    assert not (out / "series.csv").exists()
+
+
+def test_series_over_the_checkpoint_budget_exits_2_naming_the_bound(tmp_path, capsys):
+    """A ratio this near 1 steps by one to N=43,545,600: the preflight stops
+    the run before one checkpoint is built."""
+    t0 = time.perf_counter()
+    code, out = run(tmp_path, "series", config={"checkpoint_ratio": 1.0000000001})
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "up to 43545600 checkpoints, over the budget of 4194304" in err
     assert not (out / "series.csv").exists()
 
 

@@ -20,7 +20,6 @@ from ergolab import (
     build_stage_table,
     claim_windows,
     cocycle_context,
-    cocycle_parity,
     context_for,
     flip_orbit,
     level_swap,
@@ -79,30 +78,39 @@ def test_cocycle_context_guards_the_int64_range(monkeypatch):
         cocycle_context(t, 13)
 
 
+def _point(stage, f):
+    return LeveledSet(FloorSet(stage, (f,)), FloorSet(stage, ()))
+
+
 def test_cocycle_parity_examples(table):
+    """The level of a point after ``n`` flip steps is the parity of the
+    markers it met."""
     ctx3 = cocycle_context(table, 3)
     assert ctx3.e_indices == (4, 8, 16, 20)
-    assert cocycle_parity(0, 0, ctx3) == 0
-    assert cocycle_parity(0, 5, ctx3) == 1
-    assert cocycle_parity(0, 9, ctx3) == 0
+    assert flip_orbit(_point(3, 0), 0, ctx3) == _point(3, 0)
+    assert flip_orbit(_point(3, 0), 5, ctx3) == LeveledSet(FloorSet(3, ()), FloorSet(3, (5,)))
+    assert flip_orbit(_point(3, 0), 9, ctx3) == _point(3, 9)
 
 
 def test_cocycle_parity_segment_escape(table):
     ctx3 = cocycle_context(table, 3)
     with pytest.raises(SegmentEscapesTower):
-        cocycle_parity(0, table.height(3), ctx3)
+        flip_orbit(_point(3, 0), table.height(3), ctx3)
+    assert flip_orbit(_point(3, 0), table.height(3) - 1, ctx3).level0.indices == (23,)
+    with pytest.raises(ValueError, match=">= 0"):
+        flip_orbit(_point(3, 5), -1, ctx3)
 
 
 def test_cocycle_parity_xor_composition(ctx5, table):
+    """``m`` flip steps then ``n`` are ``m + n`` steps, on sets on both levels."""
     rng = random.Random(5)
     h = table.height(5)
     for _ in range(200):
-        f = rng.randrange(0, h // 2)
-        a = rng.randrange(0, h // 4)
-        b = rng.randrange(0, h - f - a)
-        assert cocycle_parity(f, a + b, ctx5) == (
-            cocycle_parity(f, a, ctx5) ^ cocycle_parity(f + a, b, ctx5)
-        )
+        f0, f1 = rng.sample(range(h // 2), 2)
+        a = LeveledSet(FloorSet(5, (f0,)), FloorSet(5, (f1,)))
+        m = rng.randrange(0, h // 4)
+        n = rng.randrange(0, h - max(f0, f1) - m)
+        assert flip_orbit(flip_orbit(a, m, ctx5), n, ctx5) == flip_orbit(a, m + n, ctx5)
 
 
 def test_flip_orbit_matches_single_step_simulation(table, ctx5):

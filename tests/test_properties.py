@@ -1,6 +1,7 @@
 """Property tests: the numpy engines against the single-step reference on
 random small constructions of both presets."""
 
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -10,14 +11,20 @@ from hypothesis import strategies as st
 
 from ergolab import (
     ConstructionParams,
+    FloorSet,
+    LeveledSet,
+    SegmentEscapesTower,
     StageOverflow,
     base_leveled_set,
     build_stage_table,
     claim_windows,
+    cocycle_context,
     context_for,
     event_sweep,
     flip_orbit,
+    level_swap,
     overlap_measure,
+    straight_orbit,
     verify_conjugacy,
     verify_windows,
 )
@@ -96,6 +103,68 @@ def test_context_and_profile_match_reference(preset, marker_stages, j_max, n_max
     lo = data.draw(st.integers(0, n_max - k - 1), label="lo of the orbit set")
     counts = _counts_from(ctx, moved.level0.indices + moved.level1.indices, lo, n_max - k)
     assert [Fraction(c, len(fragments)) for c in counts] == expected[lo + 1 :]
+
+
+def _leveled(stage, floors, levels):
+    """The LeveledSet of ``floors`` with the given level bits."""
+    return LeveledSet(*(
+        FloorSet.of(stage, [f for f, z in zip(floors, levels) if z == want]) for want in (0, 1)
+    ))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(
+    preset=st.sampled_from(["basic", "staircase-mixing"]),
+    marker_stages=st.sets(st.sampled_from([2, 4])),
+    j_max=st.integers(4, 6),
+    data=st.data(),
+)
+def test_lifts_match_reference(preset, marker_stages, j_max, data):
+    """``straight_orbit``, ``flip_orbit``, ``overlap_measure`` and ``level_swap``
+    on a set whose two levels hold floors of two different stages, both
+    refined to the context stage, against stepping one floor at a time."""
+    table = build_stage_table(ConstructionParams(preset, j_max, frozenset(marker_stages)))
+    cut, spacer = _reference_schedule(preset, marker_stages)
+    h = ref.heights(j_max, cut, spacer)
+    stages = data.draw(st.lists(st.integers(1, j_max), min_size=2, max_size=2, unique=True))
+    a = LeveledSet(*(
+        FloorSet.of(s, data.draw(st.sets(st.integers(0, h[s] - 1), min_size=1, max_size=3)))
+        for s in stages
+    ))
+
+    def reference(stage):
+        """Fragments of both levels at ``stage``, their level bits, the markers."""
+        l0, l1 = (
+            ref.expand(fs.indices, fs.stage, stage, cut, spacer, h) for fs in (a.level0, a.level1)
+        )
+        markers = ref.marker_indices(stage, sorted(marker_stages), cut, spacer, h)
+        return l0 + l1, [0] * len(l0) + [1] * len(l1), markers
+
+    ctx = cocycle_context(table, j_max)
+    fragments, levels, markers = reference(j_max)
+    room = h[j_max] - 1 - max(fragments)
+    parity = ref.step_levels(fragments, set(markers), min(room, 300))
+    disjoint = len(set(fragments)) == len(fragments)
+    for n in data.draw(st.lists(st.integers(0, len(parity) - 1), min_size=1, max_size=6)):
+        moved = [f + n for f in fragments]
+        assert straight_orbit(a, n, ctx) == _leveled(j_max, moved, levels)
+        flipped = [z ^ p for z, p in zip(levels, parity[n])]
+        assert flip_orbit(a, n, ctx) == _leveled(j_max, moved, flipped)
+        if disjoint:
+            assert overlap_measure(n, a, ctx) == parity[n].count(0) * table.width(j_max)
+        else:
+            with pytest.raises(ValueError, match="level-disjoint"):
+                overlap_measure(n, a, ctx)
+    for lift in (straight_orbit, flip_orbit):
+        with pytest.raises(SegmentEscapesTower):
+            lift(a, room + 1, ctx)
+        with pytest.raises(ValueError, match=">= 0"):
+            lift(a, -1, ctx)
+    # the swap flips the level of the floors with an odd number of markers below
+    stage = max(stages)
+    fragments, levels, markers = reference(stage)
+    swapped = [z ^ (bisect_left(markers, f) & 1) for f, z in zip(fragments, levels)]
+    assert level_swap(table, a) == _leveled(stage, fragments, swapped)
 
 
 @settings(SETTINGS, max_examples=10)

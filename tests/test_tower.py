@@ -17,7 +17,6 @@ from ergolab import (
     marker_floorset,
     measure,
     refine,
-    shift,
 )
 
 import _reference as ref
@@ -134,32 +133,6 @@ def test_refine_preserves_measure_and_multiplies_cardinality(table):
             mult *= table.cut_count(j)
         assert len(out) == len(fs) * mult
         assert list(out.indices) == sorted(set(out.indices))
-
-
-def test_shift_identity_and_measure(table):
-    fs = base_floorset(table, 3)
-    assert shift(table, fs, 0) == fs
-    for n in (1, 5, 100):
-        assert measure(table, shift(table, fs, n)) == measure(table, fs)
-
-
-def test_shift_example_refines_to_next_stage(table):
-    out = shift(table, FloorSet(2, (0,)), 4)
-    assert out == FloorSet(3, (4, 16))
-
-
-def test_shift_composes(table):
-    rng = random.Random(11)
-    for _ in range(25):
-        fs = FloorSet.of(2, rng.sample(range(4), rng.randrange(1, 4)))
-        a, b = rng.randrange(0, 60), rng.randrange(0, 60)
-        assert shift(table, shift(table, fs, a), b) == shift(table, fs, a + b)
-
-
-def test_shift_overflow():
-    t = build_stage_table(ConstructionParams(j_max=3))
-    with pytest.raises(StageOverflow):
-        shift(t, FloorSet(1, (0,)), t.height(3))
 
 
 def test_base_floorset_examples(table):
