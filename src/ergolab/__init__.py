@@ -53,7 +53,6 @@ from .averages import (
     Milestone,
     OverlapProfile,
     Series,
-    SeriesPoint,
     average_series,
     default_checkpoints,
     divergence_report,

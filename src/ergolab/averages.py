@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "milestone_sequence",
     "OverlapProfile",
     "event_sweep",
-    "SeriesPoint",
     "Series",
     "default_checkpoints",
     "CheckpointBudgetExceeded",
@@ -170,15 +169,6 @@ def event_sweep(a: LeveledSet, ctx: CocycleContext, n_max: int) -> OverlapProfil
     )
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
-    n: int
-    overlap: Fraction
-    integrand: float
-    a_n: float
-    is_milestone: bool
-
-
 @dataclass(frozen=True, eq=False)
 class Series:
     """The running averages at every checkpoint, held column by column in
@@ -186,8 +176,7 @@ class Series:
 
     ``levels`` are the distinct ``(overlap, integrand)`` pairs of the profile
     and ``level[i]`` is the one at checkpoint ``n[i]``: the 196,695
-    checkpoints of the densest benchmark grid share 793 of them.  Iterating
-    yields one :class:`SeriesPoint` of Python numbers per checkpoint.
+    checkpoints of the densest benchmark grid share 793 of them.
     """
 
     n: np.ndarray  # int64, strictly increasing
@@ -198,12 +187,6 @@ class Series:
 
     def __len__(self) -> int:
         return len(self.n)
-
-    def __iter__(self) -> Iterator[SeriesPoint]:
-        columns = (self.n, self.level, self.a_n, self.is_milestone)
-        for n, k, a_n, mile in zip(*(c.tolist() for c in columns)):
-            overlap, g = self.levels[k]
-            yield SeriesPoint(n, overlap, g, a_n, mile)
 
 
 def _checkpoint_bound(n_max: int, ratio: float) -> int:

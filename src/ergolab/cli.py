@@ -135,7 +135,7 @@ def parse_config(raw: dict) -> RunConfig:
         isinstance(ratio, (int, float)) and 1.0 < ratio <= sys.float_info.max,
         "checkpoint_ratio must be a finite number > 1",
     )
-    _expect(_is_int(cfg["seed"]), "seed must be an integer")
+    _expect(_is_int(cfg["seed"]) and cfg["seed"] >= 0, "seed must be an integer >= 0")
     _expect(
         _is_int(cfg["mc_samples"]) and cfg["mc_samples"] >= 1,
         "mc_samples must be a positive integer",
@@ -202,9 +202,8 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, j_values: list[int] | None = None)
     failed = False
     stages = []
     for j in j_values:
-        mode = "exhaustive" if j <= 2 else "sampled"
-        log.info("verifying windows for j=%d (%s)", j, mode)
-        report = extension.verify_windows(table, j, mode=mode)
+        log.info("verifying windows for j=%d", j)
+        report = extension.verify_windows(table, j)
         stages.append(report.stage)
         _write_json(out_dir / f"verify_j{j}.json", report.to_json_obj())
         for check in report.checks:

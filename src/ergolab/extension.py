@@ -26,16 +26,18 @@ The headline claims verified here, for the unit base set ``A`` at level 0:
   :func:`verify_conjugacy` checks against the markers of
   :func:`~ergolab.tower.marker_floorset`.
 
-:func:`verify_windows` checks the window claims exactly and reports every
-violating step count; violations are data, not errors.  A fragment's parity
-changes only where its orbit crosses a zone edge, so the overlap count is a
-step function with one change per (fragment, edge crossed) pair.  One flip
-sweep (:func:`_flip_plateaus`) builds that step function from any start step
-``lo``, for the windows here and for
-:func:`~ergolab.averages.event_sweep` from step 0: it costs
+:func:`verify_windows` checks the window claims exactly; violations are
+data, not errors.  A fragment's parity changes only where its orbit crosses a
+zone edge, so the overlap count is a step function with one change per
+(fragment, edge crossed) pair.  One flip sweep (:func:`_flip_plateaus`)
+builds that step function from any start step ``lo``, for the windows here
+and for :func:`~ergolab.averages.event_sweep` from step 0: it costs
 ``O(|B| log |Z| + crossings)`` for fragments ``B`` and zone edges ``Z``, not
 a pass over the fragments per step count, so the 36,287,999 steps of the j=3
-coincidence window take milliseconds.
+coincidence window take milliseconds.  Every window is checked on all of its
+steps; a report's ``mode`` says how its violations are listed: all of them
+when there are at most ``_GRID_POINTS`` (``"exhaustive"``), else those on a
+``_GRID_POINTS``-point grid (``"sampled"``).
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ __all__ = [
     "overlap_measure",
     "level_swap",
     "claim_windows",
-    "sample_grid",
     "verify_windows",
     "verify_conjugacy",
     "WindowCheck",
@@ -385,12 +386,12 @@ def _flip_plateaus(
 
 @dataclass(frozen=True)
 class WindowCheck:
-    """Outcome of checking one claimed window at a set of step counts."""
+    """Outcome of checking one claimed window on every step count."""
 
     kind: str  # "disjoint" or "coincide"
     lo: int
     hi: int
-    mode: str
+    mode: str  # "exhaustive" or "sampled": how the violations are listed
     checked_count: int
     violations: tuple[int, ...]
     violation_values: tuple[str, ...]  # overlap at each violating i, as "num/den"
@@ -439,10 +440,13 @@ def claim_windows(table: StageTable, j: int) -> tuple[tuple[int, int], tuple[int
     return (h_q, q * h_q), (h_q1, q * h_q1)
 
 
-def sample_grid(lo: int, hi: int, points: int) -> list[int]:
-    """The step counts ``verify_windows(mode="sampled", grid_points=points)``
-    checks in the open window ``(lo, hi)``: ``points`` evenly spaced steps
-    from ``lo+1`` to ``hi-1`` plus ``lo+2`` and ``hi-2``, sorted and without
+# most violating steps a window lists one by one; past it, the sample grid's size
+_GRID_POINTS = 10_000
+
+
+def _sample_grid(lo: int, hi: int, points: int) -> list[int]:
+    """``points`` evenly spaced steps from ``lo+1`` to ``hi-1`` of the open
+    window ``(lo, hi)``, plus ``lo+2`` and ``hi-2``, sorted and without
     duplicates; a window with at most one interior step gives all of them.
     """
     if hi - lo <= 2:
@@ -452,31 +456,24 @@ def sample_grid(lo: int, hi: int, points: int) -> list[int]:
     return sorted({lo + 1, lo + 2, hi - 2, hi - 1, *grid})
 
 
-def verify_windows(
-    table: StageTable,
-    j: int,
-    mode: str = "exhaustive",
-    grid_points: int = 10_000,
-) -> WindowReport:
-    """Check the disjointness/coincidence claims for marker stage ``2j``.
-
-    ``mode='exhaustive'`` checks every step count strictly inside both
-    windows; ``mode='sampled'`` checks :func:`sample_grid` of each window
-    with ``grid_points`` points.
+def verify_windows(table: StageTable, j: int) -> WindowReport:
+    """Check the disjointness/coincidence claims for marker stage ``2j`` on
+    every step count strictly inside both windows.
 
     Each window's parity-0 count is built once as a step function over its
     steps by :func:`_flip_plateaus` from step ``lo``, in
     ``O(|B| log |Z| + boundary crossings)`` for base floors ``B`` and zone
-    edges ``Z``.  Sampled mode reads the counts at the grid; exhaustive mode
-    lists the steps of the plateaus whose count misses the window's target,
-    so a clean window costs no per-step work.  A window whose flips would
-    not fit the pair budget raises :class:`PairBudgetExceeded`.
+    edges ``Z``.  The plateaus whose count misses the window's target hold
+    the violating steps: up to ``_GRID_POINTS`` of them are all listed (mode
+    ``"exhaustive"``, ``checked_count`` the window's steps), more only on
+    ``_sample_grid(lo, hi, _GRID_POINTS)`` (mode ``"sampled"``,
+    ``checked_count`` the grid's size); ``mode`` describes the listing, not
+    the check.  A window whose flips would not fit the pair budget raises
+    :class:`PairBudgetExceeded`.
 
     The outcome for j=1 is recorded but not asserted anywhere: the smallest
     stage is run as a diagnostic only.
     """
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
     (d_lo, d_hi), (c_lo, c_hi) = claim_windows(table, j)
     ctx = context_for(table, c_hi - 1)
     frag = np.asarray(base_leveled_set(table, ctx.stage).level0.indices, dtype=np.int64)
@@ -489,28 +486,19 @@ def verify_windows(
     ):
         # plateau k covers the steps edges[k]+1 .. edges[k+1] (the last: .. hi-1)
         edges, counts = _flip_plateaus(ctx, frag, lo, hi - 1)
-        if mode == "exhaustive":
-            checked = hi - lo - 1
-            bad = counts != want
-            n = np.diff(np.append(edges, hi - 1))[bad]
+        bad = counts != want
+        n = np.diff(np.append(edges, hi - 1))[bad]
+        if n.sum() <= _GRID_POINTS:
+            mode, checked = "exhaustive", hi - lo - 1
             steps, values = _runs(edges[bad] + 1, n), np.repeat(counts[bad], n)
         else:
-            grid = np.asarray(sample_grid(lo, hi, grid_points), dtype=np.int64)
-            checked = grid.size
+            grid = np.asarray(_sample_grid(lo, hi, _GRID_POINTS), dtype=np.int64)
+            mode, checked = "sampled", grid.size
             at = counts[np.searchsorted(edges, grid) - 1]
             steps, values = grid[at != want], at[at != want]
         text = {c: f"{(c * w).numerator}/{(c * w).denominator}" for c in set(values.tolist())}
-        checks.append(
-            WindowCheck(
-                kind=kind,
-                lo=lo,
-                hi=hi,
-                mode=mode,
-                checked_count=checked,
-                violations=tuple(steps.tolist()),
-                violation_values=tuple(text[c] for c in values.tolist()),
-            )
-        )
+        listed = tuple(text[c] for c in values.tolist())
+        checks.append(WindowCheck(kind, lo, hi, mode, checked, tuple(steps.tolist()), listed))
     return WindowReport(j=j, stage=ctx.stage, asserted=(j >= 2), checks=tuple(checks))
 
 

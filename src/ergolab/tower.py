@@ -19,6 +19,7 @@ These drive the two-level extension in :mod:`ergolab.extension`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 PRESETS = ("basic", "staircase-mixing")
+
+# most bytes the offsets and spacer counts of a stage table may take, about
+# j_max**3 * log2(j_max) bits in all: 0.4 MB at j_max 64, 83 MB at 400
+_TABLE_BUDGET = 1 << 28
 
 
 class InvalidConstruction(ValueError):
@@ -175,8 +180,24 @@ def build_stage_table(params: ConstructionParams) -> StageTable:
 
     Rejects any stage with fewer than two cuts and any marker stage whose
     spacer counts are too small for both markers to land on spacer floors
-    (``s_q(i) >= q*h_q`` is required on marker stages ``q``).
+    (``s_q(i) >= q*h_q`` is required on marker stages ``q``).  First, a
+    ``j_max`` whose table would pass ``_TABLE_BUDGET`` is rejected from a float
+    estimate: stage ``j`` adds ``2*r_j`` integers of about ``log2 h_{j+1}``
+    bits, and both presets give ``h_{j+1} >= r_j*(j+1)*h_j``.
     """
+    bits = size = 0.0
+    for j in range(1, params.j_max):
+        r_j = params.cut_count(j)
+        if r_j < 2:
+            raise InvalidConstruction(f"stage {j}: cut count {r_j} < 2")
+        bits += math.log2(r_j * (j + 1))
+        # a Python int takes about 28 bytes plus 4 per 30 bits, its tuple slot 8
+        size += 2 * r_j * (bits / 7.5 + 36)
+        if size > _TABLE_BUDGET:
+            raise InvalidConstruction(
+                f"j_max {params.j_max}: the stage table passes the budget of"
+                f" {_TABLE_BUDGET} bytes at stage {j}, an estimated {size:.3g} bytes"
+            )
     heights = [1]
     widths = [Fraction(1)]
     spacers: list[tuple[int, ...]] = []
@@ -184,8 +205,6 @@ def build_stage_table(params: ConstructionParams) -> StageTable:
     for j in range(1, params.j_max):
         h_j = heights[-1]
         r_j = params.cut_count(j)
-        if r_j < 2:
-            raise InvalidConstruction(f"stage {j}: cut count {r_j} < 2")
         s_j = tuple(params.spacer_count(j, i, h_j) for i in range(1, r_j + 1))
         if any(s < 0 for s in s_j):
             raise InvalidConstruction(f"stage {j}: negative spacer count in {s_j}")

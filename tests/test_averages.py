@@ -93,8 +93,8 @@ def test_sweep_without_markers_is_constant_one():
     assert prof.overlap_at(1) == 1 and prof.overlap_at(100) == 1
     series = average_series(MODEL, prof, checkpoints=[1, 10, 100])
     c = cylinder_constant(MODEL)
-    for p in series:
-        assert abs(p.a_n - c) < 1e-15
+    for a_n in series.a_n.tolist():
+        assert abs(a_n - c) < 1e-15
 
 
 def test_sweep_matches_direct_overlap_on_random_step_counts(table, profile6):
@@ -271,11 +271,12 @@ def test_series_against_naive_running_mean(table, profile6):
     n_top = 1500
     series = average_series(MODEL, profile6, checkpoints=range(1, n_top + 1))
     g = [pair_integrand(MODEL, overlap_measure(n, a, ctx)) for n in range(1, n_top + 1)]
-    for p in series:
-        naive = math.fsum(g[: p.n]) / p.n
-        assert abs(p.a_n - naive) <= 1e-10
-        assert p.overlap == profile6.overlap_at(p.n)
-        assert p.integrand == g[p.n - 1]
+    for n, k, a_n in zip(series.n.tolist(), series.level.tolist(), series.a_n.tolist()):
+        naive = math.fsum(g[:n]) / n
+        assert abs(a_n - naive) <= 1e-10
+        overlap, integrand = series.levels[k]
+        assert overlap == profile6.overlap_at(n)
+        assert integrand == g[n - 1]
     # unsorted and repeated checkpoints and the milestones merge into one grid
     again = average_series(
         MODEL, profile6, [*range(n_top, 0, -1), 1, 1500, 7], milestone_sequence(table, 1)
@@ -306,10 +307,10 @@ def test_series_points_stay_between_c_squared_and_c(table, profile6):
     series = average_series(MODEL, profile6, default_checkpoints(23040), miles)
     c = cylinder_constant(MODEL)
     lo, hi = c * c - 1e-12, c + 1e-12
-    for p in series:
-        assert lo <= p.integrand <= hi
-        assert lo <= p.a_n <= hi
-    flagged = {p.n for p in series if p.is_milestone}
+    for k, a_n in zip(series.level.tolist(), series.a_n.tolist()):
+        assert lo <= series.levels[k][1] <= hi
+        assert lo <= a_n <= hi
+    flagged = set(series.n[series.is_milestone].tolist())
     assert flagged == {m.n for m in miles}
 
 

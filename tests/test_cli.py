@@ -69,6 +69,7 @@ def test_parse_config_rejects_bad_input():
         {"j_max": True},
         {"j_top": True},
         {"seed": False},
+        {"seed": -1},
         {"mc_samples": True},
         {"model": {"kind": "poisson", "m": False}},
     ):
@@ -107,6 +108,24 @@ def test_series_over_the_checkpoint_budget_exits_2_naming_the_bound(tmp_path, ca
     err = capsys.readouterr().err
     assert "up to 43545600 checkpoints, over the budget of 4194304" in err
     assert not (out / "series.csv").exists()
+
+
+def test_mc_check_with_a_negative_seed_exits_2(tmp_path, capsys):
+    code, out = run(tmp_path, "mc-check", config={"seed": -1})
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0\n"
+    assert not (out / "mc_check.json").exists()
+
+
+def test_build_with_a_huge_j_max_exits_2_within_a_second(tmp_path, capsys):
+    t0 = time.perf_counter()
+    code, out = run(tmp_path, "build", config={"j_max": 10**6})
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: j_max 1000000: the stage table")
+    assert "at stage 583, an estimated" in err[0]
+    assert not (out / "stages.json").exists()
 
 
 def test_load_config_missing_file(tmp_path):
@@ -158,6 +177,16 @@ def test_verify_j2_reports_the_window_leak(tmp_path):
         "mismatch_count": 0,
         "mismatched_floors": [],
     }
+
+
+def test_verify_default_lists_the_clean_j3_coincidence_window_in_full(tmp_path):
+    code, out = run(tmp_path, "verify", config={})
+    assert code == 1  # the j=2 and j=3 disjointness windows leak
+    disjoint, coincide = read_json(out / "verify_j3.json")
+    assert (disjoint["mode"], disjoint["checked_count"]) == ("sampled", 10_002)
+    assert len(disjoint["violations"]) == 1654
+    assert (coincide["mode"], coincide["checked_count"]) == ("exhaustive", 36_287_999)
+    assert coincide["violations"] == coincide["violation_values"] == []
 
 
 def test_verify_without_a_window_checks_the_marker_stages(tmp_path):

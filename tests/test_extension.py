@@ -29,7 +29,8 @@ from ergolab import (
     verify_conjugacy,
     verify_windows,
 )
-from ergolab.extension import _flip_plateaus, sample_grid
+import ergolab.extension as ext
+from ergolab.extension import _flip_plateaus, _sample_grid
 
 import _reference as ref
 
@@ -233,17 +234,33 @@ def test_verify_windows_j2_exhaustive(table):
     assert disjoint.violation_values[-1] == "11/12"
 
 
-def test_verify_windows_sampled_grid_hits_endpoints(table):
-    report = verify_windows(table, 1, mode="sampled", grid_points=10)
-    disjoint, coincide = report.checks
-    assert disjoint.checked_count == 3  # tiny window: every interior point
-    assert 25 in _grid_of(coincide) and 47 in _grid_of(coincide)
+def test_verify_windows_lists_up_to_grid_points_violations(table, monkeypatch):
+    """The j=2 disjointness window violates on its 205 steps 947..1151: with
+    room for 205 they are all listed, with room for 204 only those on the
+    204-point grid.  The clean coincidence window lists all its steps."""
+    full = verify_windows(table, 2).checks
+    monkeypatch.setattr(ext, "_GRID_POINTS", 205)
+    disjoint, coincide = verify_windows(table, 2).checks
+    assert disjoint.mode == coincide.mode == "exhaustive"
+    assert disjoint.violations == tuple(range(947, 1152))
+    assert (disjoint, coincide) == full
+
+    monkeypatch.setattr(ext, "_GRID_POINTS", 204)
+    disjoint, coincide = verify_windows(table, 2).checks
+    assert disjoint.mode == "sampled" and coincide.mode == "exhaustive"
+    grid = _sample_grid(288, 1152, 204)
+    assert disjoint.checked_count == len(grid)
+    assert disjoint.violations == tuple(i for i in grid if i >= 947)
+    want = dict(zip(full[0].violations, full[0].violation_values))
+    assert disjoint.violation_values == tuple(want[i] for i in disjoint.violations)
+    assert coincide == full[1]
 
 
-def _grid_of(check):
-    from ergolab.extension import sample_grid
-
-    return sample_grid(check.lo, check.hi, 10)
+def test_verify_windows_sampled_grid_hits_endpoints():
+    assert _sample_grid(4, 8, 10) == [5, 6, 7]  # tiny window: every interior point
+    grid = _sample_grid(24, 48, 10)
+    assert grid[:2] == [25, 26] and grid[-2:] == [46, 47]
+    assert _sample_grid(4, 6, 10) == [5]
 
 
 def test_window_report_json_schema(table):
@@ -310,15 +327,17 @@ def _reported(check):
     return list(zip(check.violations, map(Fraction, check.violation_values)))
 
 
-def test_verify_windows_j3_exhaustive(table):
+def test_verify_windows_j3_exhaustive(table, monkeypatch):
     """Every step of both j=3 windows, 36M in the coincidence window alone,
     checked from plateaus: the disjointness window leaks on exactly the
-    142,765 steps of ``(894034, 1036800)``."""
+    142,765 steps of ``(894034, 1036800)``, all listed with room for them."""
+    monkeypatch.setattr(ext, "_GRID_POINTS", 142_765)
     t0 = time.perf_counter()
-    report = verify_windows(table, 3, mode="exhaustive")
+    report = verify_windows(table, 3)
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0, f"j=3 exhaustive took {elapsed:.2f}s"
     disjoint, coincide = report.checks
+    assert disjoint.mode == coincide.mode == "exhaustive"
     assert disjoint.checked_count == 1036800 - 172800 - 1
     assert coincide.checked_count == 43545600 - 7257600 - 1 == 36287999
     assert coincide.passed
@@ -329,26 +348,31 @@ def test_verify_windows_j3_exhaustive(table):
     assert _reported(disjoint) == _leak_violations(disjoint.violations, overlap)
     assert overlap(894034) == 0
 
-    sampled = verify_windows(table, 3, mode="sampled", grid_points=10_000)
-    for full, part in zip(report.checks, sampled.checks):
-        grid = set(sample_grid(full.lo, full.hi, 10_000))
-        kept = [(i, v) for i, v in zip(full.violations, full.violation_values) if i in grid]
-        assert list(zip(part.violations, part.violation_values)) == kept
+    # at the default 10,000 the leak is listed on the grid, the clean window in full
+    monkeypatch.undo()
+    part, coincide_default = verify_windows(table, 3).checks
+    assert part.mode == "sampled" and coincide_default == coincide
+    grid = set(_sample_grid(disjoint.lo, disjoint.hi, 10_000))
+    assert part.checked_count == len(grid) == 10_002
+    kept = [(i, v) for i, v in zip(disjoint.violations, disjoint.violation_values) if i in grid]
+    assert list(zip(part.violations, part.violation_values)) == kept
 
 
 def test_verify_windows_j4_sampled_leak():
     """At ``j_max=11`` the j=4 disjointness window leaks on exactly
     ``(q*h_q - M_q, q*h_q)`` = ``(2896849234, 3251404800)`` for ``q = 8``."""
     table = build_stage_table(ConstructionParams(j_max=11))
-    report = verify_windows(table, 4, mode="sampled")
+    report = verify_windows(table, 4)
     disjoint, coincide = report.checks
     assert report.stage == 10
     assert (disjoint.lo, disjoint.hi) == (table.height(8), 3251404800)
-    assert coincide.passed and coincide.checked_count == 10_002
+    assert disjoint.mode == "sampled" and disjoint.checked_count == 10_002
+    assert coincide.passed and coincide.mode == "exhaustive"
+    assert coincide.checked_count == coincide.hi - coincide.lo - 1
 
     overlap = _leak(8, disjoint.hi)
     assert overlap(2896849234) == 0 and overlap(2896849235) > 0
-    grid = sample_grid(disjoint.lo, disjoint.hi, 10_000)
+    grid = _sample_grid(disjoint.lo, disjoint.hi, 10_000)
     assert _reported(disjoint) == _leak_violations(grid, overlap)
     assert len(disjoint.violations) == 1248
     assert all(2896849234 < i < 3251404800 for i in disjoint.violations)

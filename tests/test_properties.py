@@ -3,6 +3,7 @@ random small constructions of both presets."""
 
 from bisect import bisect_left
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from ergolab import (
     verify_conjugacy,
     verify_windows,
 )
-from ergolab.extension import _flip_plateaus, sample_grid
+import ergolab.extension as ext
+from ergolab.extension import _flip_plateaus, _sample_grid
 
 import _reference as ref
 
@@ -43,6 +45,18 @@ def _reference_schedule(preset, marker_stages):
         return j * h_j + (i if stair else 0)
 
     return ref.basic_cut, spacer
+
+
+def _listed(check, bad, points):
+    """The violations ``check`` should list out of all of them, ``bad``, when
+    a window lists up to ``points`` in full and else those on the sample grid."""
+    lo, hi = check.lo, check.hi
+    if len(bad) <= points:
+        assert (check.mode, check.checked_count) == ("exhaustive", hi - lo - 1)
+        return bad
+    grid, bad = _sample_grid(lo, hi, points), set(bad)
+    assert (check.mode, check.checked_count) == ("sampled", len(grid))
+    return [n for n in grid if n in bad]
 
 
 def _counts_from(ctx, fragments, lo, n):
@@ -184,16 +198,13 @@ def test_j1_window_violations_match_reference(preset, j_max):
         windows[-1][1] - 1,
     )
 
-    for report, steps in (
-        (verify_windows(table, 1), lambda lo, hi: range(lo + 1, hi)),
-        (
-            verify_windows(table, 1, mode="sampled", grid_points=7),
-            lambda lo, hi: sample_grid(lo, hi, 7),
-        ),
-    ):
+    # room for every violation, then for none: the listing in full and on the grid
+    for points in (ext._GRID_POINTS, 0):
+        with patch.object(ext, "_GRID_POINTS", points):
+            report = verify_windows(table, 1)
         for check, (lo, hi, want) in zip(report.checks, windows):
             assert (check.lo, check.hi) == (lo, hi)
-            bad = [n for n in steps(lo, hi) if overlap[n] != want]
+            bad = _listed(check, [n for n in range(lo + 1, hi) if overlap[n] != want], points)
             assert list(check.violations) == bad
             assert [Fraction(v) for v in check.violation_values] == [
                 overlap[n] for n in bad
@@ -205,12 +216,13 @@ def test_j1_window_violations_match_reference(preset, j_max):
     preset=st.sampled_from(["basic", "staircase-mixing"]),
     marker_stages=st.sets(st.sampled_from([2, 4])),
     j_max=st.integers(5, 7),
-    grid_points=st.integers(1, 60),
+    grid_points=st.integers(0, 60),
 )
 def test_window_kernel_matches_event_sweep(preset, marker_stages, j_max, grid_points):
-    """Both window modes against the flip-event profile at every step count:
-    the window path starts the flip sweep at step ``lo`` from each fragment's
-    parity there, the profile starts it at step 0."""
+    """The window reports at the default ``_GRID_POINTS`` and at a drawn one
+    against the flip-event profile at every step count: the window path
+    starts the flip sweep at step ``lo`` from each fragment's parity there,
+    the profile starts it at step 0."""
     table = build_stage_table(
         ConstructionParams(preset, j_max, frozenset(marker_stages))
     )
@@ -227,22 +239,17 @@ def test_window_kernel_matches_event_sweep(preset, marker_stages, j_max, grid_po
         profile = event_sweep(base_leveled_set(table, ctx.stage), ctx, n_max)
         # count_at(n) for n = 1..n_max
         count = np.repeat(profile.counts, np.diff(np.append(profile.edges, n_max))).tolist()
-        exhaustive = verify_windows(table, j)
-        sampled = verify_windows(table, j, mode="sampled", grid_points=grid_points)
-        for full, part, (lo, hi), want in zip(
-            exhaustive.checks, sampled.checks, windows, (0, profile.total)
-        ):
-            assert (full.lo, full.hi) == (lo, hi)
-            bad = [n for n in range(lo + 1, hi) if count[n - 1] != want]
-            assert list(full.violations) == bad
-            assert [Fraction(v) for v in full.violation_values] == [
-                count[n - 1] * profile.width for n in bad
-            ]
-            grid = set(sample_grid(lo, hi, grid_points))
-            assert part.checked_count == len(grid)
-            assert [
-                (n, v) for n, v in zip(full.violations, full.violation_values) if n in grid
-            ] == list(zip(part.violations, part.violation_values))
+        for points in (ext._GRID_POINTS, grid_points):
+            with patch.object(ext, "_GRID_POINTS", points):
+                report = verify_windows(table, j)
+            for check, (lo, hi), want in zip(report.checks, windows, (0, profile.total)):
+                assert (check.lo, check.hi) == (lo, hi)
+                bad = [n for n in range(lo + 1, hi) if count[n - 1] != want]
+                bad = _listed(check, bad, points)
+                assert list(check.violations) == bad
+                assert [Fraction(v) for v in check.violation_values] == [
+                    count[n - 1] * profile.width for n in bad
+                ]
 
 
 @pytest.mark.parametrize("preset", ["basic", "staircase-mixing"])

@@ -1,6 +1,8 @@
 """Stage table and floor-set algebra."""
 
 import random
+import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from ergolab import (
     refine,
 )
 
+import ergolab.tower as tower
 import _reference as ref
 
 
@@ -105,6 +108,23 @@ def test_marker_stage_with_short_spacers_rejected():
 
     with pytest.raises(MarkerOutsideSpacers, match="marker stage 2"):
         build_stage_table(ShortSpacers(j_max=4))
+
+
+def test_stage_table_budget_admits_j_max_64_and_fails_fast_past_it(monkeypatch):
+    for preset in tower.PRESETS:
+        assert build_stage_table(ConstructionParams(preset, 64)).j_max == 64
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidConstruction, match=r"j_max 1000000: .* at stage 583, an estimated"):
+        build_stage_table(ConstructionParams(j_max=10**6))
+    assert time.perf_counter() - t0 < 1.0
+    # the estimate is within a factor 2 of the bytes the ints and tuple slots take
+    t = build_stage_table(ConstructionParams(j_max=120))
+    real = sum(sys.getsizeof(x) + 8 for rows in (t.offsets, t.spacers) for row in rows for x in row)
+    monkeypatch.setattr(tower, "_TABLE_BUDGET", real * 2)
+    assert build_stage_table(ConstructionParams(j_max=120)) == t
+    monkeypatch.setattr(tower, "_TABLE_BUDGET", real // 2)
+    with pytest.raises(InvalidConstruction, match="j_max 120"):
+        build_stage_table(ConstructionParams(j_max=120))
 
 
 def test_mass_conservation_of_the_base(table):
