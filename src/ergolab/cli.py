@@ -38,6 +38,10 @@ _DEFAULTS = {
 # rows of series.csv formatted per write
 _CSV_BLOCK_ROWS = 1 << 14
 
+# largest m whose c = P(m; 1) = 1/(e m!) is a normal float: P(171; 1) is
+# subnormal and P(178; 1) is 0, which zeroes every average and bound
+_MAX_MODEL_M = 170
+
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
@@ -123,7 +127,10 @@ def parse_config(raw: dict) -> RunConfig:
     kind = model.get("kind", "poisson")
     m = model.get("m", 1)
     _expect(kind in ("poisson", "gaussian"), "model.kind must be poisson or gaussian")
-    _expect(_is_int(m) and m >= 0, "model.m must be an integer >= 0")
+    _expect(
+        _is_int(m) and 0 <= m <= _MAX_MODEL_M,
+        f"model.m must be an integer in 0..{_MAX_MODEL_M}",
+    )
     _expect(
         _is_int(cfg["j_top"]) and cfg["j_top"] >= 1,
         "j_top must be a positive integer",
@@ -158,7 +165,9 @@ def load_config(path: str | None) -> RunConfig:
         return parse_config({})
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bytes that are not UTF-8 and malformed JSON;
+    # RecursionError, JSON nested deeper than the parser's stack
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(raw)
 
@@ -186,25 +195,18 @@ def cmd_build(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig, out_dir: Path, j_values: list[int] | None = None) -> int:
+def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     table = tower.build_stage_table(cfg.construction())
-    candidates = [
-        q // 2 for q in table.params.effective_marker_stages() if q // 2 <= cfg.j_top
-    ]
-    if j_values is None:
-        j_values = candidates
-    bad = [j for j in j_values if j not in candidates]
-    if bad:
-        raise ConfigError(
-            f"cannot verify j={bad}: needs markers on stage 2j and stage 2j+1"
-            f" materialized (available: {candidates})"
-        )
+    marker_stages = table.params.effective_marker_stages()
+    # conjugacy runs at the last window's stage, which carries the markers of
+    # every checked window; with no window checked, at the stage that
+    # carries every marker stage
+    stage = max(marker_stages, default=0) + 1
     failed = False
-    stages = []
-    for j in j_values:
+    for j in (q // 2 for q in marker_stages if q // 2 <= cfg.j_top):
         log.info("verifying windows for j=%d", j)
         report = extension.verify_windows(table, j)
-        stages.append(report.stage)
+        stage = report.stage
         _write_json(out_dir / f"verify_j{j}.json", report.to_json_obj())
         for check in report.checks:
             status = "pass" if check.passed else f"{len(check.violations)} violations"
@@ -216,10 +218,6 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, j_values: list[int] | None = None)
         if report.asserted and not report.passed:
             failed = True
 
-    # the top window stage carries the markers of every checked window; with
-    # no window checked, take the stage that carries every marker stage
-    top_marker_stage = max(table.params.effective_marker_stages(), default=0)
-    stage = max(stages, default=top_marker_stage + 1)
     log.info("verifying conjugacy at stage %d", stage)
     conj = extension.verify_conjugacy(table, stage)
     _write_json(out_dir / "conjugacy.json", conj.to_json_obj())
@@ -367,11 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("build", help="materialize the stage table")
-    p_verify = sub.add_parser("verify", help="check window and conjugacy claims")
-    p_verify.add_argument(
-        "--j", type=int, action="append", dest="j_values",
-        help="window pair index to check (repeatable; default: all up to j_top)",
-    )
+    sub.add_parser("verify", help="check window and conjugacy claims for j = 1..j_top")
     sub.add_parser("series", help="run the averages series and divergence report")
     sub.add_parser("mc-check", help="Monte Carlo gates for the suspension formulas")
 
@@ -393,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "build":
             return cmd_build(cfg, out_dir)
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir, args.j_values)
+            return cmd_verify(cfg, out_dir)
         if args.command == "series":
             return cmd_series(cfg, out_dir)
         if args.command == "mc-check":

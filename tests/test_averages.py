@@ -5,7 +5,7 @@ import math
 import random
 import tracemalloc
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -354,6 +354,42 @@ def test_divergence_report_requires_milestone_coverage(table, profile6):
     series = average_series(MODEL, profile6, checkpoints=[1, 2, 3])
     with pytest.raises(ValueError, match="does not cover"):
         divergence_report(series, miles, MODEL)
+
+
+def test_divergence_bounds_scale_their_slack_with_c(table, profile6):
+    """At m=15, c = P(15; 1) is about 3e-13, far below an absolute 1e-9: a
+    disjointness average raised past its bound by 1e-6*c must fail."""
+    model = SuspensionModel("poisson", 15)
+    c = cylinder_constant(model)
+    miles = milestone_sequence(table, 2)
+    series = average_series(model, profile6, default_checkpoints(23040), miles)
+    report = divergence_report(series, miles, model)
+    assert all(b.passed for b in report.bound_checks)
+    (end,) = [b for b in report.bound_checks if (b.j, b.kind) == (1, "disjoint_end")]
+    a_n = series.a_n.copy()
+    a_n[np.searchsorted(series.n, end.n)] = end.bound + 1e-6 * c
+    raised = divergence_report(replace(series, a_n=a_n), miles, model)
+    assert {(b.j, b.kind) for b in raised.bound_checks if not b.passed} == {
+        (1, "disjoint_end")
+    }
+
+
+def test_divergence_bounds_hold_with_two_percent_of_c_to_spare(table):
+    """Measured on the default construction: at m = 0..30 and 170 every
+    bound holds by at least 2% of c, so the 1e-9*c slack decides none."""
+    miles = milestone_sequence(table, 3)
+    n_max = miles[-1].n
+    ctx = context_for(table, n_max)
+    profile = event_sweep(base_leveled_set(table, ctx.stage), ctx, n_max)
+    for m in [*range(31), 170]:
+        model = SuspensionModel("poisson", m)
+        c = cylinder_constant(model)
+        series = average_series(model, profile, [n_max], miles)
+        checks = divergence_report(series, miles, model).bound_checks
+        assert len(checks) == 6
+        for b in checks:
+            margin = b.bound - b.a_n if b.kind == "disjoint_end" else b.a_n - b.bound
+            assert margin >= 0.02 * c, (m, b)
 
 
 def test_report_json_uses_decimal_strings(table, profile6):

@@ -72,9 +72,27 @@ def test_parse_config_rejects_bad_input():
         {"seed": -1},
         {"mc_samples": True},
         {"model": {"kind": "poisson", "m": False}},
+        # c = P(171; 1) is subnormal
+        {"model": {"m": 171}},
     ):
         with pytest.raises(ConfigError):
             parse_config(raw)
+    assert parse_config({"model": {"m": 170}}).model_m == 170
+
+
+def test_unreadable_config_exits_2_with_one_error_line(tmp_path, capsys):
+    for k, data in enumerate((
+        b"\xff\xfe{}",  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # nested past the JSON parser's stack
+    )):
+        cfg_path = tmp_path / f"cfg{k}.json"
+        cfg_path.write_bytes(data)
+        out = tmp_path / f"out{k}"
+        assert main(["--config", str(cfg_path), "--out", str(out), "build"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot read config {cfg_path}: ")
+        assert not out.exists()
 
 
 def test_out_that_is_a_file_exits_2_naming_it(tmp_path, capsys):
@@ -152,7 +170,7 @@ def test_build_invalid_config_exits_2(tmp_path):
 
 
 def test_verify_j1_is_diagnostic_only(tmp_path, capsys):
-    code, out = run(tmp_path, "verify", "--j", "1", config=SMALL)
+    code, out = run(tmp_path, "verify", config={**SMALL, "j_top": 1})
     assert code == 0  # the j=1 outcome is recorded, never asserted
     recs = read_json(out / "verify_j1.json")
     assert recs[0]["violations"] == ["7"]
@@ -161,8 +179,8 @@ def test_verify_j1_is_diagnostic_only(tmp_path, capsys):
 
 
 def test_verify_j2_reports_the_window_leak(tmp_path):
-    code, out = run(tmp_path, "verify", "--j", "2", config=SMALL)
-    # the top of the disjointness window genuinely overlaps: exit 1
+    code, out = run(tmp_path, "verify", config=SMALL)
+    # the top of the j=2 disjointness window genuinely overlaps: exit 1
     assert code == 1
     recs = read_json(out / "verify_j2.json")
     disjoint, coincide = recs
@@ -205,14 +223,17 @@ def test_verify_without_a_window_checks_the_marker_stages(tmp_path):
         )
 
 
-def test_verify_unknown_j_exits_2(tmp_path):
-    code, _ = run(tmp_path, "verify", "--j", "5", config=SMALL)
-    assert code == 2
+def test_verify_takes_its_windows_from_the_config_alone(tmp_path):
+    # j = 1..j_top come from the config; there is no --j to pick a subset
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "verify", "--j", "2", config=SMALL)
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_with_insufficient_stages_exits_2(tmp_path):
     # j=2 windows reach 23039 steps, which no stage below 6 can absorb
-    code, _ = run(tmp_path, "verify", "--j", "2", config={"j_max": 5, "j_top": 2})
+    code, _ = run(tmp_path, "verify", config={"j_max": 5, "j_top": 2})
     assert code == 2
 
 
@@ -253,7 +274,8 @@ def test_verify_over_the_pair_budget_exits_2_naming_the_counts(tmp_path, capsys,
     assert f"needs {sum(pairs)} flip pairs" in str(exc.value)
     assert f"holds {largest}," in str(exc.value)
 
-    code, _ = run(tmp_path, "verify", "--j", "2", config=SMALL)
+    # j=1 passes first, then j=2 stops the run
+    code, _ = run(tmp_path, "verify", config=SMALL)
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
