@@ -38,9 +38,10 @@ _DEFAULTS = {
 # rows of series.csv formatted per write
 _CSV_BLOCK_ROWS = 1 << 14
 
-# largest m whose c = P(m; 1) = 1/(e m!) is a normal float: P(171; 1) is
-# subnormal and P(178; 1) is 0, which zeroes every average and bound
-_MAX_MODEL_M = 170
+# largest m whose c**2, with c = P(m; 1) = 1/(e m!), is a normal float: at
+# m = 98 it is subnormal (1.52e-309) and from m = 102 it is 0, which zeroes
+# the lower bound and report.json's c_squared
+_MAX_MODEL_M = 97
 
 
 class ConfigError(ValueError):
@@ -198,35 +199,34 @@ def cmd_build(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
     table = tower.build_stage_table(cfg.construction())
     marker_stages = table.params.effective_marker_stages()
+    reports = []
+    for j in (q // 2 for q in marker_stages if q // 2 <= cfg.j_top):
+        log.info("verifying windows for j=%d", j)
+        reports.append(extension.verify_windows(table, j))
     # conjugacy runs at the last window's stage, which carries the markers of
     # every checked window; with no window checked, at the stage that
     # carries every marker stage
-    stage = max(marker_stages, default=0) + 1
-    failed = False
-    for j in (q // 2 for q in marker_stages if q // 2 <= cfg.j_top):
-        log.info("verifying windows for j=%d", j)
-        report = extension.verify_windows(table, j)
-        stage = report.stage
-        _write_json(out_dir / f"verify_j{j}.json", report.to_json_obj())
+    stage = reports[-1].stage if reports else max(marker_stages, default=0) + 1
+    log.info("verifying conjugacy at stage %d", stage)
+    conj = extension.verify_conjugacy(table, stage)
+
+    # every check has run, so a run stopped by a budget or a missing stage
+    # writes and prints nothing
+    for report in reports:
+        _write_json(out_dir / f"verify_j{report.j}.json", report.to_json_obj())
         for check in report.checks:
             status = "pass" if check.passed else f"{len(check.violations)} violations"
             tag = "" if report.asserted else " [diagnostic only]"
             print(
-                f"j={j} {check.kind} window ({check.lo}, {check.hi})"
+                f"j={report.j} {check.kind} window ({check.lo}, {check.hi})"
                 f" {check.mode}: {status}{tag}"
             )
-        if report.asserted and not report.passed:
-            failed = True
-
-    log.info("verifying conjugacy at stage %d", stage)
-    conj = extension.verify_conjugacy(table, stage)
     _write_json(out_dir / "conjugacy.json", conj.to_json_obj())
     print(
         f"conjugacy at stage {stage} ({conj.floors_checked} floor steps): "
         f"{'pass' if conj.passed else f'{len(conj.mismatched_floors)} mismatches'}"
     )
-    if not conj.passed:
-        failed = True
+    failed = any(r.asserted and not r.passed for r in reports) or not conj.passed
     return 1 if failed else 0
 
 
@@ -240,7 +240,7 @@ def cmd_series(cfg: RunConfig, out_dir: Path) -> int:
     ctx = extension.context_for(table, n_max)
     a = extension.base_leveled_set(table, ctx.stage)
     log.info("context stage %d: %d fragments, %d markers",
-             ctx.stage, len(a.level0), len(ctx.e_indices))
+             ctx.stage, len(a.level0), ctx.zone_edges.size)
     profile = averages.event_sweep(a, ctx, n_max)
     log.info("profile has %d plateaus", len(profile.counts))
     model = cfg.suspension_model()
@@ -400,7 +400,8 @@ def main(argv: list[str] | None = None) -> int:
         extension.PairBudgetExceeded,
         averages.CheckpointBudgetExceeded,
     ) as exc:
-        # StageOverflow means the requested run needs a larger j_max;
+        # StageOverflow means the requested run needs a larger j_max, or a
+        # context stage past int64 or over the floor budget;
         # PairBudgetExceeded that a fragment chunk holds more flips than
         # the sweep takes on; CheckpointBudgetExceeded, too many series rows
         print(f"error: {exc}", file=sys.stderr)

@@ -83,19 +83,26 @@ class SegmentEscapesTower(ValueError):
     """An orbit segment leaves the context stage; rebuild at a higher stage."""
 
 
+# most marker and base floors, counted together, that a context stage may hold
+_CONTEXT_BUDGET = 1 << 24
+
+
 @dataclass(frozen=True)
 class CocycleContext:
-    """Marker floors and swap zones of all materialized marker stages, at one stage.
+    """Marker floors of all materialized marker stages, at one stage.
 
-    ``zone_edges`` are the floors ``f`` with ``zone(f) != zone(f+1)``, sorted:
-    one below every zone start and every zone end, less the pairs where two
-    zones abut.  They restate the markers, so they take no part in equality.
+    ``zone_edges`` are the marker floors, sorted: the floors ``f`` with
+    ``zone(f) != zone(f+1)``, one below every zone start and every zone end.
+    They follow from the table and the stage, so they take no part in equality.
     """
 
     table: StageTable
     stage: int
-    e_indices: tuple[int, ...]
     zone_edges: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def e_indices(self) -> tuple[int, ...]:
+        return tuple(self.zone_edges.tolist())
 
     def height(self) -> int:
         return self.table.height(self.stage)
@@ -108,7 +115,7 @@ class CocycleContext:
 
 
 def _swap_zones(table: StageTable, stage: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and last floor of every swap zone at ``stage``, sorted.
+    """First and last floor of every swap zone at ``stage``, in sumset order.
 
     Above the stage-``q`` column at offset ``o`` the zone is
     ``o + [h_q + 1, q*h_q]`` at stage ``q+1``; refinement adds the column
@@ -126,9 +133,7 @@ def _swap_zones(table: StageTable, stage: int) -> tuple[np.ndarray, np.ndarray]:
             s = (np.asarray(table.column_offsets(j), dtype=np.int64)[:, None] + s).ravel()
         starts.append(s)
         ends.append(s + ((q - 1) * h_q - 1))
-    s, e = np.concatenate(starts), np.concatenate(ends)
-    order = np.argsort(s, kind="stable")
-    return s[order], e[order]
+    return np.concatenate(starts), np.concatenate(ends)
 
 
 def _unpaired(a: np.ndarray) -> np.ndarray:
@@ -141,23 +146,28 @@ def _unpaired(a: np.ndarray) -> np.ndarray:
 
 
 def cocycle_context(table: StageTable, stage: int) -> CocycleContext:
-    """Sorted marker floors and swap zones at ``stage``, whose height must fit in int64.
+    """Sorted marker floors at ``stage``, whose height must fit in int64.
 
     Orbit segments never leave the stage, so the height bound also bounds
-    every floor index and step count the numpy kernels see.
+    every floor index and step count the numpy kernels see.  Past
+    ``_CONTEXT_BUDGET`` marker and base floors, counted from the cut counts
+    before anything is built, it raises StageOverflow.  No two markers share
+    a floor, so the zone edges are the marker floors.
     """
     h = table.height(stage)
     if h >= 2**63:
         raise StageOverflow(f"stage {stage} height {h} >= 2**63 does not fit in int64")
-    merged: list[int] = []
-    for q in table.params.effective_marker_stages():
-        if q + 1 > stage:
-            continue
-        fs = refine(table, marker_floorset(table, q // 2), stage)
-        merged.extend(fs.indices)
+    markers, base = 0, 1
+    for j in range(stage - 1, 0, -1):
+        base *= table.cut_count(j)
+        markers += 2 * base * table.params.carries_markers(j)
+    if markers + base > _CONTEXT_BUDGET:
+        raise StageOverflow(
+            f"stage {stage} holds {markers} marker floors and {base} base floors,"
+            f" over the budget of {_CONTEXT_BUDGET} floors"
+        )
     starts, ends = _swap_zones(table, stage)
-    edges = _unpaired(np.sort(np.concatenate((starts - 1, ends))))
-    return CocycleContext(table, stage, tuple(sorted(merged)), edges)
+    return CocycleContext(table, stage, np.sort(np.concatenate((starts - 1, ends))))
 
 
 def context_for(table: StageTable, n_max: int) -> CocycleContext:
@@ -532,11 +542,13 @@ def verify_conjugacy(table: StageTable, stage: int) -> ConjugacyReport:
     swap . straight . swap == flip, and with it swap . straight^n . swap ==
     flip^n for every ``n``.  The zone indicator changes between ``f`` and
     ``f+1`` exactly on the zone edges, so the mismatches are the floors in
-    exactly one of the zone edges (built from :func:`_swap_zones`) and the
-    markers of :func:`~ergolab.tower.marker_floorset`.
+    exactly one of the zone edges (numpy sumsets of :func:`_swap_zones`) and
+    the markers of :func:`~ergolab.tower.marker_floorset` refined in Python.
     """
     ctx = cocycle_context(table, stage)
-    markers = np.asarray(ctx.e_indices, dtype=np.int64)
+    qs = [q for q in table.params.effective_marker_stages() if q < stage]
+    fs = (refine(table, marker_floorset(table, q // 2), stage).indices for q in qs)
+    markers = np.fromiter((f for m in fs for f in m), dtype=np.int64)
     mism = _unpaired(np.sort(np.concatenate((ctx.zone_edges, markers))))
     return ConjugacyReport(
         stage=stage,

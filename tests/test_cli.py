@@ -72,12 +72,13 @@ def test_parse_config_rejects_bad_input():
         {"seed": -1},
         {"mc_samples": True},
         {"model": {"kind": "poisson", "m": False}},
-        # c = P(171; 1) is subnormal
+        # c**2 = P(98; 1)**2 is subnormal
+        {"model": {"m": 98}},
         {"model": {"m": 171}},
     ):
         with pytest.raises(ConfigError):
             parse_config(raw)
-    assert parse_config({"model": {"m": 170}}).model_m == 170
+    assert parse_config({"model": {"m": 97}}).model_m == 97
 
 
 def test_unreadable_config_exits_2_with_one_error_line(tmp_path, capsys):
@@ -231,10 +232,13 @@ def test_verify_takes_its_windows_from_the_config_alone(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_verify_with_insufficient_stages_exits_2(tmp_path):
-    # j=2 windows reach 23039 steps, which no stage below 6 can absorb
-    code, _ = run(tmp_path, "verify", config={"j_max": 5, "j_top": 2})
+def test_verify_with_insufficient_stages_exits_2(tmp_path, capsys):
+    # j=2 windows reach 23039 steps, which no stage below 6 can absorb; j=1
+    # is checked first, but nothing is written or printed before j=2 fails
+    code, out = run(tmp_path, "verify", config={"j_max": 5, "j_top": 2})
     assert code == 2
+    assert capsys.readouterr().out == ""
+    assert not list(out.glob("verify_j*.json"))
 
 
 def test_series_beyond_int64_exits_2_naming_the_height(tmp_path, capsys):
