@@ -21,6 +21,7 @@ from .extension import (
     LeveledSet,
     PairBudgetExceeded,
     SegmentEscapesTower,
+    WindowBudgetExceeded,
     WindowReport,
     base_leveled_set,
     claim_windows,

@@ -8,11 +8,10 @@ running average over tens of millions of steps costs O(events + checkpoints)
 instead of O(N).
 
 :func:`event_sweep` takes that step function from step 0 out of the flip
-sweep of :mod:`ergolab.extension`, the same kernel that checks the claimed
-windows.  It sorts the flips of each fragment chunk one time slice of
-bounded size at a time, and a sweep whose fragment chunks hold too many
-flips raises :class:`~ergolab.extension.PairBudgetExceeded` before any
-per-flip work.
+sweep of :mod:`ergolab.extension`.  It sorts the flips of each fragment
+chunk one time slice of bounded size at a time, and a sweep whose fragment
+chunks hold too many flips raises
+:class:`~ergolab.extension.PairBudgetExceeded` before any per-flip work.
 
 Running sums use Neumaier-compensated accumulation, vectorised as two
 sequential ``np.cumsum``s; given a fixed profile the emitted series is
@@ -157,7 +156,7 @@ def event_sweep(a: LeveledSet, ctx: CocycleContext, n_max: int) -> OverlapProfil
         raise SegmentEscapesTower(
             f"fragment {fragments[-1]} cannot take {n_max} steps inside stage {ctx.stage}"
         )
-    edges, counts = _flip_plateaus(ctx, np.asarray(fragments, dtype=np.int64), 0, n_max)
+    edges, counts = _flip_plateaus(ctx, np.asarray(fragments, dtype=np.int64), n_max)
     return OverlapProfile(
         n_max=n_max,
         total=len(fragments),

@@ -398,12 +398,15 @@ def main(argv: list[str] | None = None) -> int:
         tower.InvalidConstruction,
         tower.StageOverflow,
         extension.PairBudgetExceeded,
+        extension.WindowBudgetExceeded,
         averages.CheckpointBudgetExceeded,
     ) as exc:
         # StageOverflow means the requested run needs a larger j_max, or a
         # context stage past int64 or over the floor budget;
-        # PairBudgetExceeded that a fragment chunk holds more flips than
-        # the sweep takes on; CheckpointBudgetExceeded, too many series rows
+        # PairBudgetExceeded that a fragment chunk of the series flip sweep
+        # holds more flips than it takes on; WindowBudgetExceeded that a
+        # window check would form more partial sums or (d, b) events than
+        # its budget; CheckpointBudgetExceeded, too many series rows
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,22 +26,31 @@ The headline claims verified here, for the unit base set ``A`` at level 0:
   :func:`verify_conjugacy` checks against the markers of
   :func:`~ergolab.tower.marker_floorset`.
 
-:func:`verify_windows` checks the window claims exactly; violations are
-data, not errors.  A fragment's parity changes only where its orbit crosses a
-zone edge, so the overlap count is a step function with one change per
-(fragment, edge crossed) pair.  One flip sweep (:func:`_flip_plateaus`)
-builds that step function from any start step ``lo``, for the windows here
-and for :func:`~ergolab.averages.event_sweep` from step 0: it costs
-``O(|B| log |Z| + crossings)`` for fragments ``B`` and zone edges ``Z``, not
-a pass over the fragments per step count, so the 36,287,999 steps of the j=3
-coincidence window take milliseconds.  Every window is checked on all of its
-steps; a report's ``mode`` says how its violations are listed: all of them
-when there are at most ``_GRID_POINTS`` (``"exhaustive"``), else those on a
-``_GRID_POINTS``-point grid (``"sampled"``).
+:func:`verify_windows` checks the window claims exactly, from the stage
+table alone; violations are data, not errors.  No base floor lies in a zone,
+so the fragments of parity 1 after ``n`` steps are those inside a zone: a
+sum over the marker stages ``q`` and the differences ``d`` of two column
+offset sums above stage ``q`` of ``C_q(q*h_q + d - n) - C_q(h_q + d - n)``,
+where ``C_q`` counts the base floors of the stage-``q`` tower up to a floor.
+A pruned search keeps only the ``d`` that a window's steps can use, and on
+the paper's construction they certify every window, so the 36,287,999 steps
+of the j=3 coincidence window cost no more than its survivor search.  Every
+window is checked on all of its steps; a report's ``mode`` says how its
+violations are listed: all of them when there are at most ``_GRID_POINTS``
+(``"exhaustive"``), else those on a ``_GRID_POINTS``-point grid
+(``"sampled"``).
+
+The overlap profile of :func:`~ergolab.averages.event_sweep` comes from a
+flip sweep (:func:`_flip_plateaus`): a fragment's parity changes only where
+its orbit crosses a zone edge, so the count is a step function with one
+change per (fragment, edge crossed) pair, built in
+``O(|B| log |Z| + crossings)`` for fragments ``B`` and zone edges ``Z``.
 """
 
 from __future__ import annotations
 
+import collections
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -62,6 +71,7 @@ from .tower import (
 __all__ = [
     "SegmentEscapesTower",
     "PairBudgetExceeded",
+    "WindowBudgetExceeded",
     "CocycleContext",
     "LeveledSet",
     "cocycle_context",
@@ -170,16 +180,21 @@ def cocycle_context(table: StageTable, stage: int) -> CocycleContext:
     return CocycleContext(table, stage, np.sort(np.concatenate((starts - 1, ends))))
 
 
-def context_for(table: StageTable, n_max: int) -> CocycleContext:
-    """Context at the smallest stage where every base fragment can take ``n_max`` steps."""
+def _context_stage(table: StageTable, n_max: int) -> int:
+    """The smallest stage where every base fragment can take ``n_max`` steps."""
     unit = FloorSet(1, (0,))
     for stage in range(1, table.j_max + 1):
         if _max_index_at(table, unit, stage) + n_max < table.height(stage):
-            return cocycle_context(table, stage)
+            return stage
     raise StageOverflow(
         f"no materialized stage admits {n_max} steps from the base;"
         f" rebuild with j_max > {table.j_max}"
     )
+
+
+def context_for(table: StageTable, n_max: int) -> CocycleContext:
+    """Context at the smallest stage where every base fragment can take ``n_max`` steps."""
+    return cocycle_context(table, _context_stage(table, n_max))
 
 
 @dataclass(frozen=True)
@@ -315,22 +330,22 @@ def _window_cuts(
 
 
 def _flip_plateaus(
-    ctx: CocycleContext, frags: np.ndarray, lo: int, n: int
+    ctx: CocycleContext, frags: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parity-0 count of the sorted, non-empty fragments ``frags`` over the
-    steps ``lo+1 .. n``: ``counts[k]`` holds on ``(edges[k], edges[k+1]]``
-    (the last up to ``n``), and ``edges[0] == lo``.
+    steps ``1 .. n``: ``counts[k]`` holds on ``(edges[k], edges[k+1]]``
+    (the last up to ``n``), and ``edges[0] == 0``.
 
-    Fragment ``f`` starts at parity ``zone(f) XOR zone(f+lo)`` and flips at
-    step ``t`` for each zone edge ``f + t`` in ``[f+lo, f+n)``; a flip at
-    ``t`` changes the counts from step ``t+1`` on.  The fragments are taken
-    ``_FRAGMENT_CHUNK`` at a time, and the chunks decide which edges exist:
-    the edges are the union over the chunks of the flip times whose net
-    change within the chunk is nonzero, so an edge may change nothing where
-    the nets of several chunks cancel (see
-    :class:`~ergolab.averages.OverlapProfile`).  Before any per-flip
-    allocation, one ``searchsorted`` pass counts the flips of every chunk; a
-    chunk over ``_CHUNK_PAIR_BUDGET`` raises :class:`PairBudgetExceeded`.
+    Every fragment starts at parity 0 and flips at step ``t`` for each zone
+    edge ``f + t`` in ``[f, f+n)``; a flip at ``t`` changes the counts from
+    step ``t+1`` on.  The fragments are taken ``_FRAGMENT_CHUNK`` at a time,
+    and the chunks decide which edges exist: the edges are the union over
+    the chunks of the flip times whose net change within the chunk is
+    nonzero, so an edge may change nothing where the nets of several chunks
+    cancel (see :class:`~ergolab.averages.OverlapProfile`).  Before any
+    per-flip allocation, one ``searchsorted`` pass counts the flips of every
+    chunk; a chunk over ``_CHUNK_PAIR_BUDGET`` raises
+    :class:`PairBudgetExceeded`.
 
     Each chunk is swept in time windows of about ``_WINDOW_PAIRS`` flips
     (:func:`_window_cuts`), which only bound memory: every flip at one time
@@ -346,10 +361,8 @@ def _flip_plateaus(
     the keys are exact while segments stay in the stage and ``n <= 2**62``.
     """
     z = ctx.zone_edges
-    first = np.searchsorted(z, frags + lo)
+    first = np.searchsorted(z, frags)
     lengths = np.searchsorted(z, frags + n) - first
-    below = np.searchsorted(z, frags)
-    p0 = (first - below) & 1
     chunk = _FRAGMENT_CHUNK
     bounds = range(0, len(frags), chunk)
     pairs = np.add.reduceat(lengths, bounds)
@@ -362,18 +375,18 @@ def _flip_plateaus(
 
     odd = np.arange(len(z), dtype=np.int64) & 1
     keyed = np.concatenate((odd, 1 - odd)) + np.tile(2 * z, 2)
-    zone_half = (below & 1) * len(z)
+    zone_half = (first & 1) * len(z)
     dtype = np.int32 if 2 * n + 1 < 2**31 else np.int64
-    # flips at t=lo apply to every step count > lo: they fold into the
-    # first plateau, which starts at the fragments of parity 0
-    edges = np.array([lo], dtype=np.int64)
-    delta = np.array([len(frags) - int(p0.sum())], dtype=np.int64)
+    # flips at t=0 apply to every step count: they fold into the first
+    # plateau, which starts at every fragment
+    edges = np.zeros(1, dtype=np.int64)
+    delta = np.array([len(frags)], dtype=np.int64)
     for c0, n_pairs in zip(bounds, pairs.tolist()):
         if not n_pairs:
             continue
         sl = slice(c0, c0 + chunk)
         f = frags[sl]
-        # the windows run from lo through the cuts to n; column i of at holds
+        # the windows run from 0 through the cuts to n; column i of at holds
         # each fragment's first zone edge at or past f + the i-th bound
         cuts = _window_cuts(z, f, first[sl], lengths[sl], n_pairs)
         inner = np.searchsorted(z, f[:, None] + cuts)
@@ -452,64 +465,217 @@ def claim_windows(table: StageTable, j: int) -> tuple[tuple[int, int], tuple[int
 
 # most violating steps a window lists one by one; past it, the sample grid's size
 _GRID_POINTS = 10_000
+# most candidate partial sums one stage of a pruned sumset may form, and most
+# (d, b) events an uncertified window may expand: guards on Python-int work,
+# checked before it is done so that a run past them fails fast
+_PARTIAL_BUDGET = 1 << 20
+_EVENT_BUDGET = 1 << 20
 
 
-def _sample_grid(lo: int, hi: int, points: int) -> list[int]:
-    """``points`` evenly spaced steps from ``lo+1`` to ``hi-1`` of the open
-    window ``(lo, hi)``, plus ``lo+2`` and ``hi-2``, sorted and without
-    duplicates; a window with at most one interior step gives all of them.
-    """
+class WindowBudgetExceeded(ValueError):
+    """A window check would form more partial sums or events than its budget."""
+
+
+def _sample_grid(lo: int, hi: int, points: int) -> np.ndarray:
+    """``points`` evenly spaced steps ``lo + 1 + span*k // (points-1)`` from
+    ``lo+1`` to ``hi-1`` of the open window ``(lo, hi)``, plus ``lo+2`` and
+    ``hi-2``, sorted and without duplicates; a window with at most one
+    interior step gives all of them.  int64 while ``hi < 2**63``, else Python ints:
+    ``span*k // d`` is split as ``(span // d)*k + (span % d)*k // d`` so that
+    no product passes ``span``."""
+    dtype = np.int64 if hi < 2**63 else object
     if hi - lo <= 2:
-        return list(range(lo + 1, hi))
+        return np.arange(lo + 1, hi, dtype=dtype)
     span, d = hi - lo - 2, max(points - 1, 1)
-    grid = (lo + 1 + span * k // d for k in range(points))
-    return sorted({lo + 1, lo + 2, hi - 2, hi - 1, *grid})
+    k = np.arange(points).astype(dtype)
+    grid = lo + 1 + span // d * k + span % d * k // d
+    ends = np.array([lo + 1, lo + 2, hi - 2, hi - 1], dtype=dtype)
+    grid = np.sort(np.concatenate((grid, ends)))
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
+
+
+def _pruned_sums(digits: list[dict[int, int]], lo: int, hi: int, what: str) -> dict[int, int]:
+    """The sums of one value from each digit set that lie in ``[lo, hi]``,
+    with their multiplicities: ``digits`` maps values to multiplicities, top
+    stage first.  A partial sum is dropped as soon as the digits still to
+    come cannot bring it into range.  Before a stage forms more than
+    ``_PARTIAL_BUDGET`` candidate sums it raises :class:`WindowBudgetExceeded`
+    naming ``what``."""
+    rest_lo, rest_hi = [0], [0]
+    for digit in reversed(digits):
+        rest_lo.append(rest_lo[-1] + min(digit))
+        rest_hi.append(rest_hi[-1] + max(digit))
+    sums = {0: 1}
+    for k, digit in enumerate(digits):
+        if len(sums) * len(digit) > _PARTIAL_BUDGET:
+            raise WindowBudgetExceeded(
+                f"{what}: a pruned sum would form {len(sums) * len(digit)} partial sums"
+                f" at one stage, over the budget of {_PARTIAL_BUDGET}"
+            )
+        keep_lo, keep_hi = lo - rest_hi[-k - 2], hi - rest_lo[-k - 2]
+        nxt: dict[int, int] = {}
+        for v, m in sums.items():
+            for d, c in digit.items():
+                if keep_lo <= v + d <= keep_hi:
+                    nxt[v + d] = nxt.get(v + d, 0) + m * c
+        sums = nxt
+    return sums
+
+
+def _survivors(table: StageTable, stage: int, lo: int, hi: int, what: str) -> list:
+    """The terms ``(q, d, mult(d))`` of the violator sum that a step of the
+    window ``(lo, hi)`` can use: for each marker stage ``q < stage``, the
+    differences ``d = p - p'`` of ``P_q`` (one column offset per stage
+    ``q .. stage-1``) that can carry a base floor ``b <= M_q`` into
+    ``[h_q + 1, q*h_q]``, with the number of pairs ``(p, p')`` that give each."""
+    unit = FloorSet(1, (0,))
+    diffs = [
+        collections.Counter(a - b for a in o for b in o)
+        for o in map(table.column_offsets, range(stage - 1, 1, -1))
+    ]
+    terms = []
+    for q in table.params.effective_marker_stages():
+        if q < stage:
+            h, m = table.height(q), _max_index_at(table, unit, q)
+            sums = _pruned_sums(diffs[: stage - q], lo + 1 - q * h, hi - 2 - h + m, what)
+            terms += [(q, d, c) for d, c in sorted(sums.items())]
+    return terms
+
+
+def _base_count(table: StageTable, q: int, x: np.ndarray) -> np.ndarray:
+    """``C_q(x) = #{b in B_q : b <= x}`` for each ``x``, where ``B_q`` are the
+    base floors at stage ``q``.  Column blocks are disjoint and ascending, so
+    it is a digit descent: per stage from ``q-1`` down, find the column of
+    ``x``, count the full columns below it and subtract its offset; one
+    ``searchsorted`` per stage, and no ``B_q`` is built."""
+    inside = x >= 0
+    x = np.where(inside, x, 0)
+    count = np.ones_like(x)
+    size = math.prod(table.cut_count(i) for i in range(1, q))
+    for j in range(q - 1, 0, -1):
+        o = np.asarray(table.column_offsets(j), dtype=x.dtype)
+        size //= len(o)
+        col = np.searchsorted(o, x, side="right") - 1
+        count += col * size
+        x = x - o[col]
+    return np.where(inside, count, 0)
+
+
+def _violators(table: StageTable, terms, steps: np.ndarray):
+    """Base fragments inside a swap zone after each of ``steps``: the sum over
+    the survivors ``(q, d, mult)`` of ``mult * #{b in B_q : h_q < b + n - d <= q*h_q}``."""
+    v = np.zeros_like(steps)
+    for q, d, m in terms:
+        h = table.height(q)
+        v += m * (_base_count(table, q, q * h + d - steps) - _base_count(table, q, h + d - steps))
+    return v
+
+
+def _violating_runs(
+    table: StageTable, terms, lo: int, hi: int, want: int, total: int, dtype, what: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """First steps and lengths of the runs of ``(lo, hi)`` whose parity-0
+    count is not ``want``, from the events of the survivors ``terms``: base
+    floor ``b`` of ``B_q`` adds ``mult`` violators on the steps
+    ``[h_q + 1 + d - b, q*h_q + d - b]``.  The events are counted with
+    :func:`_base_count` first; past ``_EVENT_BUDGET`` it raises
+    :class:`WindowBudgetExceeded`."""
+    # the base floors first .. last of B_q are those whose steps meet (lo, hi)
+    spans, events = [], 0
+    for q, d, m in terms:
+        h = table.height(q)
+        first, last = h + d - hi + 2, q * h + d - lo - 1
+        below = _base_count(table, q, np.array([last, first - 1], dtype=dtype))
+        events += int(below[0] - below[1])
+        spans.append((q, d, m, h, first, last))
+    if events > _EVENT_BUDGET:
+        raise WindowBudgetExceeded(
+            f"{what} is not certified: its {len(terms)} surviving differences"
+            f" give {events} (d, b) events, over the budget of {_EVENT_BUDGET}"
+        )
+    times = [np.array([lo + 1, hi], dtype=dtype)]
+    weights = [np.zeros(2, dtype=np.int64)]
+    for q, d, m, h, first, last in spans:
+        digits = [dict.fromkeys(table.column_offsets(i), 1) for i in range(q - 1, 0, -1)]
+        b = np.array(sorted(_pruned_sums(digits, first, last, what)), dtype=dtype)
+        times += [np.maximum(h + 1 + d - b, lo + 1), np.minimum(q * h + d - b, hi - 1) + 1]
+        weights += [np.full(len(b), m, dtype=np.int64), np.full(len(b), -m, dtype=np.int64)]
+    t, at = np.unique(np.concatenate(times), return_inverse=True)
+    delta = np.zeros(len(t), dtype=np.int64)
+    np.add.at(delta, at, np.concatenate(weights))
+    # run k covers the steps t[k] .. t[k+1] - 1; the last time is hi
+    bad = (total - np.cumsum(delta))[:-1] != want
+    return t[:-1][bad], np.diff(t)[bad]
 
 
 def verify_windows(table: StageTable, j: int) -> WindowReport:
     """Check the disjointness/coincidence claims for marker stage ``2j`` on
-    every step count strictly inside both windows.
+    every step count strictly inside both windows, from the stage table alone.
 
-    Each window's parity-0 count is built once as a step function over its
-    steps by :func:`_flip_plateaus` from step ``lo``, in
-    ``O(|B| log |Z| + boundary crossings)`` for base floors ``B`` and zone
-    edges ``Z``.  The plateaus whose count misses the window's target hold
-    the violating steps: up to ``_GRID_POINTS`` of them are all listed (mode
-    ``"exhaustive"``, ``checked_count`` the window's steps), more only on
-    ``_sample_grid(lo, hi, _GRID_POINTS)`` (mode ``"sampled"``,
+    At the context stage ``s`` of the coincidence window, the base floors are
+    ``B = B_q + P_q`` for each marker stage ``q < s`` (``B_q`` inside the
+    stage-``q`` tower, ``P_q`` the column offsets of stages ``q .. s-1``), and
+    no base floor lies in a swap zone.  So a fragment's parity after ``n``
+    steps is whether it sits in a zone, and the fragments that do number
+    ``sum_q sum_d mult(d) * (C_q(q*h_q + d - n) - C_q(h_q + d - n))`` over
+    the differences ``d = p - p'`` of ``P_q``.  Only the ``d`` that some step
+    of the window can use survive a pruned search (:func:`_pruned_sums`), and
+    ``C_q`` is a vectorised digit descent (:func:`_base_count`).
+
+    A window is *certified* when the survivors force its outcome: a
+    disjointness window whose only survivor is ``d = 0`` at ``q = 2j``
+    violates on exactly the leak ``(q*h_q - M_q, q*h_q)``, ``M_q`` the top
+    base floor at stage ``q``; a coincidence window without survivors never
+    violates.  Any other window is expanded from its survivors' events
+    (:func:`_violating_runs`).  Up to ``_GRID_POINTS`` violating steps are
+    all listed (mode ``"exhaustive"``, ``checked_count`` the window's steps),
+    more only on ``_sample_grid(lo, hi, _GRID_POINTS)`` (mode ``"sampled"``,
     ``checked_count`` the grid's size); ``mode`` describes the listing, not
-    the check.  A window whose flips would not fit the pair budget raises
-    :class:`PairBudgetExceeded`.
+    the check.  A search or an expansion over its budget raises
+    :class:`WindowBudgetExceeded`.
 
     The outcome for j=1 is recorded but not asserted anywhere: the smallest
     stage is run as a diagnostic only.
     """
     (d_lo, d_hi), (c_lo, c_hi) = claim_windows(table, j)
-    ctx = context_for(table, c_hi - 1)
-    frag = np.asarray(base_leveled_set(table, ctx.stage).level0.indices, dtype=np.int64)
-    w = ctx.table.width(ctx.stage)
+    stage = _context_stage(table, c_hi - 1)
+    total = math.prod(table.cut_count(i) for i in range(1, stage))
+    w = table.width(stage)
+    q = 2 * j
+    # every step, surviving difference and descent argument is at most 2*top
+    # in magnitude
+    marker_stages = (p for p in table.params.effective_marker_stages() if p < stage)
+    top = c_hi + max(((p + 1) * table.height(p) for p in marker_stages), default=0)
+    dtype = np.int64 if 2 * top < 2**63 else object
 
     checks = []
-    for kind, lo, hi, want in (
-        ("disjoint", d_lo, d_hi, 0),
-        ("coincide", c_lo, c_hi, len(frag)),
-    ):
-        # plateau k covers the steps edges[k]+1 .. edges[k+1] (the last: .. hi-1)
-        edges, counts = _flip_plateaus(ctx, frag, lo, hi - 1)
-        bad = counts != want
-        n = np.diff(np.append(edges, hi - 1))[bad]
-        if n.sum() <= _GRID_POINTS:
-            mode, checked = "exhaustive", hi - lo - 1
-            steps, values = _runs(edges[bad] + 1, n), np.repeat(counts[bad], n)
+    for kind, lo, hi, want in (("disjoint", d_lo, d_hi, 0), ("coincide", c_lo, c_hi, total)):
+        what = f"j={j} {kind} window ({lo}, {hi})"
+        terms = _survivors(table, stage, lo, hi, what)
+        if kind == "disjoint" and [t[:2] for t in terms] == [(q, 0)]:
+            m_q = _max_index_at(table, FloorSet(1, (0,)), q)
+            first = max(lo + 1, hi - m_q + 1)
+            starts = np.array([first] if first < hi else [], dtype=dtype)
+            lengths = hi - starts
+        elif not terms:
+            starts = lengths = np.zeros(0, dtype=dtype)
         else:
-            grid = np.asarray(_sample_grid(lo, hi, _GRID_POINTS), dtype=np.int64)
+            starts, lengths = _violating_runs(table, terms, lo, hi, want, total, dtype, what)
+
+        if lengths.sum() <= _GRID_POINTS:
+            mode, checked = "exhaustive", hi - lo - 1
+            n = lengths.astype(np.int64)
+            steps = np.repeat(starts, n) + _runs(np.zeros_like(n), n)
+        else:
+            grid = _sample_grid(lo, hi, _GRID_POINTS).astype(dtype)
             mode, checked = "sampled", grid.size
-            at = counts[np.searchsorted(edges, grid) - 1]
-            steps, values = grid[at != want], at[at != want]
-        text = {c: f"{(c * w).numerator}/{(c * w).denominator}" for c in set(values.tolist())}
-        listed = tuple(text[c] for c in values.tolist())
+            run = np.searchsorted(starts, grid, side="right") - 1
+            steps = grid[(run >= 0) & (grid < (starts + lengths)[run])]
+        values = (total - _violators(table, terms, steps)).tolist()
+        text = {c: f"{(v := c * w).numerator}/{v.denominator}" for c in set(values)}
+        listed = tuple(text[c] for c in values)
         checks.append(WindowCheck(kind, lo, hi, mode, checked, tuple(steps.tolist()), listed))
-    return WindowReport(j=j, stage=ctx.stage, asserted=(j >= 2), checks=tuple(checks))
+    return WindowReport(j=j, stage=stage, asserted=(j >= 2), checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,7 +9,6 @@ import os
 import subprocess
 import sys
 import time
-from bisect import bisect_left
 from pathlib import Path
 
 import pytest
@@ -16,14 +16,13 @@ import pytest
 import ergolab
 from ergolab import (
     ConstructionParams,
-    PairBudgetExceeded,
+    WindowBudgetExceeded,
     base_floorset,
     build_stage_table,
     claim_windows,
-    context_for,
     verify_windows,
 )
-from ergolab import oracle
+from ergolab import cli, oracle
 from ergolab.cli import ConfigError, load_config, main, parse_config
 
 
@@ -258,32 +257,69 @@ def test_series_over_the_pair_budget_exits_2_naming_the_counts(tmp_path, capsys)
     assert "holds 191626792," in err
 
 
-def test_verify_over_the_pair_budget_exits_2_naming_the_counts(tmp_path, capsys, monkeypatch):
-    """The window check shares the flip sweep's budget: a budget one pair
-    below the largest chunk of the j=2 disjointness window stops it."""
+def test_verify_over_the_window_budgets_exits_2_naming_the_counts(tmp_path, capsys, monkeypatch):
+    """An uncertified window expands its survivors' ``(d, b)`` events only
+    within ``_EVENT_BUDGET``, and a survivor search forms partial sums only
+    within ``_PARTIAL_BUDGET``.  Column 1 of stage 4 moved down by ``h_4 - 1``
+    floors leaves the j=2 disjointness window uncertified: an event budget one
+    below its events stops it.  A partial-sum budget of 4 stops j=1, whose
+    search starts from the 5 differences of the 3 stage-3 columns."""
     import ergolab.extension as ext
 
     table = build_stage_table(ConstructionParams(j_max=SMALL["j_max"]))
-    (lo, hi), (_, c_hi) = claim_windows(table, 2)
-    ctx = context_for(table, c_hi - 1)
-    e = ctx.e_indices
-    base = base_floorset(table, ctx.stage).indices
-    pairs = [bisect_left(e, f + hi - 1) - bisect_left(e, f + lo) for f in base]
-    chunk = ext._FRAGMENT_CHUNK
-    largest = max(sum(pairs[k : k + chunk]) for k in range(0, len(pairs), chunk))
-    assert largest > 0
-    monkeypatch.setattr(ext, "_CHUNK_PAIR_BUDGET", largest - 1)
-    with pytest.raises(PairBudgetExceeded) as exc:
-        verify_windows(table, 2)
-    assert f"needs {sum(pairs)} flip pairs" in str(exc.value)
-    assert f"holds {largest}," in str(exc.value)
+    offsets = [list(o) for o in table.offsets]
+    offsets[3][1] -= table.height(4) - 1
+    broken = dataclasses.replace(table, offsets=tuple(map(tuple, offsets)))
+    (lo, hi), _ = claim_windows(broken, 2)
+    # base floor b of B_q puts fragments into a zone on the steps
+    # [h_q + 1 + d - b, q*h_q + d - b] for each survivor (q, d)
+    events = 0
+    for q, d, _ in ext._survivors(broken, 6, lo, hi, ""):
+        h = broken.height(q)
+        steps = [(h + 1 + d - b, q * h + d - b) for b in base_floorset(broken, q).indices]
+        events += sum(first < hi and last > lo for first, last in steps)
+    assert events > 0
+    monkeypatch.setattr(ext, "_EVENT_BUDGET", events - 1)
+    with pytest.raises(WindowBudgetExceeded) as exc:
+        verify_windows(broken, 2)
+    assert f"j=2 disjoint window ({lo}, {hi}) is not certified" in str(exc.value)
+    assert f" {events} (d, b) events, over the budget of {events - 1}" in str(exc.value)
 
     # j=1 passes first, then j=2 stops the run
-    code, _ = run(tmp_path, "verify", config=SMALL)
+    monkeypatch.setattr(cli.tower, "build_stage_table", lambda params: broken)
+    code, _ = run(tmp_path / "events", "verify", config=SMALL)
     assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0] == f"error: {exc.value}"
+    assert capsys.readouterr().err.splitlines() == [f"error: {exc.value}"]
+    monkeypatch.setattr(ext, "_EVENT_BUDGET", events)
+    assert verify_windows(broken, 2).checks[0].violations
+
+    monkeypatch.undo()
+    monkeypatch.setattr(ext, "_PARTIAL_BUDGET", 4)
+    code, out = run(tmp_path / "partial", "verify", config=SMALL)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: j=1 disjoint window (4, 8): a pruned sum would form 5 partial sums"
+        " at one stage, over the budget of 4"
+    ]
+    assert not list(out.glob("verify_j*.json"))
+
+
+def test_verify_default_artifacts_are_pinned(tmp_path, capsys):
+    """``verify {}`` byte for byte: the exit code, every file it writes and
+    its stdout."""
+    code, out = run(tmp_path, "verify", config={})
+    assert code == 1
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == {
+        "verify_j1.json": "61e8f9c680a443f2bb5fd0bda047ce456960eea382382081dac5fc26b557e633",
+        "verify_j2.json": "a63fff018cb0010eb2ac2e68d3d5010d92bb3c776a7d8d7ffd56edd3ee93969d",
+        "verify_j3.json": "9cf3937689c12f8f005380d06ad62a52a53fe6a9f8a7cd30bd686b30eac51bde",
+        "conjugacy.json": "29ce5e7651b576a54e875647e8fc184dc10f7d7d6b5dcb3169e17d41cdaa933c",
+    }
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert (
+        hashlib.sha256(stdout).hexdigest()
+        == "ecea3fe69a847b547814e6fe9d3aa4e1ead2f9fef36a1e3f2386b3c2535d3f0a"
+    )
 
 
 def test_series_artifacts(tmp_path):

@@ -1,5 +1,7 @@
 """Two-level lifts, overlaps, window checks, and conjugacy."""
 
+import dataclasses
+import math
 import random
 import time
 from bisect import bisect_right
@@ -21,6 +23,7 @@ from ergolab import (
     claim_windows,
     cocycle_context,
     context_for,
+    event_sweep,
     flip_orbit,
     level_swap,
     measure,
@@ -251,10 +254,15 @@ def test_verify_windows_lists_up_to_grid_points_violations(table, monkeypatch):
 
 
 def test_verify_windows_sampled_grid_hits_endpoints():
-    assert _sample_grid(4, 8, 10) == [5, 6, 7]  # tiny window: every interior point
-    grid = _sample_grid(24, 48, 10)
+    assert _sample_grid(4, 8, 10).tolist() == [5, 6, 7]  # tiny window: every interior point
+    grid = _sample_grid(24, 48, 10).tolist()
     assert grid[:2] == [25, 26] and grid[-2:] == [46, 47]
-    assert _sample_grid(4, 6, 10) == [5]
+    assert _sample_grid(4, 6, 10).tolist() == [5]
+    # past 2**63 the grid holds Python ints, still exact
+    lo = 2**64
+    grid = _sample_grid(lo, lo + 10**6, 5)
+    assert grid.dtype == object
+    assert [i - lo for i in grid.tolist()] == [1, 2, 250_000, 500_000, 749_999, 999_998, 999_999]
 
 
 def test_window_report_json_schema(table):
@@ -372,17 +380,82 @@ def test_verify_windows_j4_sampled_leak():
     assert all(2896849234 < i < 3251404800 for i in disjoint.violations)
 
 
+def _floors_above(table, q, x):
+    """``#{b in B_q : b > x}`` for the base floors ``B_q`` at stage ``q``, in
+    Python ints: per stage from ``q-1`` down, the columns wholly above ``x``
+    count in full and only the column holding ``x`` is split further."""
+    above = 0
+    for j in range(q - 1, 0, -1):
+        size = math.prod(table.cut_count(i) for i in range(1, j))
+        offsets = table.column_offsets(j)
+        k = bisect_right(offsets, x) - 1
+        above += (len(offsets) - 1 - k) * size
+        if k < 0:
+            return above
+        x -= offsets[k]
+    return above + (x < 0)
+
+
+@pytest.mark.parametrize("preset", ["basic", "staircase-mixing"])
+def test_verify_windows_j5_to_j7_are_certified_past_the_context(preset):
+    """At ``j_max=17`` the windows of j=5, 6 and 7 need context stages 12, 14
+    and 16: past the context budget, and from j=6 past int64.  Each window is
+    certified, the disjointness window leaks on exactly the grid steps of
+    ``(q*h_q - M_q, q*h_q)`` with overlap ``#{b in B_q : b > q*h_q - i} / |B_q|``,
+    and each report takes under 0.1 s."""
+    table = build_stage_table(ConstructionParams(preset, 17))
+    for j in (5, 6, 7):
+        q = 2 * j
+        t0 = time.perf_counter()
+        report = verify_windows(table, j)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 0.1, f"j={j} took {elapsed:.3f}s"
+        assert report.stage == q + 2
+        disjoint, coincide = report.checks
+        assert ext._survivors(table, q + 2, coincide.lo, coincide.hi, "") == []
+        assert coincide.passed and coincide.mode == "exhaustive"
+        assert coincide.checked_count == coincide.hi - coincide.lo - 1
+        [(p, d, _)] = ext._survivors(table, q + 2, disjoint.lo, disjoint.hi, "")
+        assert (p, d) == (q, 0)
+
+        top = q * table.height(q)
+        m_q = sum(table.column_offsets(k)[-1] for k in range(1, q))
+        grid = _sample_grid(disjoint.lo, disjoint.hi, 10_000).tolist()
+        assert disjoint.hi == top and disjoint.mode == "sampled" and disjoint.checked_count == 10_002
+        assert list(disjoint.violations) == [i for i in grid if i > top - m_q]
+        size = math.prod(table.cut_count(i) for i in range(1, q))
+        assert [Fraction(v) for v in disjoint.violation_values] == [
+            Fraction(_floors_above(table, q, top - i), size) for i in disjoint.violations
+        ]
+    assert report.stage == 16 and table.height(16) >= 2**63
+
+
+def test_verify_windows_reads_only_the_table(table, monkeypatch):
+    """The window check builds no context, no base floors and no flip sweep:
+    with each of them refused, the j=3 report is unchanged."""
+    want = verify_windows(table, 3)
+
+    def refuse(*args):
+        raise AssertionError("verify_windows left the stage table")
+
+    for name in ("cocycle_context", "context_for", "base_leveled_set", "refine", "_flip_plateaus"):
+        monkeypatch.setattr(ext, name, refuse)
+    assert verify_windows(table, 3) == want
+
+
 def test_flip_sweep_sorts_int64_keys_past_2_31(table):
-    """A window of the stage-9 context past ``2**31``: ``2*n + 1 >= 2**31``,
-    so the keys are sorted as int64; every step matches ``overlap_measure``."""
+    """A sweep of the stage-9 context past ``2**31`` steps: ``2*n + 1 >= 2**31``,
+    so the keys are sorted as int64; each of its last 1500 steps, which 65
+    plateaus cover, matches ``overlap_measure``."""
     ctx = cocycle_context(table, 9)
     z = ctx.zone_edges
     lo = int(z[np.searchsorted(z, 2**31) + 1]) - 100
     n = lo + 1500
     assert 2 * n + 1 >= 2**31
     frags = base_floorset(table, 9).indices[:6]
-    edges, counts = _flip_plateaus(ctx, np.asarray(frags, dtype=np.int64), lo, n)
-    assert len(edges) == 65 and set(counts.tolist()) == set(range(7))
+    edges, counts = _flip_plateaus(ctx, np.asarray(frags, dtype=np.int64), n)
+    tail = np.searchsorted(edges, lo + 1) - 1
+    assert len(edges) - tail == 65 and set(counts[tail:].tolist()) == set(range(7))
     a = LeveledSet(FloorSet(9, frags), FloorSet(9, ()))
     w = table.width(9)
     for t in range(lo + 1, n + 1):
@@ -393,8 +466,8 @@ def test_flip_sweep_keys_survive_int64_wrap(table):
     """Zone edges in ``[2**62, 2**63)``: ``2*z`` wraps in int64, and so does
     ``2*f`` for the fragments above ``2**62``, but the keys ``2*t + bit`` do
     not.  The sweep reads only the zone edges of the context; both key widths,
-    from fragments in and out of a zone, are checked at every step against a
-    direct zone count."""
+    from fragments in and out of a zone, are checked against a direct zone
+    count at every step of the two 400-step spans that hold all the flips."""
     below, far, wide_lo = 2**62 - 64, 2**63 - 2**31 - 2048, 2**31 - 300
     frags = np.array([below, below + 3, below + 40, below + 63, far, far + 17, far + 80])
     near = (64, 65, 70, 83, 120, 121, 200, 333)
@@ -403,53 +476,49 @@ def test_flip_sweep_keys_survive_int64_wrap(table):
     assert 2**62 <= zone_edges[0] and zone_edges[-1] < 2**63
     assert (2 * ctx.zone_edges < 0).all()
     assert ctx.in_zone(frags).tolist() == [False] * 6 + [True]
-    for lo, n in ((0, 400), (wide_lo, wide_lo + 400)):
-        edges, counts = _flip_plateaus(ctx, frags, lo, n)
-        assert edges[0] == lo and len(edges) > 20
-        steps = np.arange(lo + 1, n + 1)
-        zone_at = ctx.in_zone(frags[:, None] + steps)
-        want = (ctx.in_zone(frags)[:, None] == zone_at).sum(axis=0)
-        assert counts[np.searchsorted(edges, steps) - 1].tolist() == want.tolist()
+    for n, checked in ((400, (0,)), (wide_lo + 400, (0, wide_lo))):
+        edges, counts = _flip_plateaus(ctx, frags, n)
+        assert edges[0] == 0 and len(edges) > 20
+        for lo in checked:
+            steps = np.arange(lo + 1, lo + 401)
+            zone_at = ctx.in_zone(frags[:, None] + steps)
+            want = (ctx.in_zone(frags)[:, None] == zone_at).sum(axis=0)
+            assert counts[np.searchsorted(edges, steps) - 1].tolist() == want.tolist()
 
 
-def test_verify_windows_detects_a_broken_swap_zone(table, monkeypatch):
-    """A stage-4 zone one floor short at its top, or starting one floor late,
-    drops one floor ``p`` from the zones.  The j=2 disjointness count then
-    rises by one base fragment at exactly the steps ``p - f`` that land a
-    base floor ``f`` on ``p``, and the coincidence window does not move."""
-    import ergolab.extension as ext
-
-    real = ext._swap_zones
+def test_verify_windows_detects_a_broken_swap_zone(table):
+    """Column 1 of marker stage 4 moved down by ``h_4 - 1`` floors, to one
+    floor above column 0's top marker.  Columns, base floors and zones stay
+    disjoint, but the base floors of column 0 now reach the stage-2 zones of
+    column 1 inside the j=2 disjointness window: it has survivors besides
+    ``d = 0`` at ``q = 4``, so it is not certified, and its report, expanded
+    from their events, is the flip-event profile's of the moved table at every
+    step.  A move by one floor changes nothing: the column carries its zones
+    along, and the ``h_4 - 1`` spacers above its top marker absorb the move."""
     h_4 = table.height(4)
-    starts, ends = real(table, 6)
-    k = int(np.flatnonzero(starts == h_4 + 1)[0])  # above the stage-4 column at 0
-    assert ends[k] == 4 * h_4
-    base = ref.base_indices(6)
+
+    def moved(by):
+        offsets = [list(o) for o in table.offsets]
+        offsets[3][1] += by
+        return dataclasses.replace(table, offsets=tuple(map(tuple, offsets)))
+
     clean = verify_windows(table, 2)
-    for edge, moved, dropped in (
-        (1, ends[k] - 1, ends[k]),  # one floor short at the top
-        (0, starts[k] + 1, starts[k]),  # one floor late
-    ):
+    assert verify_windows(moved(1), 2) == verify_windows(moved(-1), 2) == clean
+    broken = moved(1 - h_4)
+    (lo, hi), (c_lo, c_hi) = claim_windows(broken, 2)
+    assert [t[:2] for t in ext._survivors(table, 6, lo, hi, "")] == [(4, 0)]
+    terms = ext._survivors(broken, 6, lo, hi, "")
+    assert len(terms) == 8 and {t[0] for t in terms[:-1]} == {2} and terms[-1][:2] == (4, 0)
+    assert ext._survivors(broken, 6, c_lo, c_hi, "") == []
 
-        def broken(tbl, stage, edge=edge, moved=moved):
-            zones = [a.copy() for a in real(tbl, stage)]
-            zones[edge][k] = moved
-            return tuple(zones)
-
-        monkeypatch.setattr(ext, "_swap_zones", broken)
-        report = verify_windows(table, 2)
-        assert report.checks[1] == clean.checks[1]
-        before, after = (
-            {i: Fraction(v) for i, v in zip(c.violations, c.violation_values)}
-            for c in (clean.checks[0], report.checks[0])
-        )
-        lo, hi = clean.checks[0].lo, clean.checks[0].hi
-        predicted = sorted(dropped - f for f in base if lo < dropped - f < hi)
-        assert predicted
-        changed = [i for i in sorted(before.keys() | after.keys()) if before.get(i) != after.get(i)]
-        assert changed == predicted
-        width = Fraction(1, len(base))
-        assert all(after[i] == before.get(i, 0) + width for i in predicted)
-    assert predicted == [h_4 + 1]  # only the fragment at the zone's own column base
-    monkeypatch.setattr(ext, "_swap_zones", real)
-    assert verify_windows(table, 2) == clean
+    report = verify_windows(broken, 2)
+    assert report.checks[0] != clean.checks[0] and report.checks[1] == clean.checks[1]
+    ctx = context_for(broken, c_hi - 1)
+    profile = event_sweep(base_leveled_set(broken, ctx.stage), ctx, c_hi - 1)
+    count = np.repeat(profile.counts, np.diff(np.append(profile.edges, c_hi - 1)))
+    for check, want in zip(report.checks, (0, profile.total)):
+        bad = [n for n in range(check.lo + 1, check.hi) if count[n - 1] != want]
+        assert check.mode == "exhaustive" and list(check.violations) == bad
+        assert [Fraction(v) for v in check.violation_values] == [
+            count[n - 1] * profile.width for n in bad
+        ]

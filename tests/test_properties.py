@@ -1,6 +1,7 @@
 """Property tests: the numpy engines against the single-step reference on
 random small constructions of both presets."""
 
+import dataclasses
 from bisect import bisect_left
 from fractions import Fraction
 from unittest.mock import patch
@@ -59,10 +60,10 @@ def _listed(check, bad, points):
     return [n for n in grid if n in bad]
 
 
-def _counts_from(ctx, fragments, lo, n):
-    """The flip sweep's parity-0 count at each step ``lo+1 .. n``."""
-    edges, counts = _flip_plateaus(ctx, np.asarray(sorted(fragments), dtype=np.int64), lo, n)
-    assert edges[0] == lo
+def _counts_from(ctx, fragments, n):
+    """The flip sweep's parity-0 count at each step ``1 .. n``."""
+    edges, counts = _flip_plateaus(ctx, np.asarray(sorted(fragments), dtype=np.int64), n)
+    assert edges[0] == 0
     return np.repeat(counts, np.diff(np.append(edges, n))).tolist()
 
 
@@ -72,9 +73,8 @@ def _counts_from(ctx, fragments, lo, n):
     marker_stages=st.sets(st.sampled_from([2, 4])),
     j_max=st.integers(3, 6),
     n_max=st.integers(1, 600),
-    data=st.data(),
 )
-def test_context_and_profile_match_reference(preset, marker_stages, j_max, n_max, data):
+def test_context_and_profile_match_reference(preset, marker_stages, j_max, n_max):
     table = build_stage_table(
         ConstructionParams(preset, j_max, frozenset(marker_stages))
     )
@@ -103,20 +103,15 @@ def test_context_and_profile_match_reference(preset, marker_stages, j_max, n_max
         assert profile.overlap_at(n) == expected[n]
     for n in range(n_max + 1):
         assert overlap_measure(n, base, ctx) == expected[n]
-    # the flip sweep from a start step lo > 0, whose fragments start at
-    # parity zone(f) XOR zone(f+lo)
-    lo = data.draw(st.integers(0, n_max - 1), label="lo")
-    counts = _counts_from(ctx, fragments, lo, n_max)
-    assert [Fraction(c, len(fragments)) for c in counts] == expected[lo + 1 :]
-    # an orbit set on both levels, some of its fragments on marker floors
+    # the flip sweep of an orbit set on both levels, some of its fragments on
+    # marker floors, which flip at step 0
     k = n_max // 2
     moved = flip_orbit(base, k, ctx)
     expected = ref.overlaps([f + k for f in fragments], set(markers), n_max - k)
     for n in range(n_max - k + 1):
         assert overlap_measure(n, moved, ctx) == expected[n]
-    lo = data.draw(st.integers(0, n_max - k - 1), label="lo of the orbit set")
-    counts = _counts_from(ctx, moved.level0.indices + moved.level1.indices, lo, n_max - k)
-    assert [Fraction(c, len(fragments)) for c in counts] == expected[lo + 1 :]
+    counts = _counts_from(ctx, moved.level0.indices + moved.level1.indices, n_max - k)
+    assert [Fraction(c, len(fragments)) for c in counts] == expected[1:]
 
 
 def _leveled(stage, floors, levels):
@@ -252,12 +247,53 @@ def test_window_kernel_matches_event_sweep(preset, marker_stages, j_max, grid_po
                 ]
 
 
+@settings(SETTINGS, max_examples=30)
+@given(
+    preset=st.sampled_from(["basic", "staircase-mixing"]),
+    marker_stages=st.sets(st.sampled_from([2, 4]), min_size=1),
+    j_max=st.integers(6, 7),
+    data=st.data(),
+)
+def test_window_events_match_event_sweep_on_a_moved_column(preset, marker_stages, j_max, data):
+    """One column of a marker stage ``q`` moved by fewer than ``h_q`` floors
+    either way keeps columns, base floors and zones disjoint, but may bring
+    one column's zones within a window's reach of another's base floors.  The
+    window reports, certified or expanded from their survivors' events, are
+    then the flip-event profile's of the moved table at every step."""
+    table = build_stage_table(ConstructionParams(preset, j_max, frozenset(marker_stages)))
+    q = data.draw(st.sampled_from(table.params.effective_marker_stages()), label="q")
+    column = data.draw(st.integers(1, table.cut_count(q) - 1), label="column")
+    h_q = table.height(q)
+    # the moves near h_q either way bring zones closest to other columns
+    by = data.draw(st.integers(1 - h_q, h_q - 1) | st.sampled_from([1 - h_q, h_q - 1]), label="by")
+    offsets = [list(o) for o in table.offsets]
+    offsets[q - 1][column] += by
+    table = dataclasses.replace(table, offsets=tuple(map(tuple, offsets)))
+    for p in table.params.effective_marker_stages():
+        windows = claim_windows(table, p // 2)
+        n_max = windows[1][1] - 1
+        try:
+            ctx = context_for(table, n_max)
+        except StageOverflow:
+            continue
+        profile = event_sweep(base_leveled_set(table, ctx.stage), ctx, n_max)
+        count = np.repeat(profile.counts, np.diff(np.append(profile.edges, n_max))).tolist()
+        report = verify_windows(table, p // 2)
+        for check, (lo, hi), want in zip(report.checks, windows, (0, profile.total)):
+            bad = [n for n in range(lo + 1, hi) if count[n - 1] != want]
+            bad = _listed(check, bad, ext._GRID_POINTS)
+            assert list(check.violations) == bad
+            assert [Fraction(v) for v in check.violation_values] == [
+                count[n - 1] * profile.width for n in bad
+            ]
+
+
 @pytest.mark.parametrize("preset", ["basic", "staircase-mixing"])
 @pytest.mark.parametrize("marker_stages", [None, (2,), (4,), (2, 6)])
 def test_flip_sweep_time_windows_change_nothing(preset, marker_stages, monkeypatch):
     """Time windows only bound memory: forced down to 1, 7 or 64 flips each,
-    the sweep from step 0 and from each claim window's ``lo`` gives the
-    one-window edges and counts, and on the short windows the reference."""
+    the sweep to the end of each claim window gives the one-window edges and
+    counts, and on the short windows the reference."""
     import ergolab.extension as ext
 
     ms = None if marker_stages is None else frozenset(marker_stages)
@@ -266,36 +302,36 @@ def test_flip_sweep_time_windows_change_nothing(preset, marker_stages, monkeypat
     cut, spacer = _reference_schedule(preset, stages)
     sweeps = []
     for q in stages:
-        for lo, hi in claim_windows(table, q // 2):
+        for _, hi in claim_windows(table, q // 2):
             try:
                 ctx = context_for(table, hi - 1)
             except StageOverflow:
                 continue
-            sweeps += [(ctx, 0, hi - 1), (ctx, lo, hi - 1)]
+            sweeps.append((ctx, hi - 1))
     assert sweeps
     frags = {}
-    for ctx, _, _ in sweeps:
+    for ctx, _ in sweeps:
         h = ref.heights(ctx.stage, cut, spacer)
         frags[ctx.stage] = ref.base_indices(ctx.stage, cut, spacer, h)
     calls = []
     nets = ext._chunk_flip_nets
     monkeypatch.setattr(ext, "_chunk_flip_nets", lambda *a: calls.append(1) or nets(*a))
     monkeypatch.setattr(ext, "_WINDOW_PAIRS", ext._CHUNK_PAIR_BUDGET)
-    whole = [_flip_plateaus(ctx, np.asarray(frags[ctx.stage]), lo, n) for ctx, lo, n in sweeps]
+    whole = [_flip_plateaus(ctx, np.asarray(frags[ctx.stage]), n) for ctx, n in sweeps]
     window_calls = {None: len(calls)}
     for pairs in (1, 7, 64):
         monkeypatch.setattr(ext, "_WINDOW_PAIRS", pairs)
         del calls[:]
-        for (ctx, lo, n), (edges, counts) in zip(sweeps, whole):
-            e, c = _flip_plateaus(ctx, np.asarray(frags[ctx.stage]), lo, n)
+        for (ctx, n), (edges, counts) in zip(sweeps, whole):
+            e, c = _flip_plateaus(ctx, np.asarray(frags[ctx.stage]), n)
             assert np.array_equal(e, edges) and e.dtype == edges.dtype
             assert np.array_equal(c, counts) and c.dtype == counts.dtype
         window_calls[pairs] = len(calls)
     assert window_calls[1] > window_calls[None]  # the sweeps did split
-    for ctx, lo, n in sweeps:
+    for ctx, n in sweeps:
         if n * len(frags[ctx.stage]) <= 200_000:
             h = ref.heights(ctx.stage, cut, spacer)
             markers = set(ref.marker_indices(ctx.stage, sorted(stages), cut, spacer, h))
             expected = ref.overlaps(frags[ctx.stage], markers, n)
-            counts = _counts_from(ctx, frags[ctx.stage], lo, n)
-            assert [Fraction(k, len(frags[ctx.stage])) for k in counts] == expected[lo + 1 :]
+            counts = _counts_from(ctx, frags[ctx.stage], n)
+            assert [Fraction(k, len(frags[ctx.stage])) for k in counts] == expected[1:]
