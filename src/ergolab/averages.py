@@ -52,6 +52,9 @@ _MAX_STEPS = 2**62
 # most checkpoints a series may emit, each a CSV row and ~9 numpy temporaries
 _CHECKPOINT_BUDGET = 1 << 22
 
+# terms per block of the compensated running sum
+_SUM_BLOCK = 1 << 16
+
 _MILESTONE_KINDS = ("disjoint_start", "disjoint_end", "coincide_start", "coincide_end")
 
 
@@ -229,12 +232,23 @@ def _neumaier_cumsum(x: np.ndarray) -> np.ndarray:
 
     The plain running sum ``s`` and the running sum of its rounding errors are
     both sequential ``np.cumsum``s from 0.0, so every entry is bit for bit
-    what the scalar loop ``t = s + x; comp += err; s = t`` would give.
+    what the scalar loop ``t = s + x; comp += err; s = t`` would give.  They
+    run ``_SUM_BLOCK`` terms at a time, each block's sums starting from the
+    last ones of the block before, so the temporaries are those of a block.
     """
-    s = np.cumsum(np.concatenate(([0.0], x)))
-    prev, cur = s[:-1], s[1:]
-    err = np.where(np.abs(prev) >= np.abs(x), (prev - cur) + x, (x - cur) + prev)
-    return cur + np.cumsum(np.concatenate(([0.0], err)))[1:]
+    out = np.empty_like(x)
+    s = comp = 0.0
+    for i in range(0, x.size, _SUM_BLOCK):
+        block = x[i : i + _SUM_BLOCK]
+        cur = np.cumsum(np.concatenate(([s], block)))
+        prev, cur = cur[:-1], cur[1:]
+        err = np.where(
+            np.abs(prev) >= np.abs(block), (prev - cur) + block, (block - cur) + prev
+        )
+        comps = np.cumsum(np.concatenate(([comp], err)))[1:]
+        np.add(cur, comps, out=out[i : i + _SUM_BLOCK])
+        s, comp = cur[-1], comps[-1]
+    return out
 
 
 def average_series(
@@ -257,18 +271,25 @@ def average_series(
         miles = np.array([m.n for m in milestones], dtype=np.int64)
         if not isinstance(checkpoints, np.ndarray):
             checkpoints = [*checkpoints]
-        requested = np.concatenate((np.asarray(checkpoints, dtype=np.int64), miles))
+        t = np.concatenate((np.asarray(checkpoints, dtype=np.int64), miles))
     except OverflowError as exc:  # beyond int64 is beyond n_max too
         raise out_of_range from exc
-    if not requested.size or requested.min() < 1 or requested.max() > profile.n_max:
+    if not t.size:
         raise out_of_range
-    distinct, count_of = np.unique(profile.counts, return_inverse=True)
+    t = _sorted_unique(t)
+    if t[0] < 1 or t[-1] > profile.n_max:
+        raise out_of_range
+    # the counts lie in [0, total], so a table indexed by count numbers the
+    # distinct ones in order, as np.unique(return_inverse=True) would
+    seen = np.zeros(profile.total + 1, dtype=bool)
+    seen[profile.counts] = True
+    count_of = (np.cumsum(seen) - 1)[profile.counts]
     levels = tuple(
-        (o, pair_integrand(model, o)) for o in (c * profile.width for c in distinct.tolist())
+        (o, pair_integrand(model, o))
+        for o in (c * profile.width for c in np.flatnonzero(seen).tolist())
     )
     g_of = np.array([g for _, g in levels], dtype=np.float64)
     edges = profile.edges
-    t = _sorted_unique(requested)
     stops = _sorted_unique(np.concatenate((t, edges[(edges > 0) & (edges < t[-1])])))
     # plateau k holds on (edges[k], edges[k+1]]
     at = count_of[np.searchsorted(edges, stops) - 1]

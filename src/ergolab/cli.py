@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import logging
 import sys
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import averages, extension, oracle, suspension, tower
+from . import _csv, averages, extension, oracle, suspension, tower
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "main"]
 
@@ -33,10 +32,6 @@ _DEFAULTS = {
     "seed": 1,
     "mc_samples": 1_000_000,
 }
-
-
-# rows of series.csv formatted per write
-_CSV_BLOCK_ROWS = 1 << 14
 
 # largest m whose c**2, with c = P(m; 1) = 1/(e m!), is a normal float: at
 # m = 98 it is subnormal (1.52e-309) and from m = 102 it is 0, which zeroes
@@ -249,23 +244,7 @@ def cmd_series(cfg: RunConfig, out_dir: Path) -> int:
     report = averages.divergence_report(series, milestones, model)
 
     csv_path = out_dir / "series.csv"
-    # CRLF line ends and floats as their repr, built column by column: each
-    # level's middle columns, with the commas around them, are formatted once
-    mid = [f",{o.numerator},{o.denominator},{g!r}," for o, g in series.levels]
-    ends = (",0\r\n", ",1\r\n")
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("n,overlap_num,overlap_den,integrand,a_n,is_milestone\r\n")
-        # one block of rows at a time, as Python numbers and strings: all
-        # 196,695 rows at once would hold about 40 MB more at the peak
-        for i in range(0, len(series), _CSV_BLOCK_ROWS):
-            block = slice(i, i + _CSV_BLOCK_ROWS)
-            rows = zip(
-                map(str, series.n[block].tolist()),
-                map(mid.__getitem__, series.level[block].tolist()),
-                map(repr, series.a_n[block].tolist()),
-                map(ends.__getitem__, series.is_milestone[block].tolist()),
-            )
-            fh.write("".join(itertools.chain.from_iterable(rows)))
+    _csv.write_series(csv_path, series)
     _write_json(
         out_dir / "report.json",
         {

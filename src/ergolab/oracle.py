@@ -135,14 +135,24 @@ def three_sigma_gate(exact: float, runner, cfg: McConfig) -> GateResult:
     """Accept when the estimate is within 3 standard errors of ``exact``.
 
     On failure the check is retried once with seed+1; a second miss fails
-    the gate.  ``runner`` maps a config to (estimate, std_error).
+    the gate.  ``runner`` maps a config to (estimate, std_error).  A run with
+    no hits or only hits has std_error 0, so it is tested against the
+    standard error at the exact value, ``sqrt(exact*(1-exact)/samples)``:
+    no hit passes when at most 9 are expected.
     """
     est, se = runner(cfg)
-    if abs(est - exact) <= 3.0 * se:
+    if _within_3_sigma(exact, est, se, cfg.samples):
         return GateResult(exact, est, se, retried=False, passed=True)
     retry = McConfig(seed=cfg.seed + 1, samples=cfg.samples)
     est, se = runner(retry)
-    return GateResult(exact, est, se, retried=True, passed=abs(est - exact) <= 3.0 * se)
+    passed = _within_3_sigma(exact, est, se, retry.samples)
+    return GateResult(exact, est, se, retried=True, passed=passed)
+
+
+def _within_3_sigma(exact: float, est: float, se: float, samples: int) -> bool:
+    if se == 0.0:
+        se = math.sqrt(exact * (1.0 - exact) / samples)
+    return abs(est - exact) <= 3.0 * se
 
 
 def mc_gaussian_orthant(

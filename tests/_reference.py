@@ -107,3 +107,21 @@ def poisson_pair_estimate(lam, a, m, cfg):
         hits += int(np.count_nonzero((k_common + k_one == m) & (k_common + k_two == m)))
     p_hat = hits / cfg.samples
     return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / cfg.samples)
+
+
+def series_csv(series):
+    """The bytes of ``series.csv`` for an ``averages.Series``, one row at a
+    time: integers by ``str``, floats by ``repr``, CRLF line ends."""
+    lines = ["n,overlap_num,overlap_den,integrand,a_n,is_milestone"]
+    for n, k, a_n, milestone in zip(
+        series.n.tolist(),
+        series.level.tolist(),
+        series.a_n.tolist(),
+        series.is_milestone.tolist(),
+    ):
+        overlap, integrand = series.levels[k]
+        lines.append(
+            f"{n},{overlap.numerator},{overlap.denominator},{integrand!r},"
+            f"{a_n!r},{int(milestone)}"
+        )
+    return "".join(line + "\r\n" for line in lines).encode("ascii")

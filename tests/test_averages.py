@@ -36,6 +36,7 @@ from ergolab.averages import (
     _checkpoint_bound,
     _neumaier_cumsum,
 )
+from ergolab import averages
 from ergolab.extension import SegmentEscapesTower
 from ergolab.tower import StageOverflow
 
@@ -286,8 +287,9 @@ def test_series_against_naive_running_mean(table, profile6):
     assert [n for n, m in zip(again.n, again.is_milestone) if m] == [4, 8, 24, 48]
 
 
-def test_neumaier_cumsum_matches_scalar_loop_bit_for_bit():
-    """The vectorised compensated sums equal the scalar accumulator exactly."""
+def test_neumaier_cumsum_matches_scalar_loop_bit_for_bit(monkeypatch):
+    """The vectorised compensated sums equal the scalar accumulator exactly,
+    in one block and in blocks that carry both sums across."""
     rng = random.Random(7)
     x = [rng.choice((1.0, -1.0)) * rng.random() * 10.0 ** rng.randint(-12, 12)
          for _ in range(5000)]
@@ -298,6 +300,9 @@ def test_neumaier_cumsum_matches_scalar_loop_bit_for_bit():
         comp += (s - t) + v if abs(s) >= abs(v) else (v - t) + s
         s = t
         want.append(s + comp)
+    got = _neumaier_cumsum(np.asarray(x)).tolist()
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    monkeypatch.setattr(averages, "_SUM_BLOCK", 97)
     got = _neumaier_cumsum(np.asarray(x)).tolist()
     assert [v.hex() for v in got] == [v.hex() for v in want]
 

@@ -348,6 +348,26 @@ def test_series_runs_are_byte_identical(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
+def test_series_dense_csv_is_pinned(tmp_path):
+    """The 196,695 rows of the densest benchmark grid, byte for byte.  Its
+    report.json is left unpinned: its plateau_count counts edges that change
+    nothing, which an engine that merges them would drop."""
+    code, out = run(
+        tmp_path,
+        "series",
+        config={
+            "preset": "staircase-mixing",
+            "model": {"kind": "gaussian"},
+            "checkpoint_ratio": 1.00005,
+        },
+    )
+    assert code == 0
+    assert (
+        hashlib.sha256((out / "series.csv").read_bytes()).hexdigest()
+        == "c32e3ed92f7f068676168fd2cf95acebf63886abfc77b10bde8bcc654dd56513"
+    )
+
+
 def test_mc_check_passes_and_is_deterministic(tmp_path):
     code1, out1 = run(tmp_path / "a", "mc-check", config=SMALL)
     assert code1 == 0
@@ -365,6 +385,17 @@ def test_mc_check_default_artifact_is_pinned(tmp_path):
     assert code == 0
     digest = hashlib.sha256((out / "mc_check.json").read_bytes()).hexdigest()
     assert digest == "7b01993442970ca8095fb2fed8e91474faf2d55885ba07c4f2755398f93d91c6"
+
+
+def test_mc_check_passes_a_gate_whose_event_is_too_rare_to_hit(tmp_path):
+    """Poisson m=6: the independent gate's exact value, c**2 = 2.6e-7, is
+    hit by none of 1M samples at either seed."""
+    code, out = run(tmp_path, "mc-check", config={"model": {"m": 6}})
+    assert code == 0
+    rows = read_json(out / "mc_check.json")["rows"]
+    assert rows[1]["label"] == "poisson m=6 independent (lam=0.0)"
+    assert (rows[1]["estimate"], rows[1]["std_error"]) == (0.0, 0.0)
+    assert rows[1]["passed"] and not rows[1]["retried"]
 
 
 def test_mc_check_retries_one_batch_at_the_next_seed(tmp_path, monkeypatch):

@@ -106,6 +106,22 @@ def test_three_sigma_gate_fails_after_two_misses():
     assert res.retried and not res.passed
 
 
+def test_three_sigma_gate_tests_a_run_without_hits_at_the_exact_error():
+    # Poisson m=6 on disjoint images: c**2 = 2.6e-7, so 1M samples expect
+    # 0.26 hits; no hit gives std_error 0, which no estimate but the exact
+    # value could pass
+    cfg = McConfig(seed=1, samples=1_000_000)
+    res = three_sigma_gate(2.6e-7, lambda c: (0.0, 0.0), cfg)
+    assert res.passed and not res.retried
+    assert (res.estimate, res.std_error) == (0.0, 0.0)
+    # at most 9 hits expected passes, 10 or more fails
+    assert three_sigma_gate(8.9e-6, lambda c: (0.0, 0.0), cfg).passed
+    assert not three_sigma_gate(1e-5, lambda c: (0.0, 0.0), cfg).passed
+    # only hits
+    assert three_sigma_gate(1 - 2.6e-7, lambda c: (1.0, 0.0), cfg).passed
+    assert not three_sigma_gate(1 - 1e-5, lambda c: (1.0, 0.0), cfg).passed
+
+
 @settings(deadline=None, derandomize=True, database=None, max_examples=60)
 @given(
     a=st.floats(0.5, 3.0),
