@@ -3,6 +3,7 @@ marker extension, and the divergence of double ergodic averages under
 Poisson/Gaussian suspension functionals."""
 
 from .tower import (
+    BudgetExceeded,
     ConstructionParams,
     FloorSet,
     InvalidConstruction,
@@ -19,9 +20,7 @@ from .extension import (
     CocycleContext,
     ConjugacyReport,
     LeveledSet,
-    PairBudgetExceeded,
     SegmentEscapesTower,
-    WindowBudgetExceeded,
     WindowReport,
     base_leveled_set,
     claim_windows,
@@ -49,7 +48,6 @@ from .oracle import (
     three_sigma_gate,
 )
 from .averages import (
-    CheckpointBudgetExceeded,
     DivergenceReport,
     Milestone,
     OverlapProfile,

@@ -10,8 +10,8 @@ instead of O(N).
 :func:`event_sweep` takes that step function from step 0 out of the flip
 sweep of :mod:`ergolab.extension`.  It sorts the flips of each fragment
 chunk one time slice of bounded size at a time, and a sweep whose fragment
-chunks hold too many flips raises
-:class:`~ergolab.extension.PairBudgetExceeded` before any per-flip work.
+chunks hold too many flips raises :class:`~ergolab.tower.BudgetExceeded`
+before any per-flip work.
 
 Running sums use Neumaier-compensated accumulation, vectorised as two
 sequential ``np.cumsum``s; given a fixed profile the emitted series is
@@ -30,7 +30,7 @@ import numpy as np
 from .extension import CocycleContext, LeveledSet, SegmentEscapesTower, claim_windows
 from .extension import _flip_plateaus
 from .suspension import SuspensionModel, cylinder_constant, pair_integrand
-from .tower import StageOverflow, StageTable, refine
+from .tower import BudgetExceeded, StageTable, refine
 
 __all__ = [
     "Milestone",
@@ -39,7 +39,6 @@ __all__ = [
     "event_sweep",
     "Series",
     "default_checkpoints",
-    "CheckpointBudgetExceeded",
     "average_series",
     "BoundCheck",
     "DivergenceReport",
@@ -56,10 +55,6 @@ _CHECKPOINT_BUDGET = 1 << 22
 _SUM_BLOCK = 1 << 16
 
 _MILESTONE_KINDS = ("disjoint_start", "disjoint_end", "coincide_start", "coincide_end")
-
-
-class CheckpointBudgetExceeded(ValueError):
-    """A checkpoint grid would hold more steps than the budget."""
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -137,13 +132,14 @@ def event_sweep(a: LeveledSet, ctx: CocycleContext, n_max: int) -> OverlapProfil
 
     The flip sweep from step 0 sorts its keys ``2*t + bit`` as int32 when
     ``2*n_max + 1 < 2**31``, else as int64 (``n_max <= 2**62``).  Fragments
-    must admit ``n_max`` steps inside the context stage; a fragment chunk over
-    the pair budget raises :class:`~ergolab.extension.PairBudgetExceeded`.
+    must admit ``n_max`` steps inside the context stage.  An ``n_max`` over
+    ``2**62``, or a fragment chunk over the pair budget, raises
+    :class:`~ergolab.tower.BudgetExceeded`.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > _MAX_STEPS:
-        raise StageOverflow(
+        raise BudgetExceeded(
             f"n_max {n_max} > 2**62: flip keys 2*t + 1 would not fit in int64"
         )
     table = ctx.table
@@ -202,14 +198,14 @@ def _checkpoint_bound(n_max: int, ratio: float) -> int:
 def default_checkpoints(n_max: int, ratio: float = 1.05) -> np.ndarray:
     """Geometric grid of step counts from 1 to n_max inclusive, as a
     read-only int64 array: ``n`` steps to ``max(int(n * ratio), n + 1)``.
-    Raises :class:`CheckpointBudgetExceeded` first if it may pass the budget."""
+    Raises :class:`~ergolab.tower.BudgetExceeded` first if it may pass the budget."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if ratio <= 1.0:
         raise ValueError(f"checkpoint ratio must be > 1, got {ratio}")
     bound = _checkpoint_bound(n_max, ratio)
     if bound > _CHECKPOINT_BUDGET:
-        raise CheckpointBudgetExceeded(
+        raise BudgetExceeded(
             f"checkpoint ratio {ratio!r} up to N={n_max} gives up to {bound} checkpoints,"
             f" over the budget of {_CHECKPOINT_BUDGET}"
         )

@@ -229,7 +229,11 @@ def cmd_series(cfg: RunConfig, out_dir: Path) -> int:
     table = tower.build_stage_table(cfg.construction())
     milestones = averages.milestone_sequence(table, cfg.j_top)
     if not milestones:
-        raise ConfigError("no milestones: no marker stage is materialized")
+        raise ConfigError(
+            f"no milestones: j_top={cfg.j_top} needs a marker stage 2j <= {2 * cfg.j_top},"
+            f" and the materialized marker stages are"
+            f" {list(table.params.effective_marker_stages())}"
+        )
     n_max = milestones[-1].n
     log.info("series up to N=%d", n_max)
     ctx = extension.context_for(table, n_max)
@@ -349,11 +353,20 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("mc-check", help="Monte Carlo gates for the suspension formulas")
 
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # the commands are looked up per call, so a function patched into the
+    # module is the one that runs
+    commands = {
+        "build": cmd_build,
+        "verify": cmd_verify,
+        "series": cmd_series,
+        "mc-check": cmd_mc_check,
+    }
+    # this call's stderr handler and level, on the package logger only
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = log.level
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    log.addHandler(handler)
     try:
         cfg = load_config(args.config)
         out_dir = Path(args.out)
@@ -363,31 +376,16 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(
                 f"cannot create output directory {out_dir}: {exc}"
             ) from exc
-        if args.command == "build":
-            return cmd_build(cfg, out_dir)
-        if args.command == "verify":
-            return cmd_verify(cfg, out_dir)
-        if args.command == "series":
-            return cmd_series(cfg, out_dir)
-        if args.command == "mc-check":
-            return cmd_mc_check(cfg, out_dir)
-        raise AssertionError(f"unhandled command {args.command}")
+        return commands[args.command](cfg, out_dir)
     except (
-        ConfigError,
-        tower.InvalidConstruction,
-        tower.StageOverflow,
-        extension.PairBudgetExceeded,
-        extension.WindowBudgetExceeded,
-        averages.CheckpointBudgetExceeded,
+        ConfigError, tower.InvalidConstruction, tower.StageOverflow, tower.BudgetExceeded
     ) as exc:
-        # StageOverflow means the requested run needs a larger j_max, or a
-        # context stage past int64 or over the floor budget;
-        # PairBudgetExceeded that a fragment chunk of the series flip sweep
-        # holds more flips than it takes on; WindowBudgetExceeded that a
-        # window check would form more partial sums or (d, b) events than
-        # its budget; CheckpointBudgetExceeded, too many series rows
+        # a bad config or schedule, a stage past j_max, or a request over a budget
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

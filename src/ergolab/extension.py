@@ -57,6 +57,7 @@ from fractions import Fraction
 import numpy as np
 
 from .tower import (
+    BudgetExceeded,
     FloorSet,
     InvalidConstruction,
     StageOverflow,
@@ -70,8 +71,6 @@ from .tower import (
 
 __all__ = [
     "SegmentEscapesTower",
-    "PairBudgetExceeded",
-    "WindowBudgetExceeded",
     "CocycleContext",
     "LeveledSet",
     "cocycle_context",
@@ -159,20 +158,21 @@ def cocycle_context(table: StageTable, stage: int) -> CocycleContext:
     """Sorted marker floors at ``stage``, whose height must fit in int64.
 
     Orbit segments never leave the stage, so the height bound also bounds
-    every floor index and step count the numpy kernels see.  Past
-    ``_CONTEXT_BUDGET`` marker and base floors, counted from the cut counts
-    before anything is built, it raises StageOverflow.  No two markers share
-    a floor, so the zone edges are the marker floors.
+    every floor index and step count the numpy kernels see.  Past int64, or
+    past ``_CONTEXT_BUDGET`` marker and base floors counted from the cut
+    counts, it raises :class:`~ergolab.tower.BudgetExceeded` before anything
+    is built.  No two markers share a floor, so the zone edges are the
+    marker floors.
     """
     h = table.height(stage)
     if h >= 2**63:
-        raise StageOverflow(f"stage {stage} height {h} >= 2**63 does not fit in int64")
+        raise BudgetExceeded(f"stage {stage} height {h} >= 2**63 does not fit in int64")
     markers, base = 0, 1
     for j in range(stage - 1, 0, -1):
         base *= table.cut_count(j)
         markers += 2 * base * table.params.carries_markers(j)
     if markers + base > _CONTEXT_BUDGET:
-        raise StageOverflow(
+        raise BudgetExceeded(
             f"stage {stage} holds {markers} marker floors and {base} base floors,"
             f" over the budget of {_CONTEXT_BUDGET} floors"
         )
@@ -280,10 +280,6 @@ _CHUNK_PAIR_BUDGET = 1 << 24
 _WINDOW_PAIRS = 1 << 18
 
 
-class PairBudgetExceeded(ValueError):
-    """A flip sweep would hold more flips in one fragment chunk than the budget."""
-
-
 def _runs(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The ranges ``first[k] .. first[k] + lengths[k] - 1``, concatenated."""
     runs = np.arange(lengths.sum())
@@ -345,7 +341,7 @@ def _flip_plateaus(
     cancel (see :class:`~ergolab.averages.OverlapProfile`).  Before any
     per-flip allocation, one ``searchsorted`` pass counts the flips of every
     chunk; a chunk over ``_CHUNK_PAIR_BUDGET`` raises
-    :class:`PairBudgetExceeded`.
+    :class:`~ergolab.tower.BudgetExceeded`.
 
     Each chunk is swept in time windows of about ``_WINDOW_PAIRS`` flips
     (:func:`_window_cuts`), which only bound memory: every flip at one time
@@ -367,7 +363,7 @@ def _flip_plateaus(
     bounds = range(0, len(frags), chunk)
     pairs = np.add.reduceat(lengths, bounds)
     if pairs.max() > _CHUNK_PAIR_BUDGET:
-        raise PairBudgetExceeded(
+        raise BudgetExceeded(
             f"flip sweep needs {int(pairs.sum())} flip pairs; the largest chunk"
             f" of {chunk} fragments holds {int(pairs.max())}, over the budget of"
             f" {_CHUNK_PAIR_BUDGET} pairs per chunk"
@@ -472,10 +468,6 @@ _PARTIAL_BUDGET = 1 << 20
 _EVENT_BUDGET = 1 << 20
 
 
-class WindowBudgetExceeded(ValueError):
-    """A window check would form more partial sums or events than its budget."""
-
-
 def _sample_grid(lo: int, hi: int, points: int) -> np.ndarray:
     """``points`` evenly spaced steps ``lo + 1 + span*k // (points-1)`` from
     ``lo+1`` to ``hi-1`` of the open window ``(lo, hi)``, plus ``lo+2`` and
@@ -499,8 +491,8 @@ def _pruned_sums(digits: list[dict[int, int]], lo: int, hi: int, what: str) -> d
     with their multiplicities: ``digits`` maps values to multiplicities, top
     stage first.  A partial sum is dropped as soon as the digits still to
     come cannot bring it into range.  Before a stage forms more than
-    ``_PARTIAL_BUDGET`` candidate sums it raises :class:`WindowBudgetExceeded`
-    naming ``what``."""
+    ``_PARTIAL_BUDGET`` candidate sums it raises
+    :class:`~ergolab.tower.BudgetExceeded` naming ``what``."""
     rest_lo, rest_hi = [0], [0]
     for digit in reversed(digits):
         rest_lo.append(rest_lo[-1] + min(digit))
@@ -508,7 +500,7 @@ def _pruned_sums(digits: list[dict[int, int]], lo: int, hi: int, what: str) -> d
     sums = {0: 1}
     for k, digit in enumerate(digits):
         if len(sums) * len(digit) > _PARTIAL_BUDGET:
-            raise WindowBudgetExceeded(
+            raise BudgetExceeded(
                 f"{what}: a pruned sum would form {len(sums) * len(digit)} partial sums"
                 f" at one stage, over the budget of {_PARTIAL_BUDGET}"
             )
@@ -579,7 +571,7 @@ def _violating_runs(
     floor ``b`` of ``B_q`` adds ``mult`` violators on the steps
     ``[h_q + 1 + d - b, q*h_q + d - b]``.  The events are counted with
     :func:`_base_count` first; past ``_EVENT_BUDGET`` it raises
-    :class:`WindowBudgetExceeded`."""
+    :class:`~ergolab.tower.BudgetExceeded`."""
     # the base floors first .. last of B_q are those whose steps meet (lo, hi)
     spans, events = [], 0
     for q, d, m in terms:
@@ -589,7 +581,7 @@ def _violating_runs(
         events += int(below[0] - below[1])
         spans.append((q, d, m, h, first, last))
     if events > _EVENT_BUDGET:
-        raise WindowBudgetExceeded(
+        raise BudgetExceeded(
             f"{what} is not certified: its {len(terms)} surviving differences"
             f" give {events} (d, b) events, over the budget of {_EVENT_BUDGET}"
         )
@@ -632,7 +624,7 @@ def verify_windows(table: StageTable, j: int) -> WindowReport:
     more only on ``_sample_grid(lo, hi, _GRID_POINTS)`` (mode ``"sampled"``,
     ``checked_count`` the grid's size); ``mode`` describes the listing, not
     the check.  A search or an expansion over its budget raises
-    :class:`WindowBudgetExceeded`.
+    :class:`~ergolab.tower.BudgetExceeded`.
 
     The outcome for j=1 is recorded but not asserted anywhere: the smallest
     stage is run as a diagnostic only.

@@ -28,6 +28,7 @@ __all__ = [
     "ConstructionParams",
     "StageTable",
     "FloorSet",
+    "BudgetExceeded",
     "InvalidConstruction",
     "MarkerOutsideSpacers",
     "StageOverflow",
@@ -45,6 +46,11 @@ PRESETS = ("basic", "staircase-mixing")
 _TABLE_BUDGET = 1 << 28
 
 
+class BudgetExceeded(ValueError):
+    """A request is too large to compute: a size budget or the int64 range
+    would be passed.  Raised before the work, naming the number."""
+
+
 class InvalidConstruction(ValueError):
     """A stage violates the construction's parameter constraints."""
 
@@ -54,7 +60,7 @@ class MarkerOutsideSpacers(InvalidConstruction):
 
 
 class StageOverflow(ValueError):
-    """An operation needs stages beyond ``j_max``, or a stage too large to materialize."""
+    """An operation needs a stage that is not materialized."""
 
 
 @dataclass(frozen=True)
@@ -181,9 +187,10 @@ def build_stage_table(params: ConstructionParams) -> StageTable:
     Rejects any stage with fewer than two cuts and any marker stage whose
     spacer counts are too small for both markers to land on spacer floors
     (``s_q(i) >= q*h_q`` is required on marker stages ``q``).  First, a
-    ``j_max`` whose table would pass ``_TABLE_BUDGET`` is rejected from a float
-    estimate: stage ``j`` adds ``2*r_j`` integers of about ``log2 h_{j+1}``
-    bits, and both presets give ``h_{j+1} >= r_j*(j+1)*h_j``.
+    ``j_max`` whose table would pass ``_TABLE_BUDGET`` raises
+    :class:`BudgetExceeded` from a float estimate: stage ``j`` adds ``2*r_j``
+    integers of about ``log2 h_{j+1}`` bits, and both presets give
+    ``h_{j+1} >= r_j*(j+1)*h_j``.
     """
     bits = size = 0.0
     for j in range(1, params.j_max):
@@ -194,7 +201,7 @@ def build_stage_table(params: ConstructionParams) -> StageTable:
         # a Python int takes about 28 bytes plus 4 per 30 bits, its tuple slot 8
         size += 2 * r_j * (bits / 7.5 + 36)
         if size > _TABLE_BUDGET:
-            raise InvalidConstruction(
+            raise BudgetExceeded(
                 f"j_max {params.j_max}: the stage table passes the budget of"
                 f" {_TABLE_BUDGET} bytes at stage {j}, an estimated {size:.3g} bytes"
             )

@@ -14,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergolab import (
+    BudgetExceeded,
     ConstructionParams,
-    PairBudgetExceeded,
     SuspensionModel,
     average_series,
     base_leveled_set,
@@ -32,13 +32,11 @@ from ergolab import (
 )
 from ergolab.averages import (
     _CHECKPOINT_BUDGET,
-    CheckpointBudgetExceeded,
     _checkpoint_bound,
     _neumaier_cumsum,
 )
 from ergolab import averages
 from ergolab.extension import SegmentEscapesTower
-from ergolab.tower import StageOverflow
 
 MODEL = SuspensionModel("poisson", 1)
 
@@ -163,7 +161,7 @@ def test_sweep_guards_the_int64_key_range(table):
     """Flip keys 2*t + 1 need n_max <= 2**62; the guard fires before any work."""
     ctx = cocycle_context(table, 4)
     a = base_leveled_set(table, 4)
-    with pytest.raises(StageOverflow, match=str(2**62 + 1)):
+    with pytest.raises(BudgetExceeded, match=str(2**62 + 1)):
         event_sweep(a, ctx, 2**62 + 1)
     # 2**62 passes the guard and fails only because it escapes stage 4
     with pytest.raises(SegmentEscapesTower):
@@ -183,7 +181,7 @@ def test_pair_budget_bounds_the_largest_chunk(table, monkeypatch):
     monkeypatch.setattr(ext, "_CHUNK_PAIR_BUDGET", largest)
     event_sweep(a, ctx, n_max)
     monkeypatch.setattr(ext, "_CHUNK_PAIR_BUDGET", largest - 1)
-    with pytest.raises(PairBudgetExceeded) as exc:
+    with pytest.raises(BudgetExceeded) as exc:
         event_sweep(a, ctx, n_max)
     assert f"needs {sum(pairs)} flip pairs" in str(exc.value)
     assert f"holds {largest}," in str(exc.value)
@@ -261,7 +259,7 @@ def test_default_checkpoints_shape():
     # the series-dense grid passes the preflight; a ratio this near 1 does not
     dense = (77_115_780, 1.00005)
     assert len(default_checkpoints(*dense)) < _checkpoint_bound(*dense) < _CHECKPOINT_BUDGET
-    with pytest.raises(CheckpointBudgetExceeded, match="up to 43545600 checkpoints"):
+    with pytest.raises(BudgetExceeded, match="up to 43545600 checkpoints"):
         default_checkpoints(43_545_600, 1.0000000001)
 
 

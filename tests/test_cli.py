@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 import os
 import subprocess
@@ -15,8 +16,8 @@ import pytest
 
 import ergolab
 from ergolab import (
+    BudgetExceeded,
     ConstructionParams,
-    WindowBudgetExceeded,
     base_floorset,
     build_stage_table,
     claim_windows,
@@ -247,6 +248,22 @@ def test_series_beyond_int64_exits_2_naming_the_height(tmp_path, capsys):
     assert str(h_14) in capsys.readouterr().err
 
 
+def test_context_over_the_floor_budget_exits_2_naming_the_floors(tmp_path, capsys):
+    """``series`` needs its context at stage 12, and ``verify`` its j=5
+    conjugacy check there: both stop on the floor count, before any floor is
+    built, and leave ``--out`` empty."""
+    for command in ("series", "verify"):
+        t0 = time.perf_counter()
+        code, out = run(tmp_path / command, command, config={"j_top": 5, "j_max": 13})
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: stage 12 holds 93820540 marker floors and 79833600 base floors,"
+            " over the budget of 16777216 floors"
+        ]
+        assert list(out.iterdir()) == []
+
+
 def test_series_over_the_pair_budget_exits_2_naming_the_counts(tmp_path, capsys):
     # 725,760 fragments x 852,912 markers at stage 10; the sweep would need
     # several GB, so it stops after counting the pairs
@@ -280,7 +297,7 @@ def test_verify_over_the_window_budgets_exits_2_naming_the_counts(tmp_path, caps
         events += sum(first < hi and last > lo for first, last in steps)
     assert events > 0
     monkeypatch.setattr(ext, "_EVENT_BUDGET", events - 1)
-    with pytest.raises(WindowBudgetExceeded) as exc:
+    with pytest.raises(BudgetExceeded) as exc:
         verify_windows(broken, 2)
     assert f"j=2 disjoint window ({lo}, {hi}) is not certified" in str(exc.value)
     assert f" {events} (d, b) events, over the budget of {events - 1}" in str(exc.value)
@@ -445,6 +462,31 @@ def test_series_with_single_marker_stage_flags_insufficiency(tmp_path):
     assert code == 0  # degenerate setup is reported, not failed
     report = read_json(out / "report.json")
     assert report["divergence"]["insufficient_stages"] is True
+
+
+def test_series_without_milestones_exits_2_naming_j_top(tmp_path, capsys):
+    """Stage 8 carries markers, but j_top=3 admits marker stages up to 6."""
+    code, out = run(tmp_path, "series", config={"marker_stages": [8], "j_max": 9})
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no milestones: j_top=3 needs a marker stage 2j <= 6,"
+        " and the materialized marker stages are [8]"
+    ]
+    assert list(out.iterdir()) == []
+
+
+def test_verbose_logs_on_every_call_and_leaves_the_root_logger_alone(tmp_path, capsys):
+    """A quiet call before or after does not silence ``--verbose``, which
+    logs through a handler of its own call (verify exits 1 on the j=2 leak)."""
+    root = logging.getLogger()
+    handlers, level = list(root.handlers), root.level
+    assert run(tmp_path / "build", "build", config=SMALL)[0] == 0
+    assert capsys.readouterr().err == ""
+    assert run(tmp_path / "verbose", "--verbose", "verify", config=SMALL)[0] == 1
+    assert "INFO ergolab: verifying windows for j=1\n" in capsys.readouterr().err
+    assert run(tmp_path / "quiet", "verify", config=SMALL)[0] == 1
+    assert capsys.readouterr().err == ""
+    assert root.handlers == handlers and root.level == level
 
 
 def test_gaussian_model_series(tmp_path):

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from ergolab import (
+    BudgetExceeded,
     CocycleContext,
     ConstructionParams,
     FloorSet,
     LeveledSet,
     SegmentEscapesTower,
-    StageOverflow,
     base_floorset,
     base_leveled_set,
     build_stage_table,
@@ -63,13 +63,13 @@ def test_context_for_picks_minimal_stage(table):
 def test_cocycle_context_guards_the_int64_range():
     t = build_stage_table(ConstructionParams(j_max=14))
     assert t.height(14) > 10**21
-    with pytest.raises(StageOverflow, match=str(t.height(14))):
+    with pytest.raises(BudgetExceeded, match=str(t.height(14))):
         cocycle_context(t, 14)
     # stage 13 lies between 2**62 and 2**63 and passes the int64 guard; the
     # floor budget stops it before its billion-floor context is allocated
     assert 2**62 < t.height(13) == 5_965_505_852_866_560_000 < 2**63
     with pytest.raises(
-        StageOverflow,
+        BudgetExceeded,
         match="stage 13 holds 1125846504 marker floors and 958003200 base floors,"
         " over the budget of 16777216 floors",
     ):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from ergolab import (
+    BudgetExceeded,
     ConstructionParams,
     FloorSet,
     InvalidConstruction,
@@ -114,7 +115,7 @@ def test_stage_table_budget_admits_j_max_64_and_fails_fast_past_it(monkeypatch):
     for preset in tower.PRESETS:
         assert build_stage_table(ConstructionParams(preset, 64)).j_max == 64
     t0 = time.perf_counter()
-    with pytest.raises(InvalidConstruction, match=r"j_max 1000000: .* at stage 583, an estimated"):
+    with pytest.raises(BudgetExceeded, match=r"j_max 1000000: .* at stage 583, an estimated"):
         build_stage_table(ConstructionParams(j_max=10**6))
     assert time.perf_counter() - t0 < 1.0
     # the estimate is within a factor 2 of the bytes the ints and tuple slots take
@@ -123,7 +124,7 @@ def test_stage_table_budget_admits_j_max_64_and_fails_fast_past_it(monkeypatch):
     monkeypatch.setattr(tower, "_TABLE_BUDGET", real * 2)
     assert build_stage_table(ConstructionParams(j_max=120)) == t
     monkeypatch.setattr(tower, "_TABLE_BUDGET", real // 2)
-    with pytest.raises(InvalidConstruction, match="j_max 120"):
+    with pytest.raises(BudgetExceeded, match="j_max 120"):
         build_stage_table(ConstructionParams(j_max=120))
 
 
