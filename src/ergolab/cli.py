@@ -12,7 +12,7 @@ import functools
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -279,54 +279,32 @@ def cmd_mc_check(cfg: RunConfig, out_dir: Path) -> int:
     model = cfg.suspension_model()
     a = float(model.a)
     mc = oracle.McConfig(seed=cfg.seed, samples=cfg.mc_samples)
+    poisson = suspension.SuspensionModel("poisson", model.m, model.a)
+    gaussian = suspension.SuspensionModel("gaussian")
+    lams = {"coincident": a, "independent": 0.0, "generic": 0.4 * a}
+    rhos = {"independent": 0.0, "generic": 0.5, "coincident": 1.0}
+    # per family, its (label, exact) gates and the batch runner that draws
+    # the family's chunk stream once per seed for all of them
+    families = [
+        (
+            [(f"poisson m={model.m} {k} (lam={v})", suspension.pair_integrand(poisson, v))
+             for k, v in lams.items()],
+            lambda c: oracle.mc_pair_integral_poisson(list(lams.values()), a, model.m, c),
+        ),
+        (
+            [(f"gaussian {k} (rho={v})", suspension.pair_integrand(gaussian, v))
+             for k, v in rhos.items()],
+            lambda c: oracle.mc_gaussian_orthant(list(rhos.values()), c),
+        ),
+    ]
     rows = []
-    poisson_overlaps = [("coincident", a), ("independent", 0.0), ("generic", 0.4 * a)]
-    gaussian_rhos = [("independent", 0.0), ("generic", 0.5), ("coincident", 1.0)]
-
-    def gate(label: str, exact: float, runner) -> dict:
-        res = oracle.three_sigma_gate(exact, runner, mc)
-        return {
-            "label": label,
-            "exact": res.exact,
-            "estimate": res.estimate,
-            "std_error": res.std_error,
-            "samples": cfg.mc_samples,
-            "retried": res.retried,
-            "passed": res.passed,
-        }
-
-    # each family draws its chunk stream once per seed: every gate of the
-    # family indexes into that batch, and a retry at seed+1 runs one batch
-    poisson_batch = functools.cache(
-        lambda c: oracle.mc_pair_integral_poisson(
-            [lam for _, lam in poisson_overlaps], a, model.m, c
-        )
-    )
-    gaussian_batch = functools.cache(
-        lambda c: oracle.mc_gaussian_orthant([rho for _, rho in gaussian_rhos], c)
-    )
-    for i, (name, lam) in enumerate(poisson_overlaps):
-        exact = suspension.pair_integrand(
-            suspension.SuspensionModel("poisson", model.m, model.a), lam
-        )
-        rows.append(
-            gate(
-                f"poisson m={model.m} {name} (lam={lam})",
-                exact,
-                lambda c, i=i: poisson_batch(c)[i],
-            )
-        )
-    for i, (name, rho) in enumerate(gaussian_rhos):
-        exact = suspension.pair_integrand(
-            suspension.SuspensionModel("gaussian"), Fraction(rho)
-        )
-        rows.append(
-            gate(
-                f"gaussian {name} (rho={rho})",
-                exact,
-                lambda c, i=i: gaussian_batch(c)[i],
-            )
-        )
+    for gates, runner in families:
+        # every gate indexes into the cached batch, so a retry at seed+1
+        # runs the family's runner once more, whichever gates missed
+        batch = functools.cache(runner)
+        for i, (label, exact) in enumerate(gates):
+            res = oracle.three_sigma_gate(exact, lambda c, i=i: batch(c)[i], mc)
+            rows.append({"label": label, "samples": cfg.mc_samples, **asdict(res)})
     _write_json(out_dir / "mc_check.json", {"config": cfg.echo(), "rows": rows})
     failed = [r for r in rows if not r["passed"]]
     for r in rows:

@@ -617,11 +617,13 @@ def verify_windows(table: StageTable, j: int) -> WindowReport:
     A window is *certified* when the survivors force its outcome: a
     disjointness window whose only survivor is ``d = 0`` at ``q = 2j``
     violates on exactly the leak ``(q*h_q - M_q, q*h_q)``, ``M_q`` the top
-    base floor at stage ``q``; a coincidence window without survivors never
-    violates.  Any other window is expanded from its survivors' events
-    (:func:`_violating_runs`).  Up to ``_GRID_POINTS`` violating steps are
-    all listed (mode ``"exhaustive"``, ``checked_count`` the window's steps),
-    more only on ``_sample_grid(lo, hi, _GRID_POINTS)`` (mode ``"sampled"``,
+    base floor at stage ``q``; with no survivor no fragment enters a zone,
+    so a coincidence window never violates and a disjointness window
+    violates on every step, runs that :func:`_violating_runs` finds from no
+    events.  Any other window is expanded from its survivors' events by the
+    same function.  Up to ``_GRID_POINTS`` violating steps are all listed
+    (mode ``"exhaustive"``, ``checked_count`` the window's steps), more only
+    on ``_sample_grid(lo, hi, _GRID_POINTS)`` (mode ``"sampled"``,
     ``checked_count`` the grid's size); ``mode`` describes the listing, not
     the check.  A search or an expansion over its budget raises
     :class:`~ergolab.tower.BudgetExceeded`.
@@ -649,8 +651,6 @@ def verify_windows(table: StageTable, j: int) -> WindowReport:
             first = max(lo + 1, hi - m_q + 1)
             starts = np.array([first] if first < hi else [], dtype=dtype)
             lengths = hi - starts
-        elif not terms:
-            starts = lengths = np.zeros(0, dtype=dtype)
         else:
             starts, lengths = _violating_runs(table, terms, lo, hi, want, total, dtype, what)
 
@@ -701,12 +701,17 @@ def verify_conjugacy(table: StageTable, stage: int) -> ConjugacyReport:
     flip^n for every ``n``.  The zone indicator changes between ``f`` and
     ``f+1`` exactly on the zone edges, so the mismatches are the floors in
     exactly one of the zone edges (numpy sumsets of :func:`_swap_zones`) and
-    the markers of :func:`~ergolab.tower.marker_floorset` refined in Python.
+    the distinct markers of :func:`~ergolab.tower.marker_floorset` refined in
+    Python; a floor that two marker stages share is one marker, and a
+    mismatch.
     """
     ctx = cocycle_context(table, stage)
     qs = [q for q in table.params.effective_marker_stages() if q < stage]
     fs = (refine(table, marker_floorset(table, q // 2), stage).indices for q in qs)
-    markers = np.fromiter((f for m in fs for f in m), dtype=np.int64)
+    # marker(f) is 0 or 1, so a floor that two marker stages share counts
+    # once; a sort and a mask, as numpy 2.4's np.unique takes about 20x longer
+    markers = np.sort(np.fromiter((f for m in fs for f in m), dtype=np.int64))
+    markers = markers[np.diff(markers, prepend=markers[:1] - 1) != 0]
     mism = _unpaired(np.sort(np.concatenate((ctx.zone_edges, markers))))
     return ConjugacyReport(
         stage=stage,

@@ -441,6 +441,28 @@ def test_mc_check_retries_one_batch_at_the_next_seed(tmp_path, monkeypatch):
     assert all(r["passed"] for r in rows)
 
 
+def test_mc_check_retries_one_batch_when_two_gates_miss(tmp_path, monkeypatch):
+    """Two Poisson gates miss at the seed: both retry from one more batch."""
+    seed = 7
+    poisson = oracle.mc_pair_integral_poisson
+    calls = []
+
+    def poisson_missing_gates_1_and_3(lams, a, m, cfg):
+        calls.append(cfg.seed)
+        got = poisson(lams, a, m, cfg)
+        if cfg.seed == seed:
+            got[0] = got[2] = (0.9, 1e-6)
+        return got
+
+    monkeypatch.setattr(oracle, "mc_pair_integral_poisson", poisson_missing_gates_1_and_3)
+    code, out = run(tmp_path, "mc-check", config={**SMALL, "seed": seed})
+    assert code == 0
+    assert calls == [seed, seed + 1]
+    rows = read_json(out / "mc_check.json")["rows"]
+    assert [r["retried"] for r in rows] == [True, False, True, False, False, False]
+    assert all(r["passed"] for r in rows)
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(ergolab.__file__).parents[1])}
     cfg_path = tmp_path / "cfg.json"

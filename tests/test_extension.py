@@ -26,8 +26,10 @@ from ergolab import (
     event_sweep,
     flip_orbit,
     level_swap,
+    marker_floorset,
     measure,
     overlap_measure,
+    refine,
     straight_orbit,
     verify_conjugacy,
     verify_windows,
@@ -310,6 +312,40 @@ def test_conjugacy_detects_a_broken_swap_zone(table, monkeypatch):
         assert report.to_json_obj()["mismatch_count"] == 2
     monkeypatch.setattr(ext, "_swap_zones", real)
     assert verify_conjugacy(table, 6).passed
+
+
+def test_conjugacy_counts_a_floor_two_marker_stages_share_once():
+    """With the second stage-4 column moved to offset ``20 - h_4``, its first
+    marker lands on the stage-2 marker at floor 20 of stage 5.  There
+    ``marker(f) = 1`` while ``zone(f) XOR zone(f+1) = 0``, so the check fails
+    at floor 20, and a scan of every floor step of stage 5 fails there alone."""
+    table = build_stage_table(ConstructionParams(j_max=5))
+    offsets = list(table.offsets)
+    offsets[3] = (offsets[3][0], 20 - table.height(4), *offsets[3][2:])
+    moved = dataclasses.replace(table, offsets=tuple(offsets))
+
+    starts, ends = (np.sort(e) for e in ext._swap_zones(moved, 5))
+    floors = np.arange(moved.height(5))
+    zone = (np.searchsorted(starts, floors, "right") - np.searchsorted(ends, floors)) % 2
+    markers = set()
+    for half in (1, 2):  # marker stages 2 and 4
+        markers.update(refine(moved, marker_floorset(moved, half), 5).indices)
+    f = floors[:-1]
+    scan = f[(zone[f] != zone[f + 1]) != np.isin(f, sorted(markers))]
+    assert scan.tolist() == [20]
+    assert verify_conjugacy(moved, 5).mismatched_floors == (20,)
+
+
+def test_a_window_without_survivors_is_decided_by_its_kind(table, monkeypatch):
+    """No survivor means no fragment ever enters a zone: the j=1
+    disjointness window (4, 8) then violates on every step at overlap 1,
+    and its coincidence window on none."""
+    monkeypatch.setattr(ext, "_survivors", lambda *args: [])
+    disjoint, coincide = verify_windows(table, 1).checks
+    assert (disjoint.lo, disjoint.hi) == (4, 8)
+    assert disjoint.violations == (5, 6, 7)
+    assert disjoint.violation_values == ("1/1",) * 3
+    assert coincide.passed and coincide.checked_count == 23
 
 
 def _leak(q: int, d_hi: int):
