@@ -7,11 +7,11 @@ function of the step count with exact integer plateau values, so the
 running average over tens of millions of steps costs O(events + checkpoints)
 instead of O(N).
 
-:func:`event_sweep` takes that step function from step 0 out of the flip
-sweep of :mod:`ergolab.extension`.  It sorts the flips of each fragment
-chunk one time slice of bounded size at a time, and a sweep whose fragment
-chunks hold too many flips raises :class:`~ergolab.tower.BudgetExceeded`
-before any per-flip work.
+:func:`event_sweep` takes that step function from step 0 out of the
+violator sum of :mod:`ergolab.extension`, one fragment chunk at a time:
+each chunk's flips come from the column offsets of its aligned blocks, not
+from one pair per fragment and zone edge.  A chunk with too many events
+raises :class:`~ergolab.tower.BudgetExceeded` before any of them is built.
 
 Running sums use Neumaier-compensated accumulation, vectorised as two
 sequential ``np.cumsum``s; given a fixed profile the emitted series is
@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .extension import CocycleContext, LeveledSet, SegmentEscapesTower, claim_windows
-from .extension import _flip_plateaus
+from .extension import _chunk_plateaus, _offset_sums
 from .suspension import SuspensionModel, cylinder_constant, pair_integrand
 from .tower import BudgetExceeded, StageTable, refine
 
@@ -44,9 +44,6 @@ __all__ = [
     "DivergenceReport",
     "divergence_report",
 ]
-
-# largest n_max whose flip keys 2*t + 1 (t < n_max) fit in int64
-_MAX_STEPS = 2**62
 
 # most checkpoints a series may emit, each a CSV row and ~9 numpy temporaries
 _CHECKPOINT_BUDGET = 1 << 22
@@ -101,14 +98,13 @@ class OverlapProfile:
     ``(edges[k], edges[k+1]]`` (and past the last edge up to ``n_max``).
     ``edges`` and ``counts`` are read-only int64 arrays.
 
-    The edges are the union over the fragment chunks of the flip sweep in
-    :mod:`ergolab.extension` of the flip times whose net change within the
-    chunk is nonzero.  An edge may therefore change nothing
-    (``counts[k] == counts[k-1]``) when the nets of several chunks cancel, so
-    those edges depend on ``extension._FRAGMENT_CHUNK``; the time windows
-    that split each chunk bound only memory and change no edge.
+    The edges are the union over the fragment chunks of
+    ``extension._chunk_plateaus`` of the flip times whose net change within
+    the chunk is nonzero, so an edge may change nothing
+    (``counts[k] == counts[k-1]``) where the nets of several chunks cancel,
+    and those edges depend on ``extension._FRAGMENT_CHUNK``.
     ``report.json``'s ``plateau_count`` counts them (68,049 on the
-    ``series-dense`` benchmark, 66,537 merged): an engine that drops them
+    ``series-dense`` benchmark, 66,537 merged): merging the chunks into one
     changes that digest, which the benchmark must record first.
     """
 
@@ -128,38 +124,30 @@ class OverlapProfile:
 
 
 def event_sweep(a: LeveledSet, ctx: CocycleContext, n_max: int) -> OverlapProfile:
-    """Build the exact overlap profile of the two lifted images of ``a``.
+    """Build the exact overlap profile of the two lifted images of ``a``,
+    which must be the base set at the context stage, on level 0.
 
-    The flip sweep from step 0 sorts its keys ``2*t + bit`` as int32 when
-    ``2*n_max + 1 < 2**31``, else as int64 (``n_max <= 2**62``).  Fragments
-    must admit ``n_max`` steps inside the context stage.  An ``n_max`` over
-    ``2**62``, or a fragment chunk over the pair budget, raises
-    :class:`~ergolab.tower.BudgetExceeded`.
+    The base floors must admit ``n_max`` steps inside the context stage.
+    The engine's differences and partial sums reach twice the stage height,
+    so a stage of height ``2**62`` or more, or a fragment chunk over the
+    event budget, raises :class:`~ergolab.tower.BudgetExceeded`.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max > _MAX_STEPS:
-        raise BudgetExceeded(
-            f"n_max {n_max} > 2**62: flip keys 2*t + 1 would not fit in int64"
-        )
-    table = ctx.table
-    fragments = (
-        refine(table, a.level0, ctx.stage).indices
-        + refine(table, a.level1, ctx.stage).indices
-    )
-    fragments = tuple(sorted(fragments))
-    if not fragments:
-        raise ValueError("event_sweep needs a non-empty set")
+    table, stage = ctx.table, ctx.stage
     h = ctx.height()
-    if fragments[-1] + n_max >= h:
-        raise SegmentEscapesTower(
-            f"fragment {fragments[-1]} cannot take {n_max} steps inside stage {ctx.stage}"
-        )
-    edges, counts = _flip_plateaus(ctx, np.asarray(fragments, dtype=np.int64), n_max)
+    if 2 * h >= 2**63:
+        raise BudgetExceeded(f"stage {stage}: differences reach 2*h = {2 * h} >= 2**63")
+    fragments = np.asarray(refine(table, a.level0, stage).indices, dtype=np.int64)
+    if a.level1.indices or not np.array_equal(fragments, _offset_sums(table, 1, stage)):
+        raise ValueError("event_sweep takes the base set at the context stage, on level 0")
+    if (top := int(fragments[-1])) + n_max >= h:
+        raise SegmentEscapesTower(f"fragment {top} cannot take {n_max} steps inside stage {stage}")
+    edges, counts = _chunk_plateaus(table, stage, fragments, n_max)
     return OverlapProfile(
         n_max=n_max,
-        total=len(fragments),
-        width=table.width(ctx.stage),
+        total=fragments.size,
+        width=table.width(stage),
         edges=_read_only(edges),
         counts=_read_only(counts),
     )

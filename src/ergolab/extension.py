@@ -40,16 +40,17 @@ violations are listed: all of them when there are at most ``_GRID_POINTS``
 (``"exhaustive"``), else those on a ``_GRID_POINTS``-point grid
 (``"sampled"``).
 
-The overlap profile of :func:`~ergolab.averages.event_sweep` comes from a
-flip sweep (:func:`_flip_plateaus`): a fragment's parity changes only where
-its orbit crosses a zone edge, so the count is a step function with one
-change per (fragment, edge crossed) pair, built in
-``O(|B| log |Z| + crossings)`` for fragments ``B`` and zone edges ``Z``.
+The overlap profile of :func:`~ergolab.averages.event_sweep` comes from the
+same sum, from step 0 (:func:`_chunk_plateaus`): each aligned block of base
+floors gives its zone entries and exits from the column offsets, so the
+cost follows the surviving ``(d, b)`` events, not the crossings of
+fragments and zone edges.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -133,16 +134,21 @@ def _swap_zones(table: StageTable, stage: int) -> tuple[np.ndarray, np.ndarray]:
     """
     starts = [np.zeros(0, dtype=np.int64)]
     ends = [np.zeros(0, dtype=np.int64)]
-    for q in table.params.effective_marker_stages():
-        if q + 1 > stage:
-            continue
+    for q in (q for q in table.params.effective_marker_stages() if q < stage):
         h_q = table.height(q)
-        s = np.asarray(table.column_offsets(q), dtype=np.int64) + (h_q + 1)
-        for j in range(q + 1, stage):
-            s = (np.asarray(table.column_offsets(j), dtype=np.int64)[:, None] + s).ravel()
-        starts.append(s)
-        ends.append(s + ((q - 1) * h_q - 1))
+        starts.append(_offset_sums(table, q, stage, h_q + 1))
+        ends.append(starts[-1] + ((q - 1) * h_q - 1))
     return np.concatenate(starts), np.concatenate(ends)
+
+
+def _offset_sums(table: StageTable, lo: int, hi: int, start: int = 0) -> np.ndarray:
+    """``start`` plus one column offset of each stage ``lo .. hi-1``, as int64
+    in the order of :func:`~ergolab.tower.refine`, top stage most
+    significant: for ``lo = 1``, the base floors at stage ``hi``."""
+    sums = np.array([start], dtype=np.int64)
+    for j in range(lo, hi):
+        sums = (np.asarray(table.column_offsets(j), dtype=np.int64)[:, None] + sums).ravel()
+    return sums
 
 
 def _unpaired(a: np.ndarray) -> np.ndarray:
@@ -255,7 +261,8 @@ def overlap_measure(n: int, a: LeveledSet, ctx: CocycleContext) -> Fraction:
     ``a`` to occupy disjoint x-floors (orbit sets of the base do).
     """
     floors, _, parity = _lift(a, n, ctx)
-    if np.unique(floors).size < floors.size:
+    floors = np.sort(floors)
+    if (floors[1:] == floors[:-1]).any():
         raise ValueError("overlap_measure needs level-disjoint x-floors")
     return int(np.count_nonzero(~parity)) * ctx.table.width(ctx.stage)
 
@@ -265,138 +272,6 @@ def level_swap(table: StageTable, a: LeveledSet) -> LeveledSet:
     ctx = cocycle_context(table, max(a.level0.stage, a.level1.stage))
     floors, level, _ = _lift(a, 0, ctx)
     return _leveled(ctx.stage, floors, level ^ ctx.in_zone(floors))
-
-
-# ---------------------------------------------------------------------------
-# flip sweep: the parity-0 count as a step function of the step count
-
-_FRAGMENT_CHUNK = 2048
-# most flips one fragment chunk may hold: a guard on the work of one chunk,
-# checked before any per-flip allocation so that an infeasible run fails fast
-_CHUNK_PAIR_BUDGET = 1 << 24
-# about the most flips one time window of a chunk sorts at once, which bounds
-# the sweep's memory: the default run's windows hold up to 306,588 flips and
-# its traced peak is 8.4 MB, against 34 MB for one sort of a whole chunk
-_WINDOW_PAIRS = 1 << 18
-
-
-def _runs(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges ``first[k] .. first[k] + lengths[k] - 1``, concatenated."""
-    runs = np.arange(lengths.sum())
-    runs += np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
-    return runs
-
-
-def _chunk_flip_nets(
-    keyed: np.ndarray, frags: np.ndarray, shift: np.ndarray, lengths: np.ndarray, dtype: type
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted flip times of one time window of a fragment chunk with their
-    nonzero net changes: the keys ``keyed[shift_f + i] - 2*f`` of the flips
-    ``i < lengths_f`` of each ``f`` (see :func:`_flip_plateaus`), sorted as
-    ``dtype``, group equal times with the lowering flips of each time before
-    its raising ones."""
-    keys = keyed[_runs(shift, lengths)]
-    keys -= np.repeat(2 * frags, lengths)
-    keys = keys.astype(dtype, copy=False)
-    keys.sort()
-    times = keys >> 1
-    run = np.flatnonzero(times[1:] != times[:-1])
-    run += 1
-    run = np.concatenate(([0], run))
-    keys &= 1
-    net = 2 * np.add.reduceat(keys, run) - np.diff(run, append=len(keys))
-    keep = net != 0
-    return times[run[keep]].astype(np.int64, copy=False), net[keep]
-
-
-def _window_cuts(
-    z: np.ndarray, frags: np.ndarray, first: np.ndarray, lengths: np.ndarray, n_pairs: int
-) -> np.ndarray:
-    """Sorted, distinct flip times that cut the ``n_pairs`` flips of one
-    fragment chunk into time windows of about ``_WINDOW_PAIRS`` flips each:
-    quantiles of the time of every 64th flip of each fragment; none for a
-    chunk that fits in one window."""
-    windows = -(-n_pairs // _WINDOW_PAIRS)
-    if windows == 1:
-        return np.zeros(0, dtype=np.int64)
-    picks = (lengths + 63) // 64
-    at = np.repeat(first, picks) + 64 * _runs(np.zeros_like(picks), picks)
-    times = np.sort(z[at] - np.repeat(frags, picks))
-    return np.unique(times[len(times) * np.arange(1, windows) // windows])
-
-
-def _flip_plateaus(
-    ctx: CocycleContext, frags: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Parity-0 count of the sorted, non-empty fragments ``frags`` over the
-    steps ``1 .. n``: ``counts[k]`` holds on ``(edges[k], edges[k+1]]``
-    (the last up to ``n``), and ``edges[0] == 0``.
-
-    Every fragment starts at parity 0 and flips at step ``t`` for each zone
-    edge ``f + t`` in ``[f, f+n)``; a flip at ``t`` changes the counts from
-    step ``t+1`` on.  The fragments are taken ``_FRAGMENT_CHUNK`` at a time,
-    and the chunks decide which edges exist: the edges are the union over
-    the chunks of the flip times whose net change within the chunk is
-    nonzero, so an edge may change nothing where the nets of several chunks
-    cancel (see :class:`~ergolab.averages.OverlapProfile`).  Before any
-    per-flip allocation, one ``searchsorted`` pass counts the flips of every
-    chunk; a chunk over ``_CHUNK_PAIR_BUDGET`` raises
-    :class:`~ergolab.tower.BudgetExceeded`.
-
-    Each chunk is swept in time windows of about ``_WINDOW_PAIRS`` flips
-    (:func:`_window_cuts`), which only bound memory: every flip at one time
-    falls in one window, so a chunk's nets come out of its windows exactly as
-    from one sort of the whole chunk, already in time order.  They join the
-    running union of edges before the next chunk is swept.
-
-    Past zone edge ``k``, ``zone(f+t) = (k+1) & 1``, so that flip raises the
-    count when ``(k & 1) XOR zone(f)``: with one table ``keyed`` of
-    ``2*z + (k & 1)`` then ``2*z + 1 - (k & 1)``, it is the key
-    ``keyed[k + zone(f)*len(z)] - 2*f = 2*t + bit``, sorted as int32 when
-    ``2*n + 1 < 2**31``, else as int64.  ``2*z`` and ``2*f`` may wrap in int64;
-    the keys are exact while segments stay in the stage and ``n <= 2**62``.
-    """
-    z = ctx.zone_edges
-    first = np.searchsorted(z, frags)
-    lengths = np.searchsorted(z, frags + n) - first
-    chunk = _FRAGMENT_CHUNK
-    bounds = range(0, len(frags), chunk)
-    pairs = np.add.reduceat(lengths, bounds)
-    if pairs.max() > _CHUNK_PAIR_BUDGET:
-        raise BudgetExceeded(
-            f"flip sweep needs {int(pairs.sum())} flip pairs; the largest chunk"
-            f" of {chunk} fragments holds {int(pairs.max())}, over the budget of"
-            f" {_CHUNK_PAIR_BUDGET} pairs per chunk"
-        )
-
-    odd = np.arange(len(z), dtype=np.int64) & 1
-    keyed = np.concatenate((odd, 1 - odd)) + np.tile(2 * z, 2)
-    zone_half = (first & 1) * len(z)
-    dtype = np.int32 if 2 * n + 1 < 2**31 else np.int64
-    # flips at t=0 apply to every step count: they fold into the first
-    # plateau, which starts at every fragment
-    edges = np.zeros(1, dtype=np.int64)
-    delta = np.array([len(frags)], dtype=np.int64)
-    for c0, n_pairs in zip(bounds, pairs.tolist()):
-        if not n_pairs:
-            continue
-        sl = slice(c0, c0 + chunk)
-        f = frags[sl]
-        # the windows run from 0 through the cuts to n; column i of at holds
-        # each fragment's first zone edge at or past f + the i-th bound
-        cuts = _window_cuts(z, f, first[sl], lengths[sl], n_pairs)
-        inner = np.searchsorted(z, f[:, None] + cuts)
-        at = np.column_stack((first[sl], inner, first[sl] + lengths[sl]))
-        times, nets = [edges], [delta]
-        for w0, w1 in zip(at.T[:-1], at.T[1:]):
-            if (w1 > w0).any():
-                t, d = _chunk_flip_nets(keyed, f, zone_half[sl] + w0, w1 - w0, dtype)
-                times.append(t)
-                nets.append(d)
-        edges, inv = np.unique(np.concatenate(times), return_inverse=True)
-        delta = np.zeros(len(edges), dtype=np.int64)
-        np.add.at(delta, inv, np.concatenate(nets))
-    return edges, np.cumsum(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +337,30 @@ def claim_windows(table: StageTable, j: int) -> tuple[tuple[int, int], tuple[int
 # most violating steps a window lists one by one; past it, the sample grid's size
 _GRID_POINTS = 10_000
 # most candidate partial sums one stage of a pruned sumset may form, and most
-# (d, b) events an uncertified window may expand: guards on Python-int work,
-# checked before it is done so that a run past them fails fast
+# (d, b) events an uncertified window or one fragment chunk of a series may
+# expand: guards on work, checked before it is done so that a run past them
+# fails fast
 _PARTIAL_BUDGET = 1 << 20
 _EVENT_BUDGET = 1 << 20
+
+
+def _runs(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``first[k] .. first[k] + lengths[k] - 1``, concatenated."""
+    runs = np.arange(lengths.sum())
+    runs += np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+    return runs
+
+
+def _merge_events(times: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``times``, sorted, each with the sum of its ``weights``:
+    one stable sort and one ``reduceat``, on int64 or object (Python-int)
+    times alike."""
+    if not times.size:
+        return times, weights
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    first = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
+    return times[first], np.add.reduceat(weights[order], first)
 
 
 def _sample_grid(lo: int, hi: int, points: int) -> np.ndarray:
@@ -486,6 +381,14 @@ def _sample_grid(lo: int, hi: int, points: int) -> np.ndarray:
     return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
+def _check_partials(count: int, what: str) -> None:
+    if count > _PARTIAL_BUDGET:
+        raise BudgetExceeded(
+            f"{what}: a pruned sum would form {count} partial sums at one stage,"
+            f" over the budget of {_PARTIAL_BUDGET}"
+        )
+
+
 def _pruned_sums(digits: list[dict[int, int]], lo: int, hi: int, what: str) -> dict[int, int]:
     """The sums of one value from each digit set that lie in ``[lo, hi]``,
     with their multiplicities: ``digits`` maps values to multiplicities, top
@@ -493,17 +396,11 @@ def _pruned_sums(digits: list[dict[int, int]], lo: int, hi: int, what: str) -> d
     come cannot bring it into range.  Before a stage forms more than
     ``_PARTIAL_BUDGET`` candidate sums it raises
     :class:`~ergolab.tower.BudgetExceeded` naming ``what``."""
-    rest_lo, rest_hi = [0], [0]
-    for digit in reversed(digits):
-        rest_lo.append(rest_lo[-1] + min(digit))
-        rest_hi.append(rest_hi[-1] + max(digit))
+    rest_lo = [0, *itertools.accumulate(map(min, reversed(digits)))]
+    rest_hi = [0, *itertools.accumulate(map(max, reversed(digits)))]
     sums = {0: 1}
     for k, digit in enumerate(digits):
-        if len(sums) * len(digit) > _PARTIAL_BUDGET:
-            raise BudgetExceeded(
-                f"{what}: a pruned sum would form {len(sums) * len(digit)} partial sums"
-                f" at one stage, over the budget of {_PARTIAL_BUDGET}"
-            )
+        _check_partials(len(sums) * len(digit), what)
         keep_lo, keep_hi = lo - rest_hi[-k - 2], hi - rest_lo[-k - 2]
         nxt: dict[int, int] = {}
         for v, m in sums.items():
@@ -592,9 +489,7 @@ def _violating_runs(
         b = np.array(sorted(_pruned_sums(digits, first, last, what)), dtype=dtype)
         times += [np.maximum(h + 1 + d - b, lo + 1), np.minimum(q * h + d - b, hi - 1) + 1]
         weights += [np.full(len(b), m, dtype=np.int64), np.full(len(b), -m, dtype=np.int64)]
-    t, at = np.unique(np.concatenate(times), return_inverse=True)
-    delta = np.zeros(len(t), dtype=np.int64)
-    np.add.at(delta, at, np.concatenate(weights))
+    t, delta = _merge_events(np.concatenate(times), np.concatenate(weights))
     # run k covers the steps t[k] .. t[k+1] - 1; the last time is hi
     bad = (total - np.cumsum(delta))[:-1] != want
     return t[:-1][bad], np.diff(t)[bad]
@@ -668,6 +563,123 @@ def verify_windows(table: StageTable, j: int) -> WindowReport:
         listed = tuple(text[c] for c in values)
         checks.append(WindowCheck(kind, lo, hi, mode, checked, tuple(steps.tolist()), listed))
     return WindowReport(j=j, stage=stage, asserted=(j >= 2), checks=tuple(checks))
+
+
+# ---------------------------------------------------------------------------
+# series: the violator sum per fragment chunk
+
+_FRAGMENT_CHUNK = 2048
+
+
+def _sumset(digits: list, lo: int, hi: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_pruned_sums` in numpy, on digits ``(values, mults)`` of sorted
+    int64 arrays: the sorted sums in ``[lo, hi]`` and their multiplicities.
+
+    Each engine keeps the routine that measured faster for it.  The block
+    sums of ``series`` on the staircase preset form 242k partial sums, almost
+    none pruned or merged, and Python dicts took 0.19 s of a 0.34 s profiled
+    run.  ``verify`` must work past int64, and on its default run's 12 tiny
+    searches numpy took 0.43 ms against 0.07 ms for dicts."""
+    rest_lo = [0, *itertools.accumulate(int(v[0]) for v, _ in reversed(digits))]
+    rest_hi = [0, *itertools.accumulate(int(v[-1]) for v, _ in reversed(digits))]
+    sums, mults = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    for k, (values, counts) in enumerate(digits):
+        _check_partials(sums.size * values.size, what)
+        cand = (sums[:, None] + values).ravel()
+        keep = (cand >= lo - rest_hi[-k - 2]) & (cand <= hi - rest_lo[-k - 2])
+        sums, mults = _merge_events(cand[keep], (mults[:, None] * counts).ravel()[keep])
+    return sums, mults
+
+
+def _differences(o: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The differences ``x - y`` for ``x`` in ``o`` and ``y`` in ``a``, sorted,
+    with the number of pairs that give each."""
+    d = (o[:, None] - a).ravel()
+    return _merge_events(d, np.ones(d.size, dtype=np.int64))
+
+
+def _blocks(size: dict[int, int], c0: int, c1: int):
+    """The aligned blocks that tile the base indices ``[c0, c1)``, in order,
+    at most two per stage, ``size[j]`` floors at stage ``j``: ``(start,
+    level, count)`` holds ``count`` values of the stage-``level`` digit from
+    ``start``'s, all lower digits and ``start``'s higher ones."""
+    while c0 < c1:
+        level = max(j for j in range(1, max(size)) if c0 % size[j] == 0 and c0 + size[j] <= c1)
+        radix = size[level + 1] // size[level]
+        count = min((c1 - c0) // size[level], radix - c0 // size[level] % radix)
+        yield c0, level, count
+        c0 += count * size[level]
+
+
+def _chunk_plateaus(
+    table: StageTable, stage: int, base: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parity-0 count of the base floors ``base`` (as :func:`_offset_sums`
+    orders them) over the steps ``1 .. n``: ``counts[k]`` holds on
+    ``(edges[k], edges[k+1]]`` (the last up to ``n``), and ``edges[0] == 0``.
+
+    A fragment flips at ``t`` in ``[0, n)`` when ``f + t`` is a zone edge,
+    changing the count from step ``t+1`` on.  The edges are the union over
+    chunks of ``_FRAGMENT_CHUNK`` fragments of the times whose net within the
+    chunk is nonzero, so an edge may change nothing where the nets of several
+    chunks cancel (see :class:`~ergolab.averages.OverlapProfile`).
+
+    The nets come from the violator sum.  A chunk is a few aligned blocks
+    (:func:`_blocks`) of the mixed-radix base floors ``sum_j O_j[i_j]``, each
+    a product of offsets ``A_j`` from each ``O_j``.  Per marker stage ``q``,
+    a block's floor is ``b + p``, ``b`` in ``A_1 + ... + A_{q-1}`` (a slice
+    of the base floors) and ``p`` in ``A_q + ... + A_{stage-1}``.  It enters
+    the zone ``p' + [h_q + 1, q*h_q]`` at ``h_q + d - b`` and leaves it at
+    ``q*h_q + d - b``, ``d = p' - p`` a sum of one difference from each
+    ``O_j - A_j``, with multiplicities, pruned to a flip in ``[0, n)``
+    (:func:`_sumset`).  A chunk's ``(d, b)`` events are counted before any
+    is built; past ``_EVENT_BUDGET`` it raises
+    :class:`~ergolab.tower.BudgetExceeded`.  Each block's events join the
+    chunk's nets, zeros dropped, so the memory is one block's events plus
+    the nets and the union.
+    """
+    offsets = [np.asarray(table.column_offsets(j), dtype=np.int64) for j in range(1, stage)]
+    size = {j: math.prod(o.size for o in offsets[: j - 1]) for j in range(1, stage + 1)}
+    full = [_differences(o, o) for o in offsets]
+    heights = {q: table.height(q) for q in table.params.effective_marker_stages() if q < stage}
+    chunks = -(-base.size // _FRAGMENT_CHUNK)
+    edges, delta = np.zeros(1, dtype=np.int64), np.array([base.size], dtype=np.int64)
+    for c0 in range(0, base.size, _FRAGMENT_CHUNK):
+        what = f"series fragment chunk {c0 // _FRAGMENT_CHUNK} of {chunks}"
+        blocks = []
+        for start, level, count in _blocks(size, c0, min(c0 + _FRAGMENT_CHUNK, base.size)):
+            digits = []  # O_j - A_j, top stage first
+            for j in range(stage - 1, 0, -1):
+                at = start // size[j] % offsets[j - 1].size
+                a = offsets[j - 1][at : at + (count if j == level else 1)]
+                digits.append(full[j - 1] if j < level else _differences(offsets[j - 1], a))
+            terms = []
+            for q, h in heights.items():
+                # every O_j[0] is 0, so the first size[q] base floors are B_q
+                b = base[start % size[q] :][: min(count * size[level], size[q])]
+                d, m = _sumset(digits[: stage - q], int(b[0]) - q * h, int(b[-1]) - h + n - 1, what)
+                terms.append((q, h, b, d, m))
+            blocks.append(terms)
+        events = sum(b.size * d.size for terms in blocks for _, _, b, d, _ in terms)
+        if events > _EVENT_BUDGET:
+            raise BudgetExceeded(
+                f"{what} needs {events} (d, b) events, over the budget of {_EVENT_BUDGET}"
+            )
+        times, nets = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        for terms in blocks:
+            parts = [(times, nets)]
+            for q, h, b, d, m in terms:
+                t, w = (d - b[:, None]).ravel(), np.tile(m, b.size)
+                for lag, sign in ((h, -1), ((q - 1) * h, 1)):  # enter, then leave
+                    t += lag
+                    keep = (t >= 0) & (t < n)
+                    parts.append((t[keep], sign * w[keep]))
+            times, nets = map(np.concatenate, zip(*parts))
+            del parts  # before the merge makes its copies
+            times, nets = _merge_events(times, nets)
+            times, nets = times[nets != 0], nets[nets != 0]
+        edges, delta = _merge_events(np.concatenate((edges, times)), np.concatenate((delta, nets)))
+    return edges, np.cumsum(delta)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ floor at a time through an explicit marker membership set.  Expected values
 frozen into the tests were produced (and cross-checked) with this module.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 
@@ -61,6 +62,48 @@ def base_indices(stage, cut=basic_cut, spacer=basic_spacer, h=None):
     if h is None:
         h = heights(stage, cut, spacer)
     return expand([0], 1, stage, cut, spacer, h)
+
+
+def floors_from_offsets(stage, marker_stages, offsets, h):
+    """Base and marker floors at `stage`, sorted, by direct product expansion
+    of explicit column offsets: `offsets[j]` lists those of stage j."""
+
+    def up(idxs, from_stage):
+        cur = list(idxs)
+        for j in range(from_stage, stage):
+            cur = [o + f for o in offsets[j] for f in cur]
+        return sorted(cur)
+
+    markers = []
+    for q in marker_stages:
+        if q + 1 <= stage:
+            at_q1 = [o + h[q] for o in offsets[q]] + [o + q * h[q] for o in offsets[q]]
+            markers.extend(up(at_q1, q + 1))
+    return up([0], 1), sorted(markers)
+
+
+def chunked_flip_profile(fragments, markers, n, chunk):
+    """The parity-0 count over steps 1..n as (edges, counts), counts[k] on
+    (edges[k], edges[k+1]], with the chunk rule of the package's series
+    engine: the fragments are taken `chunk` at a time in sorted order, each
+    flips at every t in [0, n) where f + t is a marker (its k-th flip lowers
+    the count for even k, raises it for odd k), and the edges are 0 plus the
+    times whose net change within some chunk is nonzero."""
+    fragments, markers = sorted(fragments), sorted(markers)
+    nets = {0: len(fragments)}
+    for c in range(0, len(fragments), chunk):
+        chunk_nets = {}
+        for f in fragments[c : c + chunk]:
+            crossed = markers[bisect_left(markers, f) : bisect_left(markers, f + n)]
+            for k, e in enumerate(crossed):
+                chunk_nets[e - f] = chunk_nets.get(e - f, 0) + (1 if k % 2 else -1)
+        for t, net in chunk_nets.items():
+            if net:
+                nets[t] = nets.get(t, 0) + net
+    edges, counts = sorted(nets), []
+    for t in edges:
+        counts.append((counts[-1] if counts else 0) + nets[t])
+    return edges, counts
 
 
 def step_levels(fragments, marker_set, n_max):

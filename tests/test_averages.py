@@ -3,8 +3,8 @@
 import hashlib
 import math
 import random
+import re
 import tracemalloc
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 from ergolab import (
     BudgetExceeded,
+    CocycleContext,
     ConstructionParams,
+    FloorSet,
+    LeveledSet,
     SuspensionModel,
     average_series,
     base_leveled_set,
@@ -26,6 +29,7 @@ from ergolab import (
     default_checkpoints,
     divergence_report,
     event_sweep,
+    flip_orbit,
     milestone_sequence,
     overlap_measure,
     pair_integrand,
@@ -157,51 +161,100 @@ def test_cross_chunk_edges_are_pinned():
     assert digest == "7b93f6be97c97c1234ae25eee922e52412415d0031850104ad6646c1ef58a075"
 
 
-def test_sweep_guards_the_int64_key_range(table):
-    """Flip keys 2*t + 1 need n_max <= 2**62; the guard fires before any work."""
-    ctx = cocycle_context(table, 4)
-    a = base_leveled_set(table, 4)
-    with pytest.raises(BudgetExceeded, match=str(2**62 + 1)):
-        event_sweep(a, ctx, 2**62 + 1)
-    # 2**62 passes the guard and fails only because it escapes stage 4
-    with pytest.raises(SegmentEscapesTower):
-        event_sweep(a, ctx, 2**62)
+def test_sweep_guards_twice_the_stage_height():
+    """Differences and partial sums reach ``2*h``, so a stage of height
+    ``2**62`` or more is refused before the base set is refined."""
+    t = build_stage_table(ConstructionParams(j_max=14))
+    h = t.height(13)
+    assert 2**62 < h < 2**63
+    ctx = CocycleContext(t, 13, np.zeros(0, dtype=np.int64))
+    with pytest.raises(BudgetExceeded, match=f"2\\*h = {2 * h} >= 2\\*\\*63"):
+        event_sweep(base_leveled_set(t, 1), ctx, 1)
 
 
-def test_pair_budget_bounds_the_largest_chunk(table, monkeypatch):
+def test_sweep_takes_only_the_base_set(table):
+    ctx = cocycle_context(table, 6)
+    base = base_leveled_set(table, 6)
+    assert event_sweep(base_leveled_set(table, 2), ctx, 100).counts.tolist() == (
+        event_sweep(base, ctx, 100).counts.tolist()
+    )
+    part = LeveledSet(FloorSet(6, base.level0.indices[1:]), FloorSet(6, ()))
+    split = LeveledSet(FloorSet(6, base.level0.indices[:5]), FloorSet(6, base.level0.indices[5:]))
+    on_level_1 = LeveledSet(FloorSet(6, ()), base.level0)
+    for a in (part, split, on_level_1, flip_orbit(base, 3, ctx)):
+        with pytest.raises(ValueError, match="takes the base set"):
+            event_sweep(a, ctx, 100)
+
+
+def test_event_budget_bounds_each_chunk(table, monkeypatch):
+    """Each chunk's ``(d, b)`` events are counted before any is built.  From
+    a budget of 0 up, each refusal names a later chunk and its count, and at a
+    budget of exactly the largest count the sweep runs and gives the profile."""
     import ergolab.extension as ext
 
     n_max = 23040
     ctx = cocycle_context(table, 6)
     a = base_leveled_set(table, 6)
-    e = ctx.e_indices
-    pairs = [bisect_left(e, f + n_max) - bisect_left(e, f) for f in a.level0.indices]
     monkeypatch.setattr(ext, "_FRAGMENT_CHUNK", 100)
-    largest = max(sum(pairs[k : k + 100]) for k in range(0, len(pairs), 100))
-    monkeypatch.setattr(ext, "_CHUNK_PAIR_BUDGET", largest)
-    event_sweep(a, ctx, n_max)
-    monkeypatch.setattr(ext, "_CHUNK_PAIR_BUDGET", largest - 1)
-    with pytest.raises(BudgetExceeded) as exc:
+    want = event_sweep(a, ctx, n_max)
+    refused, budget = [], 0
+    while True:
+        monkeypatch.setattr(ext, "_EVENT_BUDGET", budget)
+        try:
+            got = event_sweep(a, ctx, n_max)
+            break
+        except BudgetExceeded as exc:
+            chunk, events = re.fullmatch(
+                rf"series fragment chunk (\d) of 3 needs (\d+) \(d, b\) events,"
+                rf" over the budget of {budget}",
+                str(exc),
+            ).groups()
+            refused.append((int(chunk), int(events)))
+            budget = int(events)
+    assert [c for c, _ in refused] == sorted({c for c, _ in refused}) and refused[0][0] == 0
+    assert all(e0 < e1 for (_, e0), (_, e1) in zip(refused, refused[1:]))
+    monkeypatch.setattr(ext, "_EVENT_BUDGET", budget - 1)
+    with pytest.raises(BudgetExceeded, match=f"needs {budget} "):
         event_sweep(a, ctx, n_max)
-    assert f"needs {sum(pairs)} flip pairs" in str(exc.value)
-    assert f"holds {largest}," in str(exc.value)
+    assert np.array_equal(got.edges, want.edges) and np.array_equal(got.counts, want.counts)
 
 
-def test_sweep_memory_stays_bounded(table):
-    """The default run's 8,557,920 flips, swept in time windows, peak near
-    8.4 MB of traced allocations; one sort of a whole 2048-fragment chunk
-    (2,035,880 flips at most) peaked at 34 MB."""
-    n_max = 43_545_600
-    ctx = context_for(table, n_max)
-    a = base_leveled_set(table, ctx.stage)
-    tracemalloc.start()
-    try:
-        profile = event_sweep(a, ctx, n_max)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(profile.counts) == 32_001
-    assert peak < 16_000_000
+def test_sweep_memory_stays_bounded():
+    """The default run's 32,001 plateaus and the staircase run's 68,049 come
+    from 186,598 and 442,120 (d, b) events.  Merged block by block, their
+    traced peaks stay under the 7.1 and 11.2 MB of the flip sweep they
+    replaced, which sorted 8,557,920 flips in bounded time windows."""
+    for preset, plateaus, flip_sweep_peak in (
+        ("basic", 32_001, 7_100_000),
+        ("staircase-mixing", 68_049, 11_200_000),
+    ):
+        t = build_stage_table(ConstructionParams(preset, j_max=9))
+        n_max = 43_545_600
+        ctx = context_for(t, n_max)
+        a = base_leveled_set(t, ctx.stage)
+        tracemalloc.start()
+        try:
+            profile = event_sweep(a, ctx, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(profile.counts) == plateaus
+        assert peak <= flip_sweep_peak, (preset, peak)
+
+
+def test_block_sums_guard_their_partial_sums(table, monkeypatch):
+    """A block's pruned sum of differences forms its candidates only within
+    ``_PARTIAL_BUDGET``, named with the chunk."""
+    import ergolab.extension as ext
+
+    ctx = cocycle_context(table, 6)
+    monkeypatch.setattr(ext, "_PARTIAL_BUDGET", 4)
+    with pytest.raises(
+        BudgetExceeded,
+        match=r"^series fragment chunk 0 of 1: a pruned sum would form \d+ partial sums"
+        r" at one stage, over the budget of 4$",
+    ):
+        event_sweep(base_leveled_set(table, 6), ctx, 23040)
 
 
 def test_sweep_rejects_escaping_fragments(table):

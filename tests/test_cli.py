@@ -265,13 +265,18 @@ def test_context_over_the_floor_budget_exits_2_naming_the_floors(tmp_path, capsy
 
 
 def test_series_over_the_pair_budget_exits_2_naming_the_counts(tmp_path, capsys):
-    # 725,760 fragments x 852,912 markers at stage 10; the sweep would need
-    # several GB, so it stops after counting the pairs
-    code, _ = run(tmp_path, "series", config={"j_max": 11, "j_top": 4})
+    """725,760 fragments at stage 10 in 355 chunks: the first chunk's
+    surviving differences and base floors make 4,058,980 (d, b) events, so
+    ``series`` stops on the event budget before building any of them."""
+    t0 = time.perf_counter()
+    code, out = run(tmp_path, "series", config={"j_max": 11, "j_top": 4})
+    assert time.perf_counter() - t0 < 5.0
     assert code == 2
-    err = capsys.readouterr().err
-    assert "needs 34392314880 flip pairs" in err
-    assert "holds 191626792," in err
+    assert capsys.readouterr().err.splitlines() == [
+        "error: series fragment chunk 0 of 355 needs 4058980 (d, b) events,"
+        " over the budget of 1048576"
+    ]
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_verify_over_the_window_budgets_exits_2_naming_the_counts(tmp_path, capsys, monkeypatch):

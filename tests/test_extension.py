@@ -12,7 +12,6 @@ import pytest
 
 from ergolab import (
     BudgetExceeded,
-    CocycleContext,
     ConstructionParams,
     FloorSet,
     LeveledSet,
@@ -35,7 +34,7 @@ from ergolab import (
     verify_windows,
 )
 import ergolab.extension as ext
-from ergolab.extension import _flip_plateaus, _sample_grid
+from ergolab.extension import _sample_grid
 
 import _reference as ref
 
@@ -467,59 +466,53 @@ def test_verify_windows_j5_to_j7_are_certified_past_the_context(preset):
 
 
 def test_verify_windows_reads_only_the_table(table, monkeypatch):
-    """The window check builds no context, no base floors and no flip sweep:
-    with each of them refused, the j=3 report is unchanged."""
+    """The window check builds no context, no base floors and no series
+    profile: with each of them refused, the j=3 report is unchanged."""
     want = verify_windows(table, 3)
 
     def refuse(*args):
         raise AssertionError("verify_windows left the stage table")
 
-    for name in ("cocycle_context", "context_for", "base_leveled_set", "refine", "_flip_plateaus"):
+    for name in ("cocycle_context", "context_for", "base_leveled_set", "refine", "_chunk_plateaus"):
         monkeypatch.setattr(ext, name, refuse)
     assert verify_windows(table, 3) == want
 
 
-def test_flip_sweep_sorts_int64_keys_past_2_31(table):
-    """A sweep of the stage-9 context past ``2**31`` steps: ``2*n + 1 >= 2**31``,
-    so the keys are sorted as int64; each of its last 1500 steps, which 65
-    plateaus cover, matches ``overlap_measure``."""
-    ctx = cocycle_context(table, 9)
-    z = ctx.zone_edges
-    lo = int(z[np.searchsorted(z, 2**31) + 1]) - 100
-    n = lo + 1500
-    assert 2 * n + 1 >= 2**31
-    frags = base_floorset(table, 9).indices[:6]
-    edges, counts = _flip_plateaus(ctx, np.asarray(frags, dtype=np.int64), n)
-    tail = np.searchsorted(edges, lo + 1) - 1
-    assert len(edges) - tail == 65 and set(counts[tail:].tolist()) == set(range(7))
-    a = LeveledSet(FloorSet(9, frags), FloorSet(9, ()))
-    w = table.width(9)
-    for t in range(lo + 1, n + 1):
-        assert overlap_measure(t, a, ctx) == counts[np.searchsorted(edges, t) - 1] * w
+def test_blocks_tile_a_range_with_aligned_products():
+    """Every range of base indices splits into consecutive blocks, at most two
+    per stage, each ``count`` values of one digit from an aligned start with
+    every lower digit free: the indices whose higher digits are ``start``'s."""
+    radix = [2, 2, 3, 4, 5, 6]
+    size = {1: 1}
+    for j, r in enumerate(radix, 1):
+        size[j + 1] = size[j] * r
+    rng = random.Random(11)
+    for _ in range(300):
+        c0 = rng.randrange(size[7])
+        c1 = rng.randrange(c0 + 1, size[7] + 1)
+        blocks = list(ext._blocks(size, c0, c1))
+        at = c0
+        for start, level, count in blocks:
+            assert start == at and start % size[level] == 0
+            assert 1 <= count <= radix[level - 1] - start // size[level] % radix[level - 1]
+            at += count * size[level]
+        assert at == c1
+        levels = [level for _, level, _ in blocks]
+        assert all(levels.count(j) <= 2 for j in set(levels))
 
 
-def test_flip_sweep_keys_survive_int64_wrap(table):
-    """Zone edges in ``[2**62, 2**63)``: ``2*z`` wraps in int64, and so does
-    ``2*f`` for the fragments above ``2**62``, but the keys ``2*t + bit`` do
-    not.  The sweep reads only the zone edges of the context; both key widths,
-    from fragments in and out of a zone, are checked against a direct zone
-    count at every step of the two 400-step spans that hold all the flips."""
-    below, far, wide_lo = 2**62 - 64, 2**63 - 2**31 - 2048, 2**31 - 300
-    frags = np.array([below, below + 3, below + 40, below + 63, far, far + 17, far + 80])
-    near = (64, 65, 70, 83, 120, 121, 200, 333)
-    zone_edges = sorted({f + s + d for f in (below, far) for s in (0, wide_lo) for d in near})
-    ctx = CocycleContext(table, 9, np.asarray(zone_edges, dtype=np.int64))
-    assert 2**62 <= zone_edges[0] and zone_edges[-1] < 2**63
-    assert (2 * ctx.zone_edges < 0).all()
-    assert ctx.in_zone(frags).tolist() == [False] * 6 + [True]
-    for n, checked in ((400, (0,)), (wide_lo + 400, (0, wide_lo))):
-        edges, counts = _flip_plateaus(ctx, frags, n)
-        assert edges[0] == 0 and len(edges) > 20
-        for lo in checked:
-            steps = np.arange(lo + 1, lo + 401)
-            zone_at = ctx.in_zone(frags[:, None] + steps)
-            want = (ctx.in_zone(frags)[:, None] == zone_at).sum(axis=0)
-            assert counts[np.searchsorted(edges, steps) - 1].tolist() == want.tolist()
+def test_merge_events_sums_weights_of_python_ints_past_int64():
+    """One merge serves the int64 flips of ``series`` and the Python-int
+    window events of ``verify`` past int64."""
+    big = 2**70
+    times = np.array([big + 3, 5, big, big + 3, 5, -big], dtype=object)
+    weights = np.array([1, 2, 3, 4, -2, 6], dtype=np.int64)
+    t, w = ext._merge_events(times, weights)
+    assert t.tolist() == [-big, 5, big, big + 3] and w.tolist() == [6, 0, 3, 5]
+    t, w = ext._merge_events(np.array([7, 1, 7], dtype=np.int64), np.array([1, 1, 1]))
+    assert t.tolist() == [1, 7] and w.tolist() == [1, 2]
+    empty = np.zeros(0, dtype=np.int64)
+    assert [a.tolist() for a in ext._merge_events(empty, empty)] == [[], []]
 
 
 def test_verify_windows_detects_a_broken_swap_zone(table):

@@ -31,7 +31,7 @@ from ergolab import (
     verify_windows,
 )
 import ergolab.extension as ext
-from ergolab.extension import _flip_plateaus, _sample_grid
+from ergolab.extension import _sample_grid
 
 import _reference as ref
 
@@ -58,13 +58,6 @@ def _listed(check, bad, points):
     grid, bad = _sample_grid(lo, hi, points), set(bad)
     assert (check.mode, check.checked_count) == ("sampled", len(grid))
     return [n for n in grid if n in bad]
-
-
-def _counts_from(ctx, fragments, n):
-    """The flip sweep's parity-0 count at each step ``1 .. n``."""
-    edges, counts = _flip_plateaus(ctx, np.asarray(sorted(fragments), dtype=np.int64), n)
-    assert edges[0] == 0
-    return np.repeat(counts, np.diff(np.append(edges, n))).tolist()
 
 
 @settings(SETTINGS, max_examples=40)
@@ -103,15 +96,12 @@ def test_context_and_profile_match_reference(preset, marker_stages, j_max, n_max
         assert profile.overlap_at(n) == expected[n]
     for n in range(n_max + 1):
         assert overlap_measure(n, base, ctx) == expected[n]
-    # the flip sweep of an orbit set on both levels, some of its fragments on
-    # marker floors, which flip at step 0
+    # an orbit set on both levels, some of its fragments on marker floors
     k = n_max // 2
     moved = flip_orbit(base, k, ctx)
     expected = ref.overlaps([f + k for f in fragments], set(markers), n_max - k)
     for n in range(n_max - k + 1):
         assert overlap_measure(n, moved, ctx) == expected[n]
-    counts = _counts_from(ctx, moved.level0.indices + moved.level1.indices, n_max - k)
-    assert [Fraction(c, len(fragments)) for c in counts] == expected[1:]
 
 
 def _leveled(stage, floors, levels):
@@ -288,50 +278,68 @@ def test_window_events_match_event_sweep_on_a_moved_column(preset, marker_stages
             ]
 
 
-@pytest.mark.parametrize("preset", ["basic", "staircase-mixing"])
-@pytest.mark.parametrize("marker_stages", [None, (2,), (4,), (2, 6)])
-def test_flip_sweep_time_windows_change_nothing(preset, marker_stages, monkeypatch):
-    """Time windows only bound memory: forced down to 1, 7 or 64 flips each,
-    the sweep to the end of each claim window gives the one-window edges and
-    counts, and on the short windows the reference."""
-    import ergolab.extension as ext
+def _check_chunked_flips(table, offsets, h, marker_stages, stage, n, chunk):
+    """``event_sweep`` of the base set at ``stage`` against its flips counted
+    one fragment and one marker at a time on the reference's floors from
+    ``offsets``, with the chunk rule of ``_FRAGMENT_CHUNK``; returns the
+    reference's edges and counts."""
+    base, markers = ref.floors_from_offsets(stage, sorted(marker_stages), offsets, h)
+    with patch.object(ext, "_FRAGMENT_CHUNK", chunk):
+        profile = event_sweep(base_leveled_set(table, stage), cocycle_context(table, stage), n)
+    edges, counts = ref.chunked_flip_profile(base, markers, n, chunk)
+    assert profile.edges.tolist() == edges
+    assert profile.counts.tolist() == counts
+    return edges, counts
 
-    ms = None if marker_stages is None else frozenset(marker_stages)
-    table = build_stage_table(ConstructionParams(preset, 7, ms))
-    stages = table.params.effective_marker_stages()
-    cut, spacer = _reference_schedule(preset, stages)
-    sweeps = []
-    for q in stages:
-        for _, hi in claim_windows(table, q // 2):
-            try:
-                ctx = context_for(table, hi - 1)
-            except StageOverflow:
-                continue
-            sweeps.append((ctx, hi - 1))
-    assert sweeps
-    frags = {}
-    for ctx, _ in sweeps:
-        h = ref.heights(ctx.stage, cut, spacer)
-        frags[ctx.stage] = ref.base_indices(ctx.stage, cut, spacer, h)
-    calls = []
-    nets = ext._chunk_flip_nets
-    monkeypatch.setattr(ext, "_chunk_flip_nets", lambda *a: calls.append(1) or nets(*a))
-    monkeypatch.setattr(ext, "_WINDOW_PAIRS", ext._CHUNK_PAIR_BUDGET)
-    whole = [_flip_plateaus(ctx, np.asarray(frags[ctx.stage]), n) for ctx, n in sweeps]
-    window_calls = {None: len(calls)}
-    for pairs in (1, 7, 64):
-        monkeypatch.setattr(ext, "_WINDOW_PAIRS", pairs)
-        del calls[:]
-        for (ctx, n), (edges, counts) in zip(sweeps, whole):
-            e, c = _flip_plateaus(ctx, np.asarray(frags[ctx.stage]), n)
-            assert np.array_equal(e, edges) and e.dtype == edges.dtype
-            assert np.array_equal(c, counts) and c.dtype == counts.dtype
-        window_calls[pairs] = len(calls)
-    assert window_calls[1] > window_calls[None]  # the sweeps did split
-    for ctx, n in sweeps:
-        if n * len(frags[ctx.stage]) <= 200_000:
-            h = ref.heights(ctx.stage, cut, spacer)
-            markers = set(ref.marker_indices(ctx.stage, sorted(stages), cut, spacer, h))
-            expected = ref.overlaps(frags[ctx.stage], markers, n)
-            counts = _counts_from(ctx, frags[ctx.stage], n)
-            assert [Fraction(k, len(frags[ctx.stage])) for k in counts] == expected[1:]
+
+@settings(SETTINGS, max_examples=60)
+@given(
+    preset=st.sampled_from(["basic", "staircase-mixing"]),
+    marker_stages=st.sets(st.sampled_from([2, 4, 6])),
+    j_max=st.integers(3, 7),
+    chunk=st.sampled_from([1, 2, 3, 64, 2048]),
+    data=st.data(),
+)
+def test_event_sweep_matches_flips_counted_chunk_by_chunk(
+    preset, marker_stages, j_max, chunk, data
+):
+    """The profile of the base set at a drawn stage against the reference's
+    flips (:func:`_check_chunked_flips`), on the built table or on one with a
+    marker-stage column moved by fewer than ``h_q`` floors either way, as in
+    ``test_window_events_match_event_sweep_on_a_moved_column``."""
+    table = build_stage_table(ConstructionParams(preset, j_max, frozenset(marker_stages)))
+    cut, spacer = _reference_schedule(preset, marker_stages)
+    h = ref.heights(j_max, cut, spacer)
+    offsets = {j: ref.offsets(j, cut, spacer, h) for j in range(1, j_max)}
+    movable = [q for q in sorted(marker_stages) if q < j_max]
+    if movable and data.draw(st.booleans(), label="move"):
+        q = data.draw(st.sampled_from(movable), label="q")
+        column = data.draw(st.integers(1, cut(q) - 1), label="column")
+        by = data.draw(
+            st.integers(1 - h[q], h[q] - 1) | st.sampled_from([1 - h[q], h[q] - 1]), label="by"
+        )
+        offsets[q][column] += by
+        table = dataclasses.replace(table, offsets=tuple(tuple(offsets[j]) for j in offsets))
+    stage = data.draw(st.integers(2, j_max), label="stage")
+    base, markers = ref.floors_from_offsets(stage, sorted(marker_stages), offsets, h)
+    room = min(h[stage] - 1 - base[-1], 30_000)
+    # a step count whose last step holds a flip of the top or bottom floor
+    last_flips = sorted(
+        {e - f + 1 for e in markers for f in (base[0], base[-1])} & set(range(1, room + 1))
+    )
+    n = data.draw(st.integers(1, room) | st.sampled_from(last_flips or [room]), label="n")
+    _check_chunked_flips(table, offsets, h, marker_stages, stage, n, chunk)
+
+
+def test_event_sweep_drops_the_times_whose_nets_cancel_within_a_chunk():
+    """On the staircase preset at stage 7, whose 1,440 base floors make one
+    chunk, some flip times have net zero within the chunk, so they are no
+    edges, while chunks of one fragment keep every flip time."""
+    marker_stages = {2}
+    table = build_stage_table(ConstructionParams("staircase-mixing", 7, frozenset(marker_stages)))
+    cut, spacer = _reference_schedule("staircase-mixing", marker_stages)
+    h = ref.heights(7, cut, spacer)
+    offsets = {j: ref.offsets(j, cut, spacer, h) for j in range(1, 7)}
+    whole = _check_chunked_flips(table, offsets, h, marker_stages, 7, 300_000, 2048)
+    single = _check_chunked_flips(table, offsets, h, marker_stages, 7, 300_000, 1)
+    assert set(whole[0]) < set(single[0])
