@@ -161,9 +161,10 @@ def test_cross_chunk_edges_are_pinned():
     assert digest == "7b93f6be97c97c1234ae25eee922e52412415d0031850104ad6646c1ef58a075"
 
 
-def test_sweep_guards_twice_the_stage_height():
-    """Differences and partial sums reach ``2*h``, so a stage of height
-    ``2**62`` or more is refused before the base set is refined."""
+def test_sweep_guards_the_int64_key_range():
+    """The flip times are int64 keys, and their differences and partial sums
+    reach ``2*h``, so a stage of height ``2**62`` or more is refused before the
+    base set is refined."""
     t = build_stage_table(ConstructionParams(j_max=14))
     h = t.height(13)
     assert 2**62 < h < 2**63
@@ -186,8 +187,8 @@ def test_sweep_takes_only_the_base_set(table):
             event_sweep(a, ctx, 100)
 
 
-def test_event_budget_bounds_each_chunk(table, monkeypatch):
-    """Each chunk's ``(d, b)`` events are counted before any is built.  From
+def test_pair_budget_bounds_the_largest_chunk(table, monkeypatch):
+    """Each chunk's ``(d, b)`` event pairs are counted before any is built.  From
     a budget of 0 up, each refusal names a later chunk and its count, and at a
     budget of exactly the largest count the sweep runs and gives the profile."""
     import ergolab.extension as ext
