@@ -168,10 +168,34 @@ def load_config(path: str | None) -> RunConfig:
     return parse_config(raw)
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj: object, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for JSON
+    trees with string keys.  ``json.dumps`` runs its pure-Python encoder
+    whenever ``indent`` is set; here a container joins its items' strings
+    once, and strings go through the C escaper."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        body = sep.join(_quote(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items()))
+        return "{" + inner + body + pad + "}"
+    try:  # a list of strings, most of the bytes of a verify report, in one pass
+        body = sep.join(map(_quote, obj))
+    except TypeError:
+        body = sep.join(_dumps(v, inner) for v in obj)
+    return "[" + inner + body + pad + "]"
+
+
 def _write_json(path: Path, obj: object) -> None:
-    path.write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    path.write_text(_dumps(obj) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

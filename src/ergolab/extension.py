@@ -23,8 +23,10 @@ The headline claims verified here, for the unit base set ``A`` at level 0:
 * conjugacy: swapping levels on the swap zones conjugates the straight lift
   into the flip lift.  The swap is an involution, so this is the one-step
   identity ``zone(f) XOR zone(f+1) = marker(f)`` on every floor, which
-  :func:`verify_conjugacy` checks against the markers of
-  :func:`~ergolab.tower.marker_floorset`.
+  :func:`verify_conjugacy` certifies from the column offsets: each marker
+  stage's zone edges against the markers of
+  :func:`~ergolab.tower.marker_floorset` one stage up, and the floors that
+  two markers share once lifted.
 
 :func:`verify_windows` checks the window claims exactly, from the stage
 table alone; violations are data, not errors.  No base floor lies in a zone,
@@ -124,40 +126,43 @@ class CocycleContext:
         return np.searchsorted(self.zone_edges, f) % 2 == 1
 
 
+def _local_zones(table: StageTable, q: int) -> tuple[list[int], list[int]]:
+    """First and last floor of every stage-``q`` swap zone at stage ``q+1``,
+    in column order: ``o + h_q + 1`` and ``o + q*h_q`` above the column at
+    offset ``o``.  :func:`_swap_zones` lifts them to any higher stage, and
+    :func:`verify_conjugacy` compares them with the markers there."""
+    h_q = table.height(q)
+    cols = table.column_offsets(q)
+    return [o + h_q + 1 for o in cols], [o + q * h_q for o in cols]
+
+
 def _swap_zones(table: StageTable, stage: int) -> tuple[np.ndarray, np.ndarray]:
     """First and last floor of every swap zone at ``stage``, in sumset order.
 
-    Above the stage-``q`` column at offset ``o`` the zone is
-    ``o + [h_q + 1, q*h_q]`` at stage ``q+1``; refinement adds the column
-    offsets of each higher stage, so the zone starts are the sumset
-    ``O_q + ... + O_{stage-1} + h_q + 1``.
+    Refinement adds the column offsets of each stage above ``q``, so the
+    stage-``q`` zones are the sumset ``O_{q+1} + ... + O_{stage-1}`` plus
+    their first and last floors at stage ``q+1`` (:func:`_local_zones`).
     """
     starts = [np.zeros(0, dtype=np.int64)]
     ends = [np.zeros(0, dtype=np.int64)]
     for q in (q for q in table.params.effective_marker_stages() if q < stage):
-        h_q = table.height(q)
-        starts.append(_offset_sums(table, q, stage, h_q + 1))
-        ends.append(starts[-1] + ((q - 1) * h_q - 1))
+        first, last = _local_zones(table, q)
+        starts.append(_offset_sums(table, q + 1, stage, first))
+        ends.append(_offset_sums(table, q + 1, stage, last))
     return np.concatenate(starts), np.concatenate(ends)
 
 
-def _offset_sums(table: StageTable, lo: int, hi: int, start: int = 0) -> np.ndarray:
-    """``start`` plus one column offset of each stage ``lo .. hi-1``, as int64
-    in the order of :func:`~ergolab.tower.refine`, top stage most
-    significant: for ``lo = 1``, the base floors at stage ``hi``."""
-    sums = np.array([start], dtype=np.int64)
+def _offset_sums(
+    table: StageTable, lo: int, hi: int, start: int | list[int] = 0
+) -> np.ndarray:
+    """``start`` (one value or several) plus one column offset of each stage
+    ``lo .. hi-1``, as int64 in the order of :func:`~ergolab.tower.refine`,
+    top stage most significant: for ``lo = 1``, the base floors at stage
+    ``hi``."""
+    sums = np.atleast_1d(np.asarray(start, dtype=np.int64))
     for j in range(lo, hi):
         sums = (np.asarray(table.column_offsets(j), dtype=np.int64)[:, None] + sums).ravel()
     return sums
-
-
-def _unpaired(a: np.ndarray) -> np.ndarray:
-    """The values of the sorted array ``a`` that occur an odd number of times."""
-    if not a.size:
-        return a
-    first = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
-    runs = np.diff(np.concatenate((first, [a.size])))
-    return a[first[runs % 2 == 1]]
 
 
 def cocycle_context(table: StageTable, stage: int) -> CocycleContext:
@@ -705,28 +710,141 @@ class ConjugacyReport:
         }
 
 
+def _minus(y: collections.Counter, x: collections.Counter) -> collections.Counter:
+    """The differences ``b - a`` of ``b`` in ``y`` and ``a`` in ``x``, with
+    the number of pairs that give each."""
+    xs = list(x.elements())
+    return collections.Counter([b - a for b in y.elements() for a in xs])
+
+
+def _decompositions(digits: list[dict[int, int]], target: int, what: str) -> list[tuple]:
+    """Every way to write ``target`` as one value from each digit set, top
+    stage first: a value of the top digit is kept when :func:`_pruned_sums`
+    completes it from the digits below."""
+    if not digits:
+        return [()] if target == 0 else []
+    return [
+        (z, *rest)
+        for z in digits[0]
+        if _pruned_sums(digits[1:], target - z, target - z, what)
+        for rest in _decompositions(digits[1:], target - z, what)
+    ]
+
+
+def _sums(parts: list[list[int]]) -> list[int]:
+    """Every sum of one value from each of ``parts``, in Python ints."""
+    sums = [0]
+    for part in parts:
+        sums = [s + v for s in sums for v in part]
+    return sums
+
+
 def verify_conjugacy(table: StageTable, stage: int) -> ConjugacyReport:
-    """Check ``zone(f) XOR zone(f+1) == marker(f)`` on every floor of ``stage``.
+    """Check ``zone(f) XOR zone(f+1) == marker(f)`` on all ``h_s - 1`` floor
+    steps of ``stage`` ``s``, by a certificate that builds no floor of ``s``.
 
     The level swap is an involution, so this one-step identity is
     swap . straight . swap == flip, and with it swap . straight^n . swap ==
-    flip^n for every ``n``.  The zone indicator changes between ``f`` and
-    ``f+1`` exactly on the zone edges, so the mismatches are the floors in
-    exactly one of the zone edges (numpy sumsets of :func:`_swap_zones`) and
-    the distinct markers of :func:`~ergolab.tower.marker_floorset` refined in
-    Python; a floor that two marker stages share is one marker, and a
-    mismatch.
+    flip^n for every ``n``.  ``zone(f) != zone(f+1)`` exactly when an odd
+    number of zone edges (one below each zone's first floor, one on its
+    last) lie on ``f``, so ``f`` is a mismatch when its edge count plus
+    ``marker(f)`` is odd.
+
+    Each marker stage ``q < s`` has its edges ``L_q`` (:func:`_local_zones`)
+    and its markers ``M_q`` (:func:`~ergolab.tower.marker_floorset`) at
+    stage ``q+1``, ``2*r_q`` floors each, and both lift to ``s`` by the same
+    sumset ``P_{q+1}`` of the column offsets of stages ``q+1 .. s-1``.
+    Parity adds over sumsets, so on the floors that at most one marker
+    instance covers, the mismatches are the floors counted an odd number of
+    times in the sums ``U_q + P_{q+1}``, ``U_q`` the floors counted an odd
+    number of times in ``L_q`` and ``M_q`` together.  A floor that two
+    instances share is a marker, and a mismatch when its edge count is even.
+
+    Instances of stages ``q <= p`` share a floor once for each way of
+    writing 0 as one difference per stage, top stage first: ``O_j - O_j``
+    above ``p``, ``M_p - O_p``, then ``-O_j`` and ``-M_q`` below (``O_j -
+    O_j`` and ``M_q - M_q`` when ``q = p``, less the pairs of an instance
+    with itself).  That is a pruned search (:func:`_pruned_sums`) in Python
+    ints, whose cost follows the marker stages and cut counts, not the
+    floors.  The certificate: every ``U_q`` is empty and no floor is shared,
+    so no floor step mismatches.  Otherwise the mismatches are expanded into
+    floors, the shared ones from the ways to share (:func:`_decompositions`),
+    each with its edge count from the same search.  Past ``_EVENT_BUDGET``
+    floors to expand it raises :class:`~ergolab.tower.BudgetExceeded` before
+    expanding.
     """
-    ctx = cocycle_context(table, stage)
+    height = table.height(stage)
+    what = f"conjugacy at stage {stage}"
     qs = [q for q in table.params.effective_marker_stages() if q < stage]
-    fs = (refine(table, marker_floorset(table, q // 2), stage).indices for q in qs)
-    # marker(f) is 0 or 1, so a floor that two marker stages share counts
-    # once; a sort and a mask, as numpy 2.4's np.unique takes about 20x longer
-    markers = np.sort(np.fromiter((f for m in fs for f in m), dtype=np.int64))
-    markers = markers[np.diff(markers, prepend=markers[:1] - 1) != 0]
-    mism = _unpaired(np.sort(np.concatenate((ctx.zone_edges, markers))))
+    # the column offsets that lift some marker stage, as multisets
+    cols = {
+        j: collections.Counter(table.column_offsets(j))
+        for j in range(min(qs, default=stage) + 1, stage)
+    }
+    diffs = {j: _minus(c, c) for j, c in cols.items()}
+    edges, markers, unpaired = {}, {}, {}
+    for q in qs:
+        first, last = _local_zones(table, q)
+        edges[q] = collections.Counter([f - 1 for f in first] + last)
+        markers[q] = collections.Counter(marker_floorset(table, q // 2).indices)
+        unpaired[q] = [f for f, c in (edges[q] + markers[q]).items() if c % 2]
+
+    # per pair of marker stages q <= p that share a floor, the aligned digits
+    # (x, y, y - x) of a marker instance of q and one of p, top stage first
+    pairs = []
+    above = {p: _minus(markers[p], cols[p]) for p in qs[1:]}
+    for i, q in enumerate(qs):
+        for p in qs[i:]:
+            pos = [(cols[j], cols[j], diffs[j]) for j in range(stage - 1, p, -1)]
+            if p == q:
+                pos.append((markers[q], markers[q], _minus(markers[q], markers[q])))
+                itself = math.prod(sum(x.values()) for x, _, _ in pos)
+            else:
+                lower = [cols[j] for j in range(p - 1, q, -1)] + [markers[q]]
+                pos.append((cols[p], markers[p], above[p]))
+                pos += [(x, {0: 1}, {-a: c for a, c in x.items()}) for x in lower]
+                itself = 0
+            if _pruned_sums([z for _, _, z in pos], 0, 0, what).get(0, 0) > itself:
+                pairs.append((p == q, pos))
+    if not pairs and not any(unpaired.values()):
+        return ConjugacyReport(stage=stage, floors_checked=height - 1, mismatched_floors=())
+
+    plans = []  # per way to share a floor, the values of p's digits it takes
+    for within, pos in pairs:
+        for t in _decompositions([z for _, _, z in pos], 0, what):
+            if within and not any(t):
+                # an instance's own digits: shared where a digit repeats a value
+                values = [list(x) for x, _, _ in pos]
+                plans += [
+                    values[:k] + [[v for v, c in x.items() if c > 1]] + values[k + 1 :]
+                    for k, (x, _, _) in enumerate(pos)
+                    if max(x.values()) > 1
+                ]
+            else:
+                plans.append([[b for b in y if b - d in x] for (x, y, _), d in zip(pos, t)])
+    lifts = [
+        [unpaired[q]] + [list(cols[j].elements()) for j in range(q + 1, stage)]
+        for q in qs
+        if unpaired[q]
+    ]
+    count = sum(math.prod(map(len, parts)) for parts in plans + lifts)
+    if count > _EVENT_BUDGET:
+        raise BudgetExceeded(
+            f"{what}: its shared and unpaired markers expand to {count} floors,"
+            f" over the budget of {_EVENT_BUDGET}"
+        )
+    shared = {f for parts in plans for f in _sums(parts)}
+    odd = collections.Counter(f for parts in lifts for f in _sums(parts))
+
+    def edge_count(f: int) -> int:
+        return sum(
+            _pruned_sums([cols[j] for j in range(stage - 1, q, -1)] + [edges[q]], f, f, what)
+            .get(f, 0)
+            for q in qs
+        )
+
+    mism = {f for f, c in odd.items() if c % 2 and f not in shared}
+    mism.update(f for f in shared if edge_count(f) % 2 == 0)
     return ConjugacyReport(
-        stage=stage,
-        floors_checked=ctx.height() - 1,
-        mismatched_floors=tuple(mism.tolist()),
+        stage=stage, floors_checked=height - 1, mismatched_floors=tuple(sorted(mism))
     )

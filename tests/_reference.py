@@ -9,6 +9,9 @@ frozen into the tests were produced (and cross-checked) with this module.
 from bisect import bisect_left
 from fractions import Fraction
 
+import numpy as np
+from hypothesis import strategies as st
+
 
 def heights(j_max, cut, spacer):
     """h[1..j_max] from the recurrence, as a dict."""
@@ -56,6 +59,61 @@ def marker_indices(stage, marker_stages, cut=basic_cut, spacer=basic_spacer, h=N
         at_q1 = [o + h[q] for o in offs] + [o + q * h[q] for o in offs]
         out.extend(expand(at_q1, q + 1, stage, cut, spacer, h))
     return sorted(out)
+
+
+def random_table(rng, j_max, marker_stages):
+    """A ``StageTable`` of a random schedule, from its own recurrence: stage
+    ``j`` cuts into 2..4 columns, each with ``j*h_j`` to ``(j+3)*h_j``
+    spacers on a marker stage and 0 to ``3*h_j`` elsewhere; ``rng`` is a
+    ``random.Random``."""
+    from ergolab.tower import ConstructionParams, StageTable
+
+    params = ConstructionParams(j_max=j_max, marker_stages=frozenset(marker_stages))
+    h, w, spacers, offsets = [1], [Fraction(1)], [], []
+    for j in range(1, j_max):
+        r = rng.randint(2, 4)
+        least = j * h[-1] if params.carries_markers(j) else 0
+        s = [rng.randint(least, least + 3 * h[-1]) for _ in range(r)]
+        o = [0]
+        for i in range(1, r):
+            o.append(o[-1] + h[-1] + s[i - 1])
+        h.append(r * h[-1] + sum(s))
+        w.append(w[-1] / r)
+        spacers.append(tuple(s))
+        offsets.append(tuple(o))
+    return StageTable(params, tuple(h), tuple(w), tuple(spacers), tuple(offsets))
+
+
+def random_tables(j_max=st.integers(3, 6), marker_stages=st.sets(st.sampled_from([2, 4]))):
+    """Hypothesis strategy for :func:`random_table`."""
+    return st.builds(random_table, st.randoms(use_true_random=False), j_max, marker_stages)
+
+
+def unpaired(a):
+    """The values of the sorted array ``a`` that occur an odd number of times."""
+    if not a.size:
+        return a
+    first = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+    runs = np.diff(np.concatenate((first, [a.size])))
+    return a[first[runs % 2 == 1]]
+
+
+def conjugacy_mismatches(table, stage):
+    """The floors ``f`` of ``stage`` where ``zone(f) XOR zone(f+1) !=
+    marker(f)``, with the stage materialised: the package's context holds
+    the zone edges, each marker stage's two markers per column are refined
+    in Python, and a floor that markers share counts once."""
+    from ergolab import extension, tower
+
+    ctx = extension.cocycle_context(table, stage)
+    markers = {
+        f
+        for q in table.params.effective_marker_stages()
+        if q < stage
+        for f in tower.refine(table, tower.marker_floorset(table, q // 2), stage).indices
+    }
+    floors = np.concatenate((ctx.zone_edges, np.array(sorted(markers), dtype=np.int64)))
+    return tuple(unpaired(np.sort(floors)).tolist())
 
 
 def base_indices(stage, cut=basic_cut, spacer=basic_spacer, h=None):

@@ -13,6 +13,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ergolab
 from ergolab import (
@@ -23,7 +25,7 @@ from ergolab import (
     claim_windows,
     verify_windows,
 )
-from ergolab import cli, oracle
+from ergolab import cli, extension, oracle
 from ergolab.cli import ConfigError, load_config, main, parse_config
 
 
@@ -249,19 +251,50 @@ def test_series_beyond_int64_exits_2_naming_the_height(tmp_path, capsys):
 
 
 def test_context_over_the_floor_budget_exits_2_naming_the_floors(tmp_path, capsys):
-    """``series`` needs its context at stage 12, and ``verify`` its j=5
-    conjugacy check there: both stop on the floor count, before any floor is
-    built, and leave ``--out`` empty."""
-    for command in ("series", "verify"):
-        t0 = time.perf_counter()
-        code, out = run(tmp_path / command, command, config={"j_top": 5, "j_max": 13})
-        assert time.perf_counter() - t0 < 5.0
-        assert code == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: stage 12 holds 93820540 marker floors and 79833600 base floors,"
-            " over the budget of 16777216 floors"
-        ]
-        assert list(out.iterdir()) == []
+    """``series`` needs its context at stage 12: it stops on the floor count,
+    before any floor is built, and leaves ``--out`` empty."""
+    t0 = time.perf_counter()
+    code, out = run(tmp_path, "series", config={"j_top": 5, "j_max": 13})
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: stage 12 holds 93820540 marker floors and 79833600 base floors,"
+        " over the budget of 16777216 floors"
+    ]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("j_top", [5, 7])
+def test_verify_past_the_context_reports_the_leak_and_passes_conjugacy(tmp_path, capsys, j_top):
+    """``verify`` builds no context, so at ``j_top`` 5 and 7 (stages 12 and
+    16, past the context budget and past int64) it checks every window and
+    the conjugacy certificate: exit 1 on the leak of each asserted
+    disjointness window, and no mismatch on the ``h_s - 1`` floor steps."""
+    config = {"j_top": j_top, "j_max": 2 * j_top + 3}
+    table = build_stage_table(ConstructionParams(j_max=config["j_max"]))
+    t0 = time.perf_counter()
+    code, out = run(tmp_path, "verify", config=config)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 1
+    for j in range(1, j_top + 1):
+        disjoint, coincide = read_json(out / f"verify_j{j}.json")
+        q = 2 * j
+        top = q * table.height(q)
+        m_q = sum(table.column_offsets(i)[-1] for i in range(1, q))
+        assert disjoint["violations"] and all(
+            top - m_q < int(i) < top for i in disjoint["violations"]
+        )
+        assert coincide["violations"] == []
+    stage = 2 * j_top + 2
+    assert read_json(out / "conjugacy.json") == {
+        "stage": stage,
+        "floors_checked": str(table.height(stage) - 1),
+        "mismatch_count": 0,
+        "mismatched_floors": [],
+    }
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"conjugacy at stage {stage} ({table.height(stage) - 1} floor steps): pass"
+    )
 
 
 def test_series_over_the_pair_budget_exits_2_naming_the_counts(tmp_path, capsys):
@@ -326,22 +359,105 @@ def test_verify_over_the_window_budgets_exits_2_naming_the_counts(tmp_path, caps
     assert not list(out.glob("verify_j*.json"))
 
 
+VERIFY_DEFAULT_DIGESTS = {
+    "verify_j1.json": "61e8f9c680a443f2bb5fd0bda047ce456960eea382382081dac5fc26b557e633",
+    "verify_j2.json": "a63fff018cb0010eb2ac2e68d3d5010d92bb3c776a7d8d7ffd56edd3ee93969d",
+    "verify_j3.json": "9cf3937689c12f8f005380d06ad62a52a53fe6a9f8a7cd30bd686b30eac51bde",
+    "conjugacy.json": "29ce5e7651b576a54e875647e8fc184dc10f7d7d6b5dcb3169e17d41cdaa933c",
+}
+
+
 def test_verify_default_artifacts_are_pinned(tmp_path, capsys):
     """``verify {}`` byte for byte: the exit code, every file it writes and
     its stdout."""
     code, out = run(tmp_path, "verify", config={})
     assert code == 1
-    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == {
-        "verify_j1.json": "61e8f9c680a443f2bb5fd0bda047ce456960eea382382081dac5fc26b557e633",
-        "verify_j2.json": "a63fff018cb0010eb2ac2e68d3d5010d92bb3c776a7d8d7ffd56edd3ee93969d",
-        "verify_j3.json": "9cf3937689c12f8f005380d06ad62a52a53fe6a9f8a7cd30bd686b30eac51bde",
-        "conjugacy.json": "29ce5e7651b576a54e875647e8fc184dc10f7d7d6b5dcb3169e17d41cdaa933c",
-    }
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == (
+        VERIFY_DEFAULT_DIGESTS
+    )
     stdout = capsys.readouterr().out.encode("utf-8")
     assert (
         hashlib.sha256(stdout).hexdigest()
         == "ecea3fe69a847b547814e6fe9d3aa4e1ead2f9fef36a1e3f2386b3c2535d3f0a"
     )
+
+
+def test_verify_builds_no_context(tmp_path, monkeypatch):
+    """``verify {}`` writes its pinned artifacts with the cocycle context
+    refused, and ``verify {"j_top": 4, "j_max": 11}``, whose conjugacy check
+    once built the 852,912 markers of stage 10 and peaked at 96 MB, runs in
+    a fresh interpreter under 60 MB."""
+
+    def refuse(*args):
+        raise AssertionError("verify built a cocycle context")
+
+    monkeypatch.setattr(extension, "cocycle_context", refuse)
+    monkeypatch.setattr(extension, "context_for", refuse)
+    code, out = run(tmp_path / "default", "verify", config={})
+    assert code == 1
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == (
+        VERIFY_DEFAULT_DIGESTS
+    )
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"j_top": 4, "j_max": 11}), encoding="utf-8")
+    # a small parent reads the peak of its one child: a process forked from
+    # this one would start its peak at this one's size
+    script = (
+        "import resource, subprocess, sys\n"
+        "code = subprocess.run([sys.executable, '-m', 'ergolab', *sys.argv[1:]]).returncode\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ergolab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "--config", str(cfg_path),
+         "--out", str(tmp_path / "j4"), "verify"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    code, peak_kb = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 1, proc.stderr
+    assert peak_kb < 60 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+
+
+def test_json_writer_matches_json_dumps_on_every_artifact(tmp_path, monkeypatch):
+    """Every object a subcommand writes, and a conjugacy report with
+    mismatches, come out as ``json.dumps(obj, indent=2, sort_keys=True)``
+    plus a newline."""
+    written = []
+    real = cli._write_json
+
+    def record(path, obj):
+        written.append((path, obj))
+        real(path, obj)
+
+    monkeypatch.setattr(cli, "_write_json", record)
+    for command, config in (
+        ("build", SMALL), ("verify", {}), ("series", SMALL), ("mc-check", SMALL)
+    ):
+        run(tmp_path / command, command, config=config)
+    assert sorted(path.name for path, _ in written) == [
+        "conjugacy.json", "mc_check.json", "report.json", "stages.json",
+        "verify_j1.json", "verify_j2.json", "verify_j3.json",
+    ]
+    for path, obj in written:
+        assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    report = extension.ConjugacyReport(6, 172799, (1459, 1460)).to_json_obj()
+    assert cli._dumps(report) == json.dumps(report, indent=2, sort_keys=True)
+
+
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (
+        st.lists(children, max_size=5) | st.dictionaries(st.text(), children, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(_JSON_TREES)
+def test_json_writer_matches_json_dumps_on_json_trees(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def test_series_artifacts(tmp_path):

@@ -288,28 +288,31 @@ def test_verify_conjugacy_small(table):
 
 
 def test_conjugacy_detects_a_broken_swap_zone(table, monkeypatch):
-    """One zone a floor short at its top, or starting a floor late, breaks
-    the one-step identity at exactly the two floors around the moved edge."""
-    import ergolab.extension as ext
-
-    real = ext._swap_zones
-    k = 7  # a stage-2 zone inside the stage-6 tower
-    starts, ends = real(table, 6)
-    for edge, moved, expected in (
-        (1, ends[k] - 1, (ends[k] - 1, ends[k])),  # one floor short at the top
-        (0, starts[k] + 1, (starts[k] - 1, starts[k])),  # one floor late
+    """One stage-2 zone a floor short at its top, or starting a floor late,
+    at stage 3 breaks the one-step identity at the two floors around the
+    moved edge in each of the zone's 60 lifts to stage 6: the floors the
+    materialised reference names under the same mutation."""
+    real = ext._local_zones
+    k = 1  # the second stage-2 column
+    first, last = real(table, 2)
+    lifts = ext._offset_sums(table, 3, 6).tolist()
+    for edge, by, around in (
+        (1, -1, (last[k] - 1, last[k])),  # one floor short at the top
+        (0, 1, (first[k] - 1, first[k])),  # one floor late
     ):
 
-        def broken(tbl, stage, edge=edge, moved=moved):
-            zones = [a.copy() for a in real(tbl, stage)]
-            zones[edge][k] = moved
-            return tuple(zones)
+        def broken(tbl, q, edge=edge, by=by):
+            zones = real(tbl, q)
+            if q == 2:
+                zones[edge][k] += by
+            return zones
 
-        monkeypatch.setattr(ext, "_swap_zones", broken)
+        monkeypatch.setattr(ext, "_local_zones", broken)
         report = verify_conjugacy(table, 6)
-        assert report.mismatched_floors == expected
-        assert report.to_json_obj()["mismatch_count"] == 2
-    monkeypatch.setattr(ext, "_swap_zones", real)
+        assert report.mismatched_floors == tuple(sorted(f + p for f in around for p in lifts))
+        assert report.mismatched_floors == ref.conjugacy_mismatches(table, 6)
+        assert report.to_json_obj()["mismatch_count"] == 120
+    monkeypatch.setattr(ext, "_local_zones", real)
     assert verify_conjugacy(table, 6).passed
 
 
@@ -333,6 +336,53 @@ def test_conjugacy_counts_a_floor_two_marker_stages_share_once():
     scan = f[(zone[f] != zone[f + 1]) != np.isin(f, sorted(markers))]
     assert scan.tolist() == [20]
     assert verify_conjugacy(moved, 5).mismatched_floors == (20,)
+
+
+def test_conjugacy_on_a_column_stacked_on_its_neighbour():
+    """Column 1 of stage 4 moved onto column 0: the 12 stage-2 marker floors
+    of that column at stage 5 are each shared by two marker instances, and
+    two edges meet on each of its markers, which count once.  Those 14
+    floors are the reference's mismatches, and the check expands exactly
+    them: a budget of 14 floors runs, one of 13 refuses."""
+    table = build_stage_table(ConstructionParams(j_max=5))
+    offsets = list(table.offsets)
+    offsets[3] = (0, 0, *offsets[3][2:])
+    stacked = dataclasses.replace(table, offsets=tuple(offsets))
+    report = verify_conjugacy(stacked, 5)
+    assert report.mismatched_floors == ref.conjugacy_mismatches(stacked, 5)
+    h_4 = table.height(4)
+    assert report.mismatched_floors[-2:] == (h_4, 4 * h_4)
+    assert len(report.mismatched_floors) == 14
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ext, "_EVENT_BUDGET", 14)
+        assert verify_conjugacy(stacked, 5) == report
+        mp.setattr(ext, "_EVENT_BUDGET", 13)
+        with pytest.raises(
+            BudgetExceeded,
+            match="^conjugacy at stage 5: its shared and unpaired markers expand to 14 floors,"
+            " over the budget of 13$",
+        ):
+            verify_conjugacy(stacked, 5)
+
+
+@pytest.mark.parametrize("preset", ["basic", "staircase-mixing"])
+def test_conjugacy_certificate_expands_nothing_on_built_tables(preset, monkeypatch):
+    """On a built table no marker floor is shared and every stage's edges
+    are its markers, so the certificate alone passes every stage up to 16,
+    past int64, in under 0.2 s each, with the expansion refused."""
+
+    def refuse(*args):
+        raise AssertionError("the certificate expanded floors")
+
+    monkeypatch.setattr(ext, "_decompositions", refuse)
+    monkeypatch.setattr(ext, "_sums", refuse)
+    table = build_stage_table(ConstructionParams(preset, 17))
+    for stage in range(1, 17):
+        t0 = time.perf_counter()
+        report = verify_conjugacy(table, stage)
+        assert time.perf_counter() - t0 < 0.2
+        assert report.passed and report.floors_checked == table.height(stage) - 1
+    assert table.height(16) >= 2**63
 
 
 def test_a_window_without_survivors_is_decided_by_its_kind(table, monkeypatch):

@@ -1,7 +1,9 @@
 """Property tests: the numpy engines against the single-step reference on
 random small constructions of both presets."""
 
+import collections
 import dataclasses
+import random
 from bisect import bisect_left
 from fractions import Fraction
 from unittest.mock import patch
@@ -25,7 +27,9 @@ from ergolab import (
     event_sweep,
     flip_orbit,
     level_swap,
+    marker_floorset,
     overlap_measure,
+    refine,
     straight_orbit,
     verify_conjugacy,
     verify_windows,
@@ -343,3 +347,87 @@ def test_event_sweep_drops_the_times_whose_nets_cancel_within_a_chunk():
     whole = _check_chunked_flips(table, offsets, h, marker_stages, 7, 300_000, 2048)
     single = _check_chunked_flips(table, offsets, h, marker_stages, 7, 300_000, 1)
     assert set(whole[0]) < set(single[0])
+
+
+def _aimed_move(table, rng):
+    """``table`` with one column of a marker stage ``q`` moved to any offset
+    where its markers still fit below ``h_{q+1}``, and ``q``: mostly to
+    another column's offset plus ``f - g``, ``f`` a floor of stage ``q`` that
+    carries a marker or a marker of ``q`` and ``g`` one of either kind, so
+    that marker floors meet, within one marker stage or across two, or
+    columns coincide."""
+    qs = table.params.effective_marker_stages()
+    if not qs:
+        return table, 0
+    q = rng.choice(qs)
+    h = dict(enumerate(table.heights, 1))
+    offsets = {j: list(o) for j, o in enumerate(table.offsets, 1)}
+    column, other = rng.sample(range(len(offsets[q])), 2)
+    own = [h[q], q * h[q]]
+    floors = ref.floors_from_offsets(q, qs, offsets, h)[1] + own
+    room = h[q + 1] - 1 - q * h[q]
+    moved = rng.randint(0, room)
+    for _ in range(10 * (rng.random() < 0.8)):
+        aimed = offsets[q][other] + rng.choice(floors) - rng.choice(rng.choice([own, floors]))
+        if 0 <= aimed <= room:
+            moved = aimed
+            break
+    offsets[q][column] = moved
+    return dataclasses.replace(table, offsets=tuple(tuple(o) for o in offsets.values())), q
+
+
+def _conjugacy_against_reference(table, rng):
+    """``verify_conjugacy`` on ``table`` with an aimed move (:func:`_aimed_move`)
+    at a drawn stage, mostly one above the moved column's, and half the time
+    a zone edge of one marker stage shifted, against the materialised
+    reference under the same mutation.  Returns which kinds of shared marker
+    floors the case held, from the reference's refined markers: within one
+    marker stage, across two."""
+    table, q = _aimed_move(table, rng)
+    stage = rng.randint(q + 1 if rng.random() < 0.75 else 1, table.j_max)
+    qs = [q for q in table.params.effective_marker_stages() if q < stage]
+    real = ext._local_zones
+    broken = real
+    if qs and rng.random() < 0.5:
+        q0, edge, by = rng.choice(qs), rng.randrange(2), rng.choice([-2, -1, 1, 2])
+        column = rng.randrange(table.cut_count(q0))
+
+        def broken(tbl, q):
+            zones = real(tbl, q)
+            if q == q0:
+                zones[edge][column] += by
+            return zones
+
+    with patch.object(ext, "_local_zones", broken):
+        report = verify_conjugacy(table, stage)
+        assert report.mismatched_floors == ref.conjugacy_mismatches(table, stage)
+    assert report.floors_checked == table.height(stage) - 1
+    counts = [
+        collections.Counter(refine(table, marker_floorset(table, q // 2), stage).indices)
+        for q in qs
+    ]
+    within = any(c > 1 for count in counts for c in count.values())
+    across = any(a.keys() & b.keys() for i, a in enumerate(counts) for b in counts[i + 1 :])
+    return within, across
+
+
+@settings(SETTINGS, max_examples=200)
+@given(table=ref.random_tables(), rng=st.randoms(use_true_random=False))
+def test_conjugacy_certificate_matches_the_reference_on_random_tables(table, rng):
+    """The certificate names the mismatches of the materialised reference on
+    random schedules with a marker-stage column moved, overlapping or
+    meeting its neighbours (:func:`_conjugacy_against_reference`)."""
+    _conjugacy_against_reference(table, rng)
+
+
+def test_conjugacy_cases_share_marker_floors_within_and_across_stages():
+    """The random cases of the property test include marker floors shared
+    within one marker stage (the within-label term) and across two: 400
+    seeded cases, each kind met at least five times."""
+    kinds = collections.Counter()
+    for seed in range(400):
+        rng = random.Random(seed)
+        table = ref.random_table(rng, rng.randint(3, 6), rng.sample([2, 4], rng.randint(1, 2)))
+        within, across = _conjugacy_against_reference(table, rng)
+        kinds.update({"within": within, "across": across})
+    assert kinds["within"] >= 5 and kinds["across"] >= 5, kinds
