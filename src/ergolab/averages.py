@@ -102,8 +102,10 @@ class OverlapProfile:
     ``extension._chunk_plateaus`` of the flip times whose net change within
     the chunk is nonzero, so an edge may change nothing
     (``counts[k] == counts[k-1]``) where the nets of several chunks cancel,
-    and those edges depend on ``extension._FRAGMENT_CHUNK``.
-    ``report.json``'s ``plateau_count`` counts them (68,049 on the
+    and those edges depend on ``extension._FRAGMENT_CHUNK`` alone: a chunk's
+    nets are the same however its events are formed, so summing its blocks'
+    differences per marker stage before they meet the base floors moves no
+    edge.  ``report.json``'s ``plateau_count`` counts them (68,049 on the
     ``series-dense`` benchmark, 66,537 merged): merging the chunks into one
     changes that digest, which the benchmark must record first.
     """

@@ -43,10 +43,11 @@ violations are listed: all of them when there are at most ``_GRID_POINTS``
 (``"sampled"``).
 
 The overlap profile of :func:`~ergolab.averages.event_sweep` comes from the
-same sum, from step 0 (:func:`_chunk_plateaus`): each aligned block of base
-floors gives its zone entries and exits from the column offsets, so the
-cost follows the surviving ``(d, b)`` events, not the crossings of
-fragments and zone edges.
+same sum, from step 0 (:func:`_chunk_plateaus`): the aligned blocks of each
+chunk of base floors give their zone entries and exits from the column
+offsets, their differences summed per marker stage before they meet the
+base floors, so the cost follows the surviving ``(d, b)`` events, not the
+crossings of fragments and zone edges.
 """
 
 from __future__ import annotations
@@ -363,9 +364,10 @@ def _merge_events(times: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
     if not times.size:
         return times, weights
     order = np.argsort(times, kind="stable")
-    times = times[order]
+    times, weights = times[order], weights[order]
+    del order  # before the group starts are found
     first = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
-    return times[first], np.add.reduceat(weights[order], first)
+    return times[first], np.add.reduceat(weights, first)
 
 
 def _sample_grid(lo: int, hi: int, points: int) -> np.ndarray:
@@ -400,7 +402,10 @@ def _pruned_sums(digits: list[dict[int, int]], lo: int, hi: int, what: str) -> d
     stage first.  A partial sum is dropped as soon as the digits still to
     come cannot bring it into range.  Before a stage forms more than
     ``_PARTIAL_BUDGET`` candidate sums it raises
-    :class:`~ergolab.tower.BudgetExceeded` naming ``what``."""
+    :class:`~ergolab.tower.BudgetExceeded` naming ``what``.  With no digit
+    set the one sum is 0, kept only when it lies in range."""
+    if not digits:
+        return {0: 1} if lo <= 0 <= hi else {}
     rest_lo = [0, *itertools.accumulate(map(min, reversed(digits)))]
     rest_hi = [0, *itertools.accumulate(map(max, reversed(digits)))]
     sums = {0: 1}
@@ -576,23 +581,33 @@ def verify_windows(table: StageTable, j: int) -> WindowReport:
 _FRAGMENT_CHUNK = 2048
 
 
-def _sumset(digits: list, lo: int, hi: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _sumset(
+    digits: list, lo: int, hi: int, what: str, start: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_pruned_sums` in numpy, on digits ``(values, mults)`` of sorted
-    int64 arrays: the sorted sums in ``[lo, hi]`` and their multiplicities.
+    distinct int64 arrays: the sorted sums in ``[lo, hi]`` and their
+    multiplicities.  The sums start from ``start``, sorted distinct sums with
+    their multiplicities, or from the sum 0.
 
     Each engine keeps the routine that measured faster for it.  The block
-    sums of ``series`` on the staircase preset form 242k partial sums, almost
-    none pruned or merged, and Python dicts took 0.19 s of a 0.34 s profiled
-    run.  ``verify`` must work past int64, and on its default run's 12 tiny
+    sums of ``series`` on the staircase preset formed 242k partial sums,
+    almost none pruned or merged, and Python dicts took 0.19 s of a 0.34 s
+    profiled run; with shared tails (:func:`_stage_sums`) they form 114k.
+    ``verify`` must work past int64, and on its default run's 12 tiny
     searches numpy took 0.43 ms against 0.07 ms for dicts."""
     rest_lo = [0, *itertools.accumulate(int(v[0]) for v, _ in reversed(digits))]
     rest_hi = [0, *itertools.accumulate(int(v[-1]) for v, _ in reversed(digits))]
-    sums, mults = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    if start is None:
+        start = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    keep = (start[0] >= lo - rest_hi[-1]) & (start[0] <= hi - rest_lo[-1])
+    sums, mults = start[0][keep], start[1][keep]
     for k, (values, counts) in enumerate(digits):
         _check_partials(sums.size * values.size, what)
         cand = (sums[:, None] + values).ravel()
         keep = (cand >= lo - rest_hi[-k - 2]) & (cand <= hi - rest_lo[-k - 2])
-        sums, mults = _merge_events(cand[keep], (mults[:, None] * counts).ravel()[keep])
+        cand, weight = cand[keep], (mults[:, None] * counts).ravel()[keep]
+        # one partial sum plus distinct sorted values is already merged
+        sums, mults = (cand, weight) if sums.size == 1 else _merge_events(cand, weight)
     return sums, mults
 
 
@@ -616,6 +631,46 @@ def _blocks(size: dict[int, int], c0: int, c1: int):
         c0 += count * size[level]
 
 
+def _stage_sums(
+    blocks: list, full: dict, bounds: dict, what: str
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """For each marker stage ``q`` of ``bounds``, the sums in ``bounds[q]``
+    of :func:`_sumset`, summed over the ``blocks`` of levels ``>= q``: each
+    ``(level, top)`` holds the digits from the top stage down to ``level``,
+    and below it every block takes the full digit ``full[j]`` of each stage
+    ``j`` down to ``q``.
+
+    The blocks and the marker stages share those full digits, so one pass
+    adds each of them once: from the highest level down, the running sums
+    take the full digit of each stage, each block's own sums join them at
+    its level, and at a marker stage ``q`` those in ``bounds[q]`` are
+    ``q``'s.  A partial sum is dropped once it cannot reach the range of any
+    marker stage still to come."""
+    if not bounds:
+        return {}
+    none = np.zeros(0, dtype=np.int64)
+    first = min(bounds)
+    # reach[j]: how far the full digits of stages first .. j-1 go either way
+    widths = (int(full[j][0][-1]) for j in range(first, max(full) + 1))
+    reach = dict(zip(range(first, max(full) + 2), itertools.accumulate(widths, initial=0)))
+    sums, out = (none, none), dict.fromkeys(bounds, (none, none))
+    for j in range(max((level for level, _ in blocks), default=first - 1), first - 1, -1):
+        # the ranges of the marker stages still to come, widened by the
+        # full digits between them and j
+        ahead = [(lo + reach[q], hi - reach[q]) for q, (lo, hi) in bounds.items() if q <= j]
+        lo = min(lo for lo, _ in ahead) - reach[j]
+        hi = max(hi for _, hi in ahead) + reach[j]
+        sums = _sumset([full[j]] if sums[0].size else [], lo, hi, what, sums)
+        for level, top in blocks:
+            if level == j:
+                d, m = _sumset(top, lo, hi, what)
+                sums = _merge_events(np.concatenate((sums[0], d)), np.concatenate((sums[1], m)))
+        if j in bounds:
+            keep = (sums[0] >= bounds[j][0]) & (sums[0] <= bounds[j][1])
+            out[j] = sums[0][keep], sums[1][keep]
+    return out
+
+
 def _chunk_plateaus(
     table: StageTable, stage: int, base: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -637,53 +692,80 @@ def _chunk_plateaus(
     the zone ``p' + [h_q + 1, q*h_q]`` at ``h_q + d - b`` and leaves it at
     ``q*h_q + d - b``, ``d = p' - p`` a sum of one difference from each
     ``O_j - A_j``, with multiplicities, pruned to a flip in ``[0, n)``
-    (:func:`_sumset`).  A chunk's ``(d, b)`` events are counted before any
-    is built; past ``_EVENT_BUDGET`` it raises
-    :class:`~ergolab.tower.BudgetExceeded`.  Each block's events join the
-    chunk's nets, zeros dropped, so the memory is one block's events plus
-    the nets and the union.
+    (:func:`_sumset`).
+
+    A block at level ``>= q`` holds all of ``B_q``, the first ``size[q]``
+    base floors, so every such block of a chunk pairs its ``d`` with the same
+    ``b``: their differences are summed first, into one ``(d, mult)`` set per
+    marker stage, which adds the full digits ``O_j - O_j`` below the blocks'
+    levels once for all marker stages (:func:`_stage_sums`), and that set
+    meets ``B_q`` once.  A block below level ``q`` pairs its own differences
+    with its own slice of ``B_q``.  A chunk's ``(d, b)`` events are counted
+    before any is built; past ``_EVENT_BUDGET`` it raises
+    :class:`~ergolab.tower.BudgetExceeded`.  They are merged once per chunk,
+    zeros dropped, and the nonzero times join the running union by
+    ``searchsorted``, an add and an insert, so the memory is one chunk's
+    events plus the union.
     """
     offsets = [np.asarray(table.column_offsets(j), dtype=np.int64) for j in range(1, stage)]
     size = {j: math.prod(o.size for o in offsets[: j - 1]) for j in range(1, stage + 1)}
-    full = [_differences(o, o) for o in offsets]
+    diffs = {}  # O_j - A_j by (j, first index of A_j, |A_j|)
+
+    def minus(j: int, at: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        if (j, at, count) not in diffs:
+            o = offsets[j - 1]
+            diffs[j, at, count] = _differences(o, o[at : at + count])
+        return diffs[j, at, count]
+
+    full = {j: minus(j, 0, o.size) for j, o in enumerate(offsets, 1)}
     heights = {q: table.height(q) for q in table.params.effective_marker_stages() if q < stage}
+    # the d that a block holding all of B_q can use; every O_j[0] is 0, so
+    # B_q is the first size[q] base floors
+    bounds = {q: (-q * h, int(base[size[q] - 1]) - h + n - 1) for q, h in heights.items()}
+    none = np.zeros(0, dtype=np.int64)
     chunks = -(-base.size // _FRAGMENT_CHUNK)
     edges, delta = np.zeros(1, dtype=np.int64), np.array([base.size], dtype=np.int64)
     for c0 in range(0, base.size, _FRAGMENT_CHUNK):
         what = f"series fragment chunk {c0 // _FRAGMENT_CHUNK} of {chunks}"
-        blocks = []
+        blocks = []  # (start, level, count, O_j - A_j from the top stage down to the level)
         for start, level, count in _blocks(size, c0, min(c0 + _FRAGMENT_CHUNK, base.size)):
-            digits = []  # O_j - A_j, top stage first
-            for j in range(stage - 1, 0, -1):
-                at = start // size[j] % offsets[j - 1].size
-                a = offsets[j - 1][at : at + (count if j == level else 1)]
-                digits.append(full[j - 1] if j < level else _differences(offsets[j - 1], a))
-            terms = []
-            for q, h in heights.items():
-                # every O_j[0] is 0, so the first size[q] base floors are B_q
-                b = base[start % size[q] :][: min(count * size[level], size[q])]
-                d, m = _sumset(digits[: stage - q], int(b[0]) - q * h, int(b[-1]) - h + n - 1, what)
-                terms.append((q, h, b, d, m))
-            blocks.append(terms)
-        events = sum(b.size * d.size for terms in blocks for _, _, b, d, _ in terms)
+            top = [
+                minus(j, start // size[j] % offsets[j - 1].size, count if j == level else 1)
+                for j in range(stage - 1, level - 1, -1)
+            ]
+            blocks.append((start, level, count, top))
+        whole = _stage_sums([(level, top) for _, level, _, top in blocks], full, bounds, what)
+        parts = [(q, base[: size[q]], *whole[q]) for q in heights]  # (q, b, d, mult)
+        for q, h in heights.items():
+            for start, level, count, top in blocks:
+                if level < q:  # the block holds a slice of B_q
+                    b = base[start % size[q] :][: count * size[level]]
+                    lo, hi = int(b[0]) - q * h, int(b[-1]) - h + n - 1
+                    parts.append((q, b, *_sumset(top[: stage - q], lo, hi, what)))
+        events = sum(b.size * d.size for _, b, d, _ in parts)
         if events > _EVENT_BUDGET:
             raise BudgetExceeded(
                 f"{what} needs {events} (d, b) events, over the budget of {_EVENT_BUDGET}"
             )
-        times, nets = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        for terms in blocks:
-            parts = [(times, nets)]
-            for q, h, b, d, m in terms:
-                t, w = (d - b[:, None]).ravel(), np.tile(m, b.size)
-                for lag, sign in ((h, -1), ((q - 1) * h, 1)):  # enter, then leave
-                    t += lag
-                    keep = (t >= 0) & (t < n)
-                    parts.append((t[keep], sign * w[keep]))
-            times, nets = map(np.concatenate, zip(*parts))
-            del parts  # before the merge makes its copies
-            times, nets = _merge_events(times, nets)
-            times, nets = times[nets != 0], nets[nets != 0]
-        edges, delta = _merge_events(np.concatenate((edges, times)), np.concatenate((delta, nets)))
+        times, nets = [none], [none]
+        for q, b, d, m in parts:
+            h = heights[q]
+            t, w = (d - b[:, None]).ravel(), np.tile(m, b.size)
+            for lag, sign in ((h, -1), ((q - 1) * h, 1)):  # enter, then leave
+                t += lag
+                keep = (t >= 0) & (t < n)
+                times.append(t[keep])
+                nets.append(sign * w[keep])
+        times, nets = np.concatenate(times), np.concatenate(nets)
+        times, nets = _merge_events(times, nets)
+        times, nets = times[nets != 0], nets[nets != 0]
+        # a time already in the union adds its net there; the others are
+        # inserted in order, so the union is never sorted again
+        at = np.searchsorted(edges, times)
+        hit = edges[np.minimum(at, edges.size - 1)] == times
+        np.add.at(delta, at[hit], nets[hit])
+        edges = np.insert(edges, at[~hit], times[~hit])
+        delta = np.insert(delta, at[~hit], nets[~hit])
     return edges, np.cumsum(delta)
 
 

@@ -220,9 +220,32 @@ def test_pair_budget_bounds_the_largest_chunk(table, monkeypatch):
     assert np.array_equal(got.edges, want.edges) and np.array_equal(got.counts, want.counts)
 
 
+@pytest.mark.parametrize(
+    "preset, n_max, events",
+    [("basic", 43_545_600, 17_072), ("staircase-mixing", 77_115_780, 43_406)],
+)
+def test_first_chunk_events_are_pinned(preset, n_max, events, monkeypatch):
+    """The work of the first chunk of ``series {}`` and of the staircase
+    preset's run, read from the refusal at an event budget of 0: its blocks'
+    differences are summed per marker stage before they meet the base floors,
+    so it builds 17,072 and 43,406 (d, b) events, not the 45,090 and 105,330
+    of pairing each block with its base floors."""
+    import ergolab.extension as ext
+
+    t = build_stage_table(ConstructionParams(preset, j_max=9))
+    assert milestone_sequence(t, 3)[-1].n == n_max
+    ctx = context_for(t, n_max)
+    monkeypatch.setattr(ext, "_EVENT_BUDGET", 0)
+    with pytest.raises(BudgetExceeded) as exc:
+        event_sweep(base_leveled_set(t, ctx.stage), ctx, n_max)
+    assert str(exc.value) == (
+        f"series fragment chunk 0 of 5 needs {events} (d, b) events, over the budget of 0"
+    )
+
+
 def test_sweep_memory_stays_bounded():
     """The default run's 32,001 plateaus and the staircase run's 68,049 come
-    from 186,598 and 442,120 (d, b) events.  Merged block by block, their
+    from 84,404 and 216,074 (d, b) events.  Merged chunk by chunk, their
     traced peaks stay under the 7.1 and 11.2 MB of the flip sweep they
     replaced, which sorted 8,557,920 flips in bounded time windows."""
     for preset, plateaus, flip_sweep_peak in (

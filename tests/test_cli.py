@@ -297,19 +297,38 @@ def test_verify_past_the_context_reports_the_leak_and_passes_conjugacy(tmp_path,
     )
 
 
-def test_series_over_the_pair_budget_exits_2_naming_the_counts(tmp_path, capsys):
+def test_series_over_the_pair_budget_exits_2_naming_the_counts(tmp_path):
     """725,760 fragments at stage 10 in 355 chunks: the first chunk's
-    surviving differences and base floors make 4,058,980 (d, b) events, so
-    ``series`` stops on the event budget before building any of them."""
+    surviving differences, summed per marker stage, and base floors make
+    2,028,198 (d, b) events, so ``series`` stops on the event budget before
+    building any of them, in a fresh interpreter under 140 MB."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"j_max": 11, "j_top": 4}), encoding="utf-8")
+    # a small parent reads the peak of its one child, as in
+    # test_verify_builds_no_context
+    script = (
+        "import resource, subprocess, sys\n"
+        "proc = subprocess.run([sys.executable, '-m', 'ergolab', *sys.argv[1:]],"
+        " capture_output=True, text=True)\n"
+        "sys.stderr.write(proc.stderr)\n"
+        "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ergolab.__file__).parents[1])}
     t0 = time.perf_counter()
-    code, out = run(tmp_path, "series", config={"j_max": 11, "j_top": 4})
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "--config", str(cfg_path),
+         "--out", str(tmp_path / "out"), "series"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
     assert time.perf_counter() - t0 < 5.0
+    code, peak_kb = map(int, proc.stdout.splitlines()[-1].split())
     assert code == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: series fragment chunk 0 of 355 needs 4058980 (d, b) events,"
+    assert proc.stderr.splitlines() == [
+        "error: series fragment chunk 0 of 355 needs 2028198 (d, b) events,"
         " over the budget of 1048576"
     ]
-    assert not out.exists() or list(out.iterdir()) == []
+    assert peak_kb < 140 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+    assert not (tmp_path / "out").exists() or list((tmp_path / "out").iterdir()) == []
 
 
 def test_verify_over_the_window_budgets_exits_2_naming_the_counts(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Two-level lifts, overlaps, window checks, and conjugacy."""
 
+import collections
 import dataclasses
 import math
 import random
@@ -601,3 +602,82 @@ def test_verify_windows_detects_a_broken_swap_zone(table):
         assert [Fraction(v) for v in check.violation_values] == [
             count[n - 1] * profile.width for n in bad
         ]
+
+
+def test_sums_of_no_digits_are_the_sum_zero_only_in_range():
+    """A sum of one value from each of no digit sets is 0: both pruned
+    searches return it when ``[lo, hi]`` holds 0 and nothing otherwise."""
+    for lo, hi, want in ((-3, 4, {0: 1}), (0, 0, {0: 1}), (5, 5, {}), (-4, -1, {})):
+        assert ext._pruned_sums([], lo, hi, "") == want
+        sums, mults = ext._sumset([], lo, hi, "")
+        assert dict(zip(sums.tolist(), mults.tolist())) == want
+
+
+def test_numpy_sumset_matches_the_dict_search():
+    """:func:`_sumset` gives :func:`_pruned_sums`' sums and multiplicities on
+    random digit sets and ranges, also when it starts from given sums."""
+    rng = random.Random(5)
+    for _ in range(200):
+        digits = [
+            collections.Counter(rng.randint(-9, 9) for _ in range(rng.randint(1, 5)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        lo = rng.randint(-20, 20)
+        hi = lo + rng.randint(-2, 25)
+        arrays = [
+            (np.array(sorted(c), dtype=np.int64), np.array([c[v] for v in sorted(c)]))
+            for c in digits
+        ]
+        want = ext._pruned_sums(digits, lo, hi, "")
+        sums, mults = ext._sumset(arrays, lo, hi, "")
+        assert dict(zip(sums.tolist(), mults.tolist())) == want
+        if arrays:
+            head = ext._sumset(arrays[:1], -100, 100, "")
+            sums, mults = ext._sumset(arrays[1:], lo, hi, "", head)
+            assert dict(zip(sums.tolist(), mults.tolist())) == want
+
+
+def test_stage_sums_add_up_each_blocks_own_sums():
+    """:func:`_stage_sums` gives for each marker stage ``q``, with
+    multiplicities, the sums of every block's own search at or above level
+    ``q`` (:func:`_pruned_sums` over its top digits, then the full
+    differences of each stage down to ``q``), on random digits and on ranges
+    narrow enough that the searches drop partial sums."""
+
+    def array(c):
+        return np.array(sorted(c), dtype=np.int64), np.array([c[v] for v in sorted(c)])
+
+    rng = random.Random(7)
+    for _ in range(300):
+        stage = rng.randint(3, 7)
+        full = {}
+        for j in range(1, stage):
+            o = [0, *rng.sample(range(1, 9), rng.randint(1, 3))]
+            full[j] = collections.Counter(a - b for a in o for b in o)
+        bounds = {}
+        for q in rng.sample(range(2, stage), rng.randint(1, stage - 2)):
+            lo = rng.randint(-25, 25)
+            bounds[q] = (lo, lo + rng.randint(0, 8))
+        blocks = []
+        for _ in range(rng.randint(0, 5)):
+            level = rng.randint(1, stage - 1)
+            top = [
+                collections.Counter(rng.randint(-6, 6) for _ in range(rng.randint(1, 3)))
+                for _ in range(stage - level)
+            ]
+            blocks.append((level, top))
+        got = ext._stage_sums(
+            [(level, [array(c) for c in top]) for level, top in blocks],
+            {j: array(c) for j, c in full.items()},
+            bounds,
+            "",
+        )
+        assert sorted(got) == sorted(bounds)
+        for q, (lo, hi) in bounds.items():
+            want = collections.Counter()
+            for level, top in blocks:
+                if level >= q:
+                    tail = [full[j] for j in range(level - 1, q - 1, -1)]
+                    want.update(ext._pruned_sums(top + tail, lo, hi, ""))
+            sums, mults = got[q]
+            assert dict(zip(sums.tolist(), mults.tolist())) == dict(want), q

@@ -335,6 +335,29 @@ def test_event_sweep_matches_flips_counted_chunk_by_chunk(
     _check_chunked_flips(table, offsets, h, marker_stages, stage, n, chunk)
 
 
+@settings(SETTINGS, max_examples=60)
+@given(table=ref.random_tables(), chunk=st.sampled_from([1, 2, 3, 5, 64]), data=st.data())
+def test_event_sweep_matches_flips_counted_chunk_by_chunk_on_random_tables(table, chunk, data):
+    """The profile against the reference's flips (:func:`_check_chunked_flips`)
+    on random schedules, whose stages cut into 2 to 4 columns: whether a
+    block holds all of a marker stage's base floors follows every stage's
+    radix, and chunks of 1, 2, 3, 5 and 64 fragments cut blocks at their
+    edges."""
+    offsets = {j: list(table.column_offsets(j)) for j in range(1, table.j_max)}
+    h = {j: table.height(j) for j in range(1, table.j_max + 1)}
+    marker_stages = table.params.effective_marker_stages()
+    stage = data.draw(st.integers(2, table.j_max), label="stage")
+    base, markers = ref.floors_from_offsets(stage, sorted(marker_stages), offsets, h)
+    room = min(h[stage] - 1 - base[-1], 30_000)
+    if room < 1:
+        reject()
+    last_flips = sorted(
+        {e - f + 1 for e in markers for f in (base[0], base[-1])} & set(range(1, room + 1))
+    )
+    n = data.draw(st.integers(1, room) | st.sampled_from(last_flips or [room]), label="n")
+    _check_chunked_flips(table, offsets, h, marker_stages, stage, n, chunk)
+
+
 def test_event_sweep_drops_the_times_whose_nets_cancel_within_a_chunk():
     """On the staircase preset at stage 7, whose 1,440 base floors make one
     chunk, some flip times have net zero within the chunk, so they are no
