@@ -28,9 +28,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .extension import CocycleContext, LeveledSet, SegmentEscapesTower, claim_windows
-from .extension import _chunk_plateaus, _offset_sums
+from .extension import _chunk_plateaus
 from .suspension import SuspensionModel, cylinder_constant, pair_integrand
-from .tower import BudgetExceeded, StageTable, refine
+from .tower import BudgetExceeded, StageTable, _offset_sums, refine
 
 __all__ = [
     "Milestone",
@@ -141,7 +141,7 @@ def event_sweep(a: LeveledSet, ctx: CocycleContext, n_max: int) -> OverlapProfil
     if 2 * h >= 2**63:
         raise BudgetExceeded(f"stage {stage}: differences reach 2*h = {2 * h} >= 2**63")
     fragments = np.asarray(refine(table, a.level0, stage).indices, dtype=np.int64)
-    if a.level1.indices or not np.array_equal(fragments, _offset_sums(table, 1, stage)):
+    if a.level1.indices or not np.array_equal(fragments, _offset_sums(table, (0,), 1, stage)):
         raise ValueError("event_sweep takes the base set at the context stage, on level 0")
     if (top := int(fragments[-1])) + n_max >= h:
         raise SegmentEscapesTower(f"fragment {top} cannot take {n_max} steps inside stage {stage}")

@@ -26,7 +26,9 @@ The headline claims verified here, for the unit base set ``A`` at level 0:
   :func:`verify_conjugacy` certifies from the column offsets: each marker
   stage's zone edges against the markers of
   :func:`~ergolab.tower.marker_floorset` one stage up, and the floors that
-  two markers share once lifted.
+  two markers share once lifted.  Where that certificate fails, the zone
+  edges and markers are lifted to the stage by the floor-sum kernel
+  :func:`~ergolab.tower._offset_sums` and the mismatches counted there.
 
 :func:`verify_windows` checks the window claims exactly, from the stage
 table alone; violations are data, not errors.  No base floor lies in a zone,
@@ -67,6 +69,7 @@ from .tower import (
     StageOverflow,
     StageTable,
     _max_index_at,
+    _offset_sums,
     base_floorset,
     marker_floorset,
     measure,
@@ -148,22 +151,9 @@ def _swap_zones(table: StageTable, stage: int) -> tuple[np.ndarray, np.ndarray]:
     ends = [np.zeros(0, dtype=np.int64)]
     for q in (q for q in table.params.effective_marker_stages() if q < stage):
         first, last = _local_zones(table, q)
-        starts.append(_offset_sums(table, q + 1, stage, first))
-        ends.append(_offset_sums(table, q + 1, stage, last))
+        starts.append(_offset_sums(table, first, q + 1, stage))
+        ends.append(_offset_sums(table, last, q + 1, stage))
     return np.concatenate(starts), np.concatenate(ends)
-
-
-def _offset_sums(
-    table: StageTable, lo: int, hi: int, start: int | list[int] = 0
-) -> np.ndarray:
-    """``start`` (one value or several) plus one column offset of each stage
-    ``lo .. hi-1``, as int64 in the order of :func:`~ergolab.tower.refine`,
-    top stage most significant: for ``lo = 1``, the base floors at stage
-    ``hi``."""
-    sums = np.atleast_1d(np.asarray(start, dtype=np.int64))
-    for j in range(lo, hi):
-        sums = (np.asarray(table.column_offsets(j), dtype=np.int64)[:, None] + sums).ravel()
-    return sums
 
 
 def cocycle_context(table: StageTable, stage: int) -> CocycleContext:
@@ -344,8 +334,8 @@ def claim_windows(table: StageTable, j: int) -> tuple[tuple[int, int], tuple[int
 _GRID_POINTS = 10_000
 # most candidate partial sums one stage of a pruned sumset may form, and most
 # (d, b) events an uncertified window or one fragment chunk of a series may
-# expand: guards on work, checked before it is done so that a run past them
-# fails fast
+# expand, or zone edges and markers an uncertified conjugacy check may lift:
+# guards on work, checked before it is done so that a run past them fails fast
 _PARTIAL_BUDGET = 1 << 20
 _EVENT_BUDGET = 1 << 20
 
@@ -421,6 +411,13 @@ def _pruned_sums(digits: list[dict[int, int]], lo: int, hi: int, what: str) -> d
     return sums
 
 
+def _minus(y: collections.Counter, x: collections.Counter) -> collections.Counter:
+    """The differences ``b - a`` of ``b`` in ``y`` and ``a`` in ``x``, with
+    the number of pairs that give each."""
+    xs = list(x.elements())
+    return collections.Counter([b - a for b in y.elements() for a in xs])
+
+
 def _survivors(table: StageTable, stage: int, lo: int, hi: int, what: str) -> list:
     """The terms ``(q, d, mult(d))`` of the violator sum that a step of the
     window ``(lo, hi)`` can use: for each marker stage ``q < stage``, the
@@ -428,10 +425,8 @@ def _survivors(table: StageTable, stage: int, lo: int, hi: int, what: str) -> li
     ``q .. stage-1``) that can carry a base floor ``b <= M_q`` into
     ``[h_q + 1, q*h_q]``, with the number of pairs ``(p, p')`` that give each."""
     unit = FloorSet(1, (0,))
-    diffs = [
-        collections.Counter(a - b for a in o for b in o)
-        for o in map(table.column_offsets, range(stage - 1, 1, -1))
-    ]
+    offsets = map(collections.Counter, map(table.column_offsets, range(stage - 1, 1, -1)))
+    diffs = [_minus(c, c) for c in offsets]
     terms = []
     for q in table.params.effective_marker_stages():
         if q < stage:
@@ -674,9 +669,10 @@ def _stage_sums(
 def _chunk_plateaus(
     table: StageTable, stage: int, base: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Parity-0 count of the base floors ``base`` (as :func:`_offset_sums`
-    orders them) over the steps ``1 .. n``: ``counts[k]`` holds on
-    ``(edges[k], edges[k+1]]`` (the last up to ``n``), and ``edges[0] == 0``.
+    """Parity-0 count of the base floors ``base`` (as
+    :func:`~ergolab.tower._offset_sums` orders them) over the steps ``1 ..
+    n``: ``counts[k]`` holds on ``(edges[k], edges[k+1]]`` (the last up to
+    ``n``), and ``edges[0] == 0``.
 
     A fragment flips at ``t`` in ``[0, n)`` when ``f + t`` is a zone edge,
     changing the count from step ``t+1`` on.  The edges are the union over
@@ -792,35 +788,6 @@ class ConjugacyReport:
         }
 
 
-def _minus(y: collections.Counter, x: collections.Counter) -> collections.Counter:
-    """The differences ``b - a`` of ``b`` in ``y`` and ``a`` in ``x``, with
-    the number of pairs that give each."""
-    xs = list(x.elements())
-    return collections.Counter([b - a for b in y.elements() for a in xs])
-
-
-def _decompositions(digits: list[dict[int, int]], target: int, what: str) -> list[tuple]:
-    """Every way to write ``target`` as one value from each digit set, top
-    stage first: a value of the top digit is kept when :func:`_pruned_sums`
-    completes it from the digits below."""
-    if not digits:
-        return [()] if target == 0 else []
-    return [
-        (z, *rest)
-        for z in digits[0]
-        if _pruned_sums(digits[1:], target - z, target - z, what)
-        for rest in _decompositions(digits[1:], target - z, what)
-    ]
-
-
-def _sums(parts: list[list[int]]) -> list[int]:
-    """Every sum of one value from each of ``parts``, in Python ints."""
-    sums = [0]
-    for part in parts:
-        sums = [s + v for s in sums for v in part]
-    return sums
-
-
 def verify_conjugacy(table: StageTable, stage: int) -> ConjugacyReport:
     """Check ``zone(f) XOR zone(f+1) == marker(f)`` on all ``h_s - 1`` floor
     steps of ``stage`` ``s``, by a certificate that builds no floor of ``s``.
@@ -849,11 +816,12 @@ def verify_conjugacy(table: StageTable, stage: int) -> ConjugacyReport:
     with itself).  That is a pruned search (:func:`_pruned_sums`) in Python
     ints, whose cost follows the marker stages and cut counts, not the
     floors.  The certificate: every ``U_q`` is empty and no floor is shared,
-    so no floor step mismatches.  Otherwise the mismatches are expanded into
-    floors, the shared ones from the ways to share (:func:`_decompositions`),
-    each with its edge count from the same search.  Past ``_EVENT_BUDGET``
-    floors to expand it raises :class:`~ergolab.tower.BudgetExceeded` before
-    expanding.
+    so no floor step mismatches.  Otherwise every ``L_q`` and ``M_q`` is
+    lifted to ``s`` by :func:`~ergolab.tower._offset_sums`, a floor that
+    several markers share counts once, and the floors counted an odd number
+    of times are the mismatches.  The floors to lift are counted first;
+    past ``_EVENT_BUDGET`` it raises :class:`~ergolab.tower.BudgetExceeded`
+    before lifting any.
     """
     height = table.height(stage)
     what = f"conjugacy at stage {stage}"
@@ -864,69 +832,43 @@ def verify_conjugacy(table: StageTable, stage: int) -> ConjugacyReport:
         for j in range(min(qs, default=stage) + 1, stage)
     }
     diffs = {j: _minus(c, c) for j, c in cols.items()}
-    edges, markers, unpaired = {}, {}, {}
+    edges, markers = {}, {}
     for q in qs:
         first, last = _local_zones(table, q)
         edges[q] = collections.Counter([f - 1 for f in first] + last)
         markers[q] = collections.Counter(marker_floorset(table, q // 2).indices)
-        unpaired[q] = [f for f, c in (edges[q] + markers[q]).items() if c % 2]
-
-    # per pair of marker stages q <= p that share a floor, the aligned digits
-    # (x, y, y - x) of a marker instance of q and one of p, top stage first
-    pairs = []
+    # some U_q is not empty
+    unpaired = any(c % 2 for q in qs for c in (edges[q] + markers[q]).values())
     above = {p: _minus(markers[p], cols[p]) for p in qs[1:]}
-    for i, q in enumerate(qs):
-        for p in qs[i:]:
-            pos = [(cols[j], cols[j], diffs[j]) for j in range(stage - 1, p, -1)]
-            if p == q:
-                pos.append((markers[q], markers[q], _minus(markers[q], markers[q])))
-                itself = math.prod(sum(x.values()) for x, _, _ in pos)
-            else:
-                lower = [cols[j] for j in range(p - 1, q, -1)] + [markers[q]]
-                pos.append((cols[p], markers[p], above[p]))
-                pos += [(x, {0: 1}, {-a: c for a, c in x.items()}) for x in lower]
-                itself = 0
-            if _pruned_sums([z for _, _, z in pos], 0, 0, what).get(0, 0) > itself:
-                pairs.append((p == q, pos))
-    if not pairs and not any(unpaired.values()):
+    # the stage-s floors that one floor of stage q+1 lifts to
+    lifts = {q: math.prod(map(table.cut_count, range(q + 1, stage))) for q in qs}
+
+    def shares(q: int, p: int) -> bool:
+        """Whether an instance of marker stage ``q`` shares a floor with
+        another instance of ``p >= q``."""
+        digits = [diffs[j] for j in range(stage - 1, p, -1)]
+        if p == q:
+            digits.append(_minus(markers[q], markers[q]))
+            itself = len(markers[q]) * lifts[q]
+        else:
+            lower = [cols[j] for j in range(p - 1, q, -1)] + [markers[q]]
+            digits += [above[p]] + [{-a: c for a, c in x.items()} for x in lower]
+            itself = 0
+        return _pruned_sums(digits, 0, 0, what).get(0, 0) > itself
+
+    if not unpaired and not any(shares(q, p) for i, q in enumerate(qs) for p in qs[i:]):
         return ConjugacyReport(stage=stage, floors_checked=height - 1, mismatched_floors=())
 
-    plans = []  # per way to share a floor, the values of p's digits it takes
-    for within, pos in pairs:
-        for t in _decompositions([z for _, _, z in pos], 0, what):
-            if within and not any(t):
-                # an instance's own digits: shared where a digit repeats a value
-                values = [list(x) for x, _, _ in pos]
-                plans += [
-                    values[:k] + [[v for v, c in x.items() if c > 1]] + values[k + 1 :]
-                    for k, (x, _, _) in enumerate(pos)
-                    if max(x.values()) > 1
-                ]
-            else:
-                plans.append([[b for b in y if b - d in x] for (x, y, _), d in zip(pos, t)])
-    lifts = [
-        [unpaired[q]] + [list(cols[j].elements()) for j in range(q + 1, stage)]
-        for q in qs
-        if unpaired[q]
-    ]
-    count = sum(math.prod(map(len, parts)) for parts in plans + lifts)
+    count = sum((edges[q].total() + markers[q].total()) * lifts[q] for q in qs)
     if count > _EVENT_BUDGET:
         raise BudgetExceeded(
-            f"{what}: its shared and unpaired markers expand to {count} floors,"
+            f"{what} is not certified: its zone edges and markers lift to {count} floors,"
             f" over the budget of {_EVENT_BUDGET}"
         )
-    shared = {f for parts in plans for f in _sums(parts)}
-    odd = collections.Counter(f for parts in lifts for f in _sums(parts))
-
-    def edge_count(f: int) -> int:
-        return sum(
-            _pruned_sums([cols[j] for j in range(stage - 1, q, -1)] + [edges[q]], f, f, what)
-            .get(f, 0)
-            for q in qs
-        )
-
-    mism = {f for f, c in odd.items() if c % 2 and f not in shared}
-    mism.update(f for f in shared if edge_count(f) % 2 == 0)
-    return ConjugacyReport(
-        stage=stage, floors_checked=height - 1, mismatched_floors=tuple(sorted(mism))
-    )
+    lifted = [_offset_sums(table, list(edges[q].elements()), q + 1, stage) for q in qs]
+    marked = [_offset_sums(table, list(markers[q]), q + 1, stage) for q in qs]
+    # a floor that several markers share counts once
+    marked = np.unique(np.concatenate(marked))
+    floors, times = np.unique(np.concatenate((*lifted, marked)), return_counts=True)
+    mism = tuple(floors[times % 2 == 1].tolist())
+    return ConjugacyReport(stage=stage, floors_checked=height - 1, mismatched_floors=mism)

@@ -10,7 +10,10 @@ columns are restacked left to right into the stage-(j+1) tower of height
 Everything here is exact: floor indices and heights are arbitrary-precision
 integers, floor widths and measures are ``fractions.Fraction``.  A measurable
 set is always a union of *full* floors of some stage (``FloorSet``); the step
-map acts on floor indices as +1 inside a tower.
+map acts on floor indices as +1 inside a tower.  Refinement adds one column
+offset per stage, and one kernel does it for every caller
+(:func:`_offset_sums`): int64 while the target stage's height is below
+``2**63``, Python ints in an object array past it, so it stays exact.
 
 Marker floors: on designated even stages ``q`` the construction places two
 marker floors above every column, at spacer offsets ``h_q`` and ``q*h_q``.
@@ -23,6 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "ConstructionParams",
@@ -265,21 +270,31 @@ def _check_bounds(table: StageTable, fs: FloorSet) -> None:
         )
 
 
+def _offset_sums(table: StageTable, floors, lo: int, hi: int) -> np.ndarray:
+    """Each of ``floors`` plus one column offset of each stage ``lo ..
+    hi-1``, top stage most significant: the stage-``lo`` floors ``floors``
+    refined to stage ``hi``, and for ``floors = (0,)``, ``lo = 1`` the base
+    floors there.  int64 while ``h_hi < 2**63``, so no floor of stage ``hi``
+    overflows, and Python ints (object dtype) past it."""
+    dtype = np.int64 if table.height(hi) < 2**63 else object
+    sums = np.array(floors, dtype=dtype)
+    for j in range(lo, hi):
+        sums = (np.array(table.column_offsets(j), dtype=dtype)[:, None] + sums).ravel()
+    return sums
+
+
 def refine(table: StageTable, fs: FloorSet, to_stage: int) -> FloorSet:
     """Re-express ``fs`` as floors of ``to_stage`` >= ``fs.stage``.
 
     Each stage-j floor ``f`` splits into the floors ``o_j(i) + f`` over all
-    columns ``i``; measure is preserved exactly.
+    columns ``i``; measure is preserved exactly.  Column blocks are disjoint
+    and ascending, so the floors stay sorted.
     """
     if to_stage < fs.stage:
         raise ValueError(f"cannot refine stage {fs.stage} down to {to_stage}")
     _check_bounds(table, fs)
-    cur = list(fs.indices)
-    for j in range(fs.stage, to_stage):
-        cols = table.column_offsets(j)
-        # column blocks are disjoint and ascending, so this stays sorted
-        cur = [o + f for o in cols for f in cur]
-    return FloorSet(to_stage, tuple(cur))
+    sums = _offset_sums(table, fs.indices, fs.stage, to_stage)
+    return FloorSet(to_stage, tuple(sums.tolist()))
 
 
 def _max_index_at(table: StageTable, fs: FloorSet, to_stage: int) -> int:

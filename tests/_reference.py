@@ -7,6 +7,7 @@ frozen into the tests were produced (and cross-checked) with this module.
 """
 
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -38,13 +39,19 @@ def offsets(j, cut, spacer, h):
     return out
 
 
-def expand(idxs, from_stage, to_stage, cut, spacer, h):
-    """Refine floor indices by direct product expansion."""
+def lift(idxs, from_stage, to_stage, offsets):
+    """Refine floor indices by direct product expansion of explicit column
+    offsets, sorted: ``offsets[j]`` lists those of stage ``j``."""
     cur = list(idxs)
     for j in range(from_stage, to_stage):
-        offs = offsets(j, cut, spacer, h)
-        cur = [o + f for o in offs for f in cur]
+        cur = [o + f for o in offsets[j] for f in cur]
     return sorted(cur)
+
+
+def expand(idxs, from_stage, to_stage, cut, spacer, h):
+    """Refine floor indices by direct product expansion of the schedule's offsets."""
+    stages = range(from_stage, to_stage)
+    return lift(idxs, from_stage, to_stage, {j: offsets(j, cut, spacer, h) for j in stages})
 
 
 def marker_indices(stage, marker_stages, cut=basic_cut, spacer=basic_spacer, h=None):
@@ -89,31 +96,25 @@ def random_tables(j_max=st.integers(3, 6), marker_stages=st.sets(st.sampled_from
     return st.builds(random_table, st.randoms(use_true_random=False), j_max, marker_stages)
 
 
-def unpaired(a):
-    """The values of the sorted array ``a`` that occur an odd number of times."""
-    if not a.size:
-        return a
-    first = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
-    runs = np.diff(np.concatenate((first, [a.size])))
-    return a[first[runs % 2 == 1]]
-
-
-def conjugacy_mismatches(table, stage):
+def conjugacy_mismatches(table, stage, zones=None):
     """The floors ``f`` of ``stage`` where ``zone(f) XOR zone(f+1) !=
-    marker(f)``, with the stage materialised: the package's context holds
-    the zone edges, each marker stage's two markers per column are refined
-    in Python, and a floor that markers share counts once."""
-    from ergolab import extension, tower
-
-    ctx = extension.cocycle_context(table, stage)
-    markers = {
-        f
-        for q in table.params.effective_marker_stages()
-        if q < stage
-        for f in tower.refine(table, tower.marker_floorset(table, q // 2), stage).indices
-    }
-    floors = np.concatenate((ctx.zone_edges, np.array(sorted(markers), dtype=np.int64)))
-    return tuple(unpaired(np.sort(floors)).tolist())
+    marker(f)``, with the stage materialised by :func:`lift` from the
+    table's column offsets and heights: every zone edge (one below a zone's
+    first floor, one on its last) counts, a floor that several markers share
+    counts once, and the mismatches are the floors counted an odd number of
+    times.  ``zones`` maps a marker stage ``q`` to the first and last floors
+    of its zones at stage ``q+1``, in place of the ones the offsets give."""
+    offs, h = dict(enumerate(table.offsets, 1)), dict(enumerate(table.heights, 1))
+    edges, markers = [], set()
+    for q in table.params.effective_marker_stages():
+        if q < stage:
+            low, high = [o + h[q] for o in offs[q]], [o + q * h[q] for o in offs[q]]
+            first, last = (zones or {}).get(q, ([f + 1 for f in low], high))
+            edges += lift([f - 1 for f in first] + last, q + 1, stage, offs)
+            markers.update(lift(low + high, q + 1, stage, offs))
+    count = Counter(edges)
+    count.update(markers)
+    return tuple(sorted(f for f, c in count.items() if c % 2))
 
 
 def base_indices(stage, cut=basic_cut, spacer=basic_spacer, h=None):
@@ -126,18 +127,12 @@ def floors_from_offsets(stage, marker_stages, offsets, h):
     """Base and marker floors at `stage`, sorted, by direct product expansion
     of explicit column offsets: `offsets[j]` lists those of stage j."""
 
-    def up(idxs, from_stage):
-        cur = list(idxs)
-        for j in range(from_stage, stage):
-            cur = [o + f for o in offsets[j] for f in cur]
-        return sorted(cur)
-
     markers = []
     for q in marker_stages:
         if q + 1 <= stage:
             at_q1 = [o + h[q] for o in offsets[q]] + [o + q * h[q] for o in offsets[q]]
-            markers.extend(up(at_q1, q + 1))
-    return up([0], 1), sorted(markers)
+            markers.extend(lift(at_q1, q + 1, stage, offsets))
+    return lift([0], 1, stage, offsets), sorted(markers)
 
 
 def chunked_flip_profile(fragments, markers, n, chunk):

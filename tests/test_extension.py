@@ -35,6 +35,7 @@ from ergolab import (
     verify_windows,
 )
 import ergolab.extension as ext
+import ergolab.tower as tower
 from ergolab.extension import _sample_grid
 
 import _reference as ref
@@ -296,7 +297,7 @@ def test_conjugacy_detects_a_broken_swap_zone(table, monkeypatch):
     real = ext._local_zones
     k = 1  # the second stage-2 column
     first, last = real(table, 2)
-    lifts = ext._offset_sums(table, 3, 6).tolist()
+    lifts = tower._offset_sums(table, (0,), 3, 6).tolist()
     for edge, by, around in (
         (1, -1, (last[k] - 1, last[k])),  # one floor short at the top
         (0, 1, (first[k] - 1, first[k])),  # one floor late
@@ -311,7 +312,7 @@ def test_conjugacy_detects_a_broken_swap_zone(table, monkeypatch):
         monkeypatch.setattr(ext, "_local_zones", broken)
         report = verify_conjugacy(table, 6)
         assert report.mismatched_floors == tuple(sorted(f + p for f in around for p in lifts))
-        assert report.mismatched_floors == ref.conjugacy_mismatches(table, 6)
+        assert report.mismatched_floors == ref.conjugacy_mismatches(table, 6, {2: broken(table, 2)})
         assert report.to_json_obj()["mismatch_count"] == 120
     monkeypatch.setattr(ext, "_local_zones", real)
     assert verify_conjugacy(table, 6).passed
@@ -343,8 +344,10 @@ def test_conjugacy_on_a_column_stacked_on_its_neighbour():
     """Column 1 of stage 4 moved onto column 0: the 12 stage-2 marker floors
     of that column at stage 5 are each shared by two marker instances, and
     two edges meet on each of its markers, which count once.  Those 14
-    floors are the reference's mismatches, and the check expands exactly
-    them: a budget of 14 floors runs, one of 13 refuses."""
+    floors are the reference's mismatches.  The certificate fails, so the
+    check lifts every marker stage's 2*r_q zone edges and its distinct
+    markers to stage 5: (4 + 4) * 12 for stage 2 and 8 + 6 for stage 4,
+    110 floors, so a budget of 110 floors runs and one of 109 refuses."""
     table = build_stage_table(ConstructionParams(j_max=5))
     offsets = list(table.offsets)
     offsets[3] = (0, 0, *offsets[3][2:])
@@ -355,13 +358,13 @@ def test_conjugacy_on_a_column_stacked_on_its_neighbour():
     assert report.mismatched_floors[-2:] == (h_4, 4 * h_4)
     assert len(report.mismatched_floors) == 14
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ext, "_EVENT_BUDGET", 14)
+        mp.setattr(ext, "_EVENT_BUDGET", 110)
         assert verify_conjugacy(stacked, 5) == report
-        mp.setattr(ext, "_EVENT_BUDGET", 13)
+        mp.setattr(ext, "_EVENT_BUDGET", 109)
         with pytest.raises(
             BudgetExceeded,
-            match="^conjugacy at stage 5: its shared and unpaired markers expand to 14 floors,"
-            " over the budget of 13$",
+            match="^conjugacy at stage 5 is not certified: its zone edges and markers lift to"
+            " 110 floors, over the budget of 109$",
         ):
             verify_conjugacy(stacked, 5)
 
@@ -370,13 +373,12 @@ def test_conjugacy_on_a_column_stacked_on_its_neighbour():
 def test_conjugacy_certificate_expands_nothing_on_built_tables(preset, monkeypatch):
     """On a built table no marker floor is shared and every stage's edges
     are its markers, so the certificate alone passes every stage up to 16,
-    past int64, in under 0.2 s each, with the expansion refused."""
+    past int64, in under 0.2 s each, with the floor-sum kernel refused."""
 
     def refuse(*args):
         raise AssertionError("the certificate expanded floors")
 
-    monkeypatch.setattr(ext, "_decompositions", refuse)
-    monkeypatch.setattr(ext, "_sums", refuse)
+    monkeypatch.setattr(ext, "_offset_sums", refuse)
     table = build_stage_table(ConstructionParams(preset, 17))
     for stage in range(1, 17):
         t0 = time.perf_counter()

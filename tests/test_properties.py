@@ -282,6 +282,78 @@ def test_window_events_match_event_sweep_on_a_moved_column(preset, marker_stages
             ]
 
 
+def _parity0_counts(base, markers, steps):
+    """For each of ``steps``, the base floors ``f`` with an even number of
+    markers in ``[f, f + n)``, counted one step at a time in blocks of 256."""
+    base, markers = np.asarray(base), np.asarray(markers)
+    below = np.searchsorted(markers, base)
+    counts = [np.zeros(0, dtype=np.int64)]
+    for k in range(0, len(steps), 256):
+        n = np.asarray(steps[k : k + 256])[:, None]
+        crossed = np.searchsorted(markers, base + n) - below
+        counts.append(np.count_nonzero(crossed % 2 == 0, axis=1))
+    return np.concatenate(counts).tolist()
+
+
+@settings(SETTINGS, max_examples=60)
+@given(
+    table=ref.random_tables(st.integers(4, 7), st.sets(st.sampled_from([2, 4]), min_size=1))
+)
+def test_window_reports_match_a_brute_force_count_on_random_tables(table):
+    """Every window of at most ``_GRID_POINTS`` steps that ``verify_windows``
+    reports on a random schedule, against the parity-0 count of the
+    reference's base floors and markers at the report's stage, step by step
+    (:func:`_parity0_counts`); a window whose context stage is not
+    materialised is skipped.  Where a disjointness window's only survivor is
+    ``(q, 0)``, its violations are exactly the leak ``(q*h_q - M_q, q*h_q)``
+    inside it, ``M_q`` the top base floor at stage ``q``."""
+    offsets = {j: list(table.column_offsets(j)) for j in range(1, table.j_max)}
+    h = dict(enumerate(table.heights, 1))
+    marker_stages = table.params.effective_marker_stages()
+    for q in marker_stages:
+        try:
+            report = verify_windows(table, q // 2)
+        except StageOverflow:
+            continue
+        base, markers = ref.floors_from_offsets(report.stage, marker_stages, offsets, h)
+        for check, want in zip(report.checks, (0, len(base))):
+            steps = range(check.lo + 1, check.hi)
+            if len(steps) > ext._GRID_POINTS:
+                continue
+            count = dict(zip(steps, _parity0_counts(base, markers, steps)))
+            bad = [n for n in steps if count[n] != want]
+            assert (check.mode, check.checked_count) == ("exhaustive", len(steps))
+            assert list(check.violations) == bad
+            assert [Fraction(v) for v in check.violation_values] == [
+                Fraction(count[n], len(base)) for n in bad
+            ]
+            terms = ext._survivors(table, report.stage, check.lo, check.hi, "")
+            if check.kind == "disjoint" and [t[:2] for t in terms] == [(q, 0)]:
+                m_q = ref.floors_from_offsets(q, [], offsets, h)[0][-1]
+                assert bad == list(range(max(check.lo, q * h[q] - m_q) + 1, check.hi))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(table=ref.random_tables(), data=st.data())
+def test_refine_matches_the_reference_expansion_on_random_tables(table, data):
+    """``refine``, one call to the floor-sum kernel, against the reference's
+    product expansion of the offsets that the schedule's spacer counts give,
+    between two drawn stages of a random schedule."""
+    lo = data.draw(st.integers(1, table.j_max), label="lo")
+    hi = data.draw(st.integers(lo, table.j_max), label="hi")
+    floors = data.draw(st.sets(st.integers(0, table.height(lo) - 1), max_size=8), label="floors")
+    h = dict(enumerate(table.heights, 1))
+
+    def cut(j):
+        return len(table.spacer_counts(j))
+
+    def spacer(j, i, h_j):
+        return table.spacer_counts(j)[i - 1]
+
+    fs = FloorSet.of(lo, floors)
+    assert list(refine(table, fs, hi).indices) == ref.expand(fs.indices, lo, hi, cut, spacer, h)
+
+
 def _check_chunked_flips(table, offsets, h, marker_stages, stage, n, chunk):
     """``event_sweep`` of the base set at ``stage`` against its flips counted
     one fragment and one marker at a time on the reference's floors from
@@ -410,7 +482,7 @@ def _conjugacy_against_reference(table, rng):
     stage = rng.randint(q + 1 if rng.random() < 0.75 else 1, table.j_max)
     qs = [q for q in table.params.effective_marker_stages() if q < stage]
     real = ext._local_zones
-    broken = real
+    broken, zones = real, {}
     if qs and rng.random() < 0.5:
         q0, edge, by = rng.choice(qs), rng.randrange(2), rng.choice([-2, -1, 1, 2])
         column = rng.randrange(table.cut_count(q0))
@@ -421,9 +493,10 @@ def _conjugacy_against_reference(table, rng):
                 zones[edge][column] += by
             return zones
 
+        zones = {q0: broken(table, q0)}
     with patch.object(ext, "_local_zones", broken):
         report = verify_conjugacy(table, stage)
-        assert report.mismatched_floors == ref.conjugacy_mismatches(table, stage)
+    assert report.mismatched_floors == ref.conjugacy_mismatches(table, stage, zones)
     assert report.floors_checked == table.height(stage) - 1
     counts = [
         collections.Counter(refine(table, marker_floorset(table, q // 2), stage).indices)

@@ -6,6 +6,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ergolab import (
@@ -154,6 +155,25 @@ def test_refine_preserves_measure_and_multiplies_cardinality(table):
             mult *= table.cut_count(j)
         assert len(out) == len(fs) * mult
         assert list(out.indices) == sorted(set(out.indices))
+
+
+def test_refine_stays_exact_past_int64():
+    """The floor-sum kernel adds in int64 while the target stage's height is
+    below ``2**63`` and in Python ints past it, so stage-15 floors refined
+    to stage 16, and stage-12 floors to stage 13 and across the bound to 14,
+    equal the Python-int sums of the column offsets."""
+    table = build_stage_table(ConstructionParams(j_max=17))
+    assert table.height(13) < 2**63 <= table.height(14)
+    for lo, hi in ((15, 16), (12, 13), (12, 14)):
+        h = table.height(lo)
+        floors = (0, 1, h // 3, h - 1)
+        want = list(floors)
+        for j in range(lo, hi):
+            want = [o + f for o in table.column_offsets(j) for f in want]
+        assert refine(table, FloorSet(lo, floors), hi).indices == tuple(want)
+    assert max(want) >= 2**63
+    assert tower._offset_sums(table, (0,), 12, 13).dtype == np.int64
+    assert tower._offset_sums(table, (0,), 12, 14).dtype == object
 
 
 def test_base_floorset_examples(table):
