@@ -140,8 +140,8 @@ def event_sweep(a: LeveledSet, ctx: CocycleContext, n_max: int) -> OverlapProfil
     h = ctx.height()
     if 2 * h >= 2**63:
         raise BudgetExceeded(f"stage {stage}: differences reach 2*h = {2 * h} >= 2**63")
-    fragments = np.asarray(refine(table, a.level0, stage).indices, dtype=np.int64)
-    if a.level1.indices or not np.array_equal(fragments, _offset_sums(table, (0,), 1, stage)):
+    fragments = refine(table, a.level0, stage).floors
+    if len(a.level1) or not np.array_equal(fragments, _offset_sums(table, (0,), 1, stage)):
         raise ValueError("event_sweep takes the base set at the context stage, on level 0")
     if (top := int(fragments[-1])) + n_max >= h:
         raise SegmentEscapesTower(f"fragment {top} cannot take {n_max} steps inside stage {stage}")

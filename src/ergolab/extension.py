@@ -68,8 +68,8 @@ from .tower import (
     InvalidConstruction,
     StageOverflow,
     StageTable,
-    _max_index_at,
     _offset_sums,
+    _top_base_floor,
     base_floorset,
     marker_floorset,
     measure,
@@ -184,9 +184,8 @@ def cocycle_context(table: StageTable, stage: int) -> CocycleContext:
 
 def _context_stage(table: StageTable, n_max: int) -> int:
     """The smallest stage where every base fragment can take ``n_max`` steps."""
-    unit = FloorSet(1, (0,))
     for stage in range(1, table.j_max + 1):
-        if _max_index_at(table, unit, stage) + n_max < table.height(stage):
+        if _top_base_floor(table, stage) + n_max < table.height(stage):
             return stage
     raise StageOverflow(
         f"no materialized stage admits {n_max} steps from the base;"
@@ -221,9 +220,9 @@ def _lift(a: LeveledSet, n: int, ctx: CocycleContext) -> tuple[np.ndarray, np.nd
     fragment cannot take ``n`` steps inside the stage."""
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
-    l0, l1 = (refine(ctx.table, fs, ctx.stage).indices for fs in (a.level0, a.level1))
-    floors = np.asarray(l0 + l1, dtype=np.int64)
-    level = np.repeat(np.array([False, True]), (len(l0), len(l1)))
+    l0, l1 = (refine(ctx.table, fs, ctx.stage).floors for fs in (a.level0, a.level1))
+    floors = np.concatenate((l0, l1))
+    level = np.repeat(np.array([False, True]), (l0.size, l1.size))
     if floors.size and int(floors.max()) + n >= ctx.height():
         raise SegmentEscapesTower(
             f"fragment {int(floors.max())} cannot take {n} steps inside stage {ctx.stage}"
@@ -232,9 +231,7 @@ def _lift(a: LeveledSet, n: int, ctx: CocycleContext) -> tuple[np.ndarray, np.nd
 
 
 def _leveled(stage: int, floors: np.ndarray, level: np.ndarray) -> LeveledSet:
-    return LeveledSet(
-        FloorSet.of(stage, floors[~level].tolist()), FloorSet.of(stage, floors[level].tolist())
-    )
+    return LeveledSet(*(FloorSet(stage, np.unique(floors[level == z])) for z in (False, True)))
 
 
 def straight_orbit(a: LeveledSet, n: int, ctx: CocycleContext) -> LeveledSet:
@@ -257,8 +254,7 @@ def overlap_measure(n: int, a: LeveledSet, ctx: CocycleContext) -> Fraction:
     ``a`` to occupy disjoint x-floors (orbit sets of the base do).
     """
     floors, _, parity = _lift(a, n, ctx)
-    floors = np.sort(floors)
-    if (floors[1:] == floors[:-1]).any():
+    if np.unique(floors).size < floors.size:
         raise ValueError("overlap_measure needs level-disjoint x-floors")
     return int(np.count_nonzero(~parity)) * ctx.table.width(ctx.stage)
 
@@ -418,19 +414,24 @@ def _minus(y: collections.Counter, x: collections.Counter) -> collections.Counte
     return collections.Counter([b - a for b in y.elements() for a in xs])
 
 
-def _survivors(table: StageTable, stage: int, lo: int, hi: int, what: str) -> list:
+def _digit_differences(table: StageTable, stage: int) -> list[collections.Counter]:
+    """``O_j ⊖ O_j`` with multiplicities, for ``j`` from ``stage-1`` down to 2."""
+    offsets = map(collections.Counter, map(table.column_offsets, range(stage - 1, 1, -1)))
+    return [_minus(c, c) for c in offsets]
+
+
+def _survivors(table: StageTable, stage: int, lo: int, hi: int, what: str, diffs=None) -> list:
     """The terms ``(q, d, mult(d))`` of the violator sum that a step of the
     window ``(lo, hi)`` can use: for each marker stage ``q < stage``, the
     differences ``d = p - p'`` of ``P_q`` (one column offset per stage
     ``q .. stage-1``) that can carry a base floor ``b <= M_q`` into
-    ``[h_q + 1, q*h_q]``, with the number of pairs ``(p, p')`` that give each."""
-    unit = FloorSet(1, (0,))
-    offsets = map(collections.Counter, map(table.column_offsets, range(stage - 1, 1, -1)))
-    diffs = [_minus(c, c) for c in offsets]
+    ``[h_q + 1, q*h_q]``, with the number of pairs ``(p, p')`` that give each.
+    ``diffs`` is :func:`_digit_differences` at ``stage``, built here when not given."""
+    diffs = diffs or _digit_differences(table, stage)
     terms = []
     for q in table.params.effective_marker_stages():
         if q < stage:
-            h, m = table.height(q), _max_index_at(table, unit, q)
+            h, m = table.height(q), _top_base_floor(table, q)
             sums = _pruned_sums(diffs[: stage - q], lo + 1 - q * h, hi - 2 - h + m, what)
             terms += [(q, d, c) for d, c in sorted(sums.items())]
     return terms
@@ -450,7 +451,7 @@ def _base_count(table: StageTable, q: int, x: np.ndarray) -> np.ndarray:
         o = np.asarray(table.column_offsets(j), dtype=x.dtype)
         size //= len(o)
         col = np.searchsorted(o, x, side="right") - 1
-        count += col * size
+        count += col.astype(x.dtype) * size
         x = x - o[col]
     return np.where(inside, count, 0)
 
@@ -488,12 +489,12 @@ def _violating_runs(
             f" give {events} (d, b) events, over the budget of {_EVENT_BUDGET}"
         )
     times = [np.array([lo + 1, hi], dtype=dtype)]
-    weights = [np.zeros(2, dtype=np.int64)]
+    weights = [np.zeros(2, dtype=dtype)]
     for q, d, m, h, first, last in spans:
         digits = [dict.fromkeys(table.column_offsets(i), 1) for i in range(q - 1, 0, -1)]
         b = np.array(sorted(_pruned_sums(digits, first, last, what)), dtype=dtype)
         times += [np.maximum(h + 1 + d - b, lo + 1), np.minimum(q * h + d - b, hi - 1) + 1]
-        weights += [np.full(len(b), m, dtype=np.int64), np.full(len(b), -m, dtype=np.int64)]
+        weights += [np.full(len(b), m, dtype=dtype), np.full(len(b), -m, dtype=dtype)]
     t, delta = _merge_events(np.concatenate(times), np.concatenate(weights))
     # run k covers the steps t[k] .. t[k+1] - 1; the last time is hi
     bad = (total - np.cumsum(delta))[:-1] != want
@@ -537,18 +538,18 @@ def verify_windows(table: StageTable, j: int) -> WindowReport:
     w = table.width(stage)
     q = 2 * j
     # every step, surviving difference and descent argument is at most 2*top
-    # in magnitude
+    # in magnitude, and every count at most total
     marker_stages = (p for p in table.params.effective_marker_stages() if p < stage)
     top = c_hi + max(((p + 1) * table.height(p) for p in marker_stages), default=0)
-    dtype = np.int64 if 2 * top < 2**63 else object
+    dtype = np.int64 if max(2 * top, total) < 2**63 else object
+    diffs = _digit_differences(table, stage)
 
     checks = []
     for kind, lo, hi, want in (("disjoint", d_lo, d_hi, 0), ("coincide", c_lo, c_hi, total)):
         what = f"j={j} {kind} window ({lo}, {hi})"
-        terms = _survivors(table, stage, lo, hi, what)
+        terms = _survivors(table, stage, lo, hi, what, diffs)
         if kind == "disjoint" and [t[:2] for t in terms] == [(q, 0)]:
-            m_q = _max_index_at(table, FloorSet(1, (0,)), q)
-            first = max(lo + 1, hi - m_q + 1)
+            first = max(lo + 1, hi - _top_base_floor(table, q) + 1)
             starts = np.array([first] if first < hi else [], dtype=dtype)
             lengths = hi - starts
         else:
@@ -836,7 +837,7 @@ def verify_conjugacy(table: StageTable, stage: int) -> ConjugacyReport:
     for q in qs:
         first, last = _local_zones(table, q)
         edges[q] = collections.Counter([f - 1 for f in first] + last)
-        markers[q] = collections.Counter(marker_floorset(table, q // 2).indices)
+        markers[q] = collections.Counter(marker_floorset(table, q // 2).floors.tolist())
     # some U_q is not empty
     unpaired = any(c % 2 for q in qs for c in (edges[q] + markers[q]).values())
     above = {p: _minus(markers[p], cols[p]) for p in qs[1:]}

@@ -14,6 +14,7 @@ map acts on floor indices as +1 inside a tower.  Refinement adds one column
 offset per stage, and one kernel does it for every caller
 (:func:`_offset_sums`): int64 while the target stage's height is below
 ``2**63``, Python ints in an object array past it, so it stays exact.
+A ``FloorSet`` holds the kernel's array and refuses unsorted or repeated floors.
 
 Marker floors: on designated even stages ``q`` the construction places two
 marker floors above every column, at spacer offsets ``h_q`` and ``q*h_q``.
@@ -22,6 +23,7 @@ These drive the two-level extension in :mod:`ergolab.extension`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -246,28 +248,42 @@ def build_stage_table(params: ConstructionParams) -> StageTable:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FloorSet:
-    """A union of full floors of one stage: sorted, duplicate-free indices."""
+    """Full floors of one stage as a read-only array, sorted and distinct (else
+    ``ValueError``): int64, or object once a floor reaches ``2**63``; an array,
+    as :func:`refine` passes the kernel's, is kept.  ``indices`` is a tuple
+    view, and equality and hash go by ``(stage, indices)``."""
 
     stage: int
-    indices: tuple[int, ...]
+    floors: np.ndarray
+
+    def __post_init__(self) -> None:
+        f = self.floors
+        if not isinstance(f, np.ndarray):
+            f = np.array(f, dtype=object if max(f, default=0) >= 2**63 else np.int64)
+        if f.ndim != 1 or (f[1:] <= f[:-1]).any():
+            raise ValueError(f"stage-{self.stage} floors are not sorted and distinct")
+        f.flags.writeable = False
+        object.__setattr__(self, "floors", f)
 
     @staticmethod
     def of(stage: int, indices: Iterable[int]) -> FloorSet:
-        return FloorSet(stage, tuple(sorted(set(indices))))
+        return FloorSet(stage, sorted(set(indices)))
+
+    @functools.cached_property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(self.floors.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, FloorSet) and self.stage == other.stage
+        return same and self.indices == other.indices
+
+    def __hash__(self) -> int:
+        return hash((self.stage, self.indices))
 
     def __len__(self) -> int:
-        return len(self.indices)
-
-
-def _check_bounds(table: StageTable, fs: FloorSet) -> None:
-    h = table.height(fs.stage)
-    if fs.indices and (fs.indices[0] < 0 or fs.indices[-1] >= h):
-        raise ValueError(
-            f"floor indices out of range [0, {h}) at stage {fs.stage}:"
-            f" min={fs.indices[0]} max={fs.indices[-1]}"
-        )
+        return len(self.floors)
 
 
 def _offset_sums(table: StageTable, floors, lo: int, hi: int) -> np.ndarray:
@@ -283,30 +299,28 @@ def _offset_sums(table: StageTable, floors, lo: int, hi: int) -> np.ndarray:
     return sums
 
 
+def _top_base_floor(table: StageTable, stage: int) -> int:
+    """The largest base floor at ``stage``: the sum of the last column offsets below it."""
+    return sum(table.column_offsets(j)[-1] for j in range(1, stage))
+
+
 def refine(table: StageTable, fs: FloorSet, to_stage: int) -> FloorSet:
     """Re-express ``fs`` as floors of ``to_stage`` >= ``fs.stage``.
 
     Each stage-j floor ``f`` splits into the floors ``o_j(i) + f`` over all
     columns ``i``; measure is preserved exactly.  Column blocks are disjoint
-    and ascending, so the floors stay sorted.
+    and ascending, so the floors stay sorted; the ``FloorSet`` refuses overlapping ones.
     """
     if to_stage < fs.stage:
         raise ValueError(f"cannot refine stage {fs.stage} down to {to_stage}")
-    _check_bounds(table, fs)
-    sums = _offset_sums(table, fs.indices, fs.stage, to_stage)
-    return FloorSet(to_stage, tuple(sums.tolist()))
-
-
-def _max_index_at(table: StageTable, fs: FloorSet, to_stage: int) -> int:
-    """Largest index of ``refine(fs, to_stage)`` without materializing it."""
-    m = fs.indices[-1]
-    for j in range(fs.stage, to_stage):
-        m += table.column_offsets(j)[-1]
-    return m
+    h = table.height(fs.stage)
+    if len(fs) and (fs.floors[0] < 0 or fs.floors[-1] >= h):
+        raise ValueError(f"stage-{fs.stage} floors {fs.floors[0]}..{fs.floors[-1]} not in [0, {h})")
+    return FloorSet(to_stage, _offset_sums(table, fs.floors, fs.stage, to_stage))
 
 
 def measure(table: StageTable, fs: FloorSet) -> Fraction:
-    return len(fs.indices) * table.width(fs.stage)
+    return len(fs) * table.width(fs.stage)
 
 
 def base_floorset(table: StageTable, stage: int) -> FloorSet:

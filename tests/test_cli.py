@@ -297,6 +297,17 @@ def test_verify_past_the_context_reports_the_leak_and_passes_conjugacy(tmp_path,
     )
 
 
+def test_verify_past_int64_base_counts_reports_the_leak_without_a_traceback(tmp_path, capsys):
+    """At ``j_top=10`` the j=10 windows count ``2*21!`` base floors, past
+    ``2**63``, so their counts and weights are Python ints: ``verify``
+    returns 1 on the leak, raises nothing, and writes ``verify_j10.json``."""
+    code, out = run(tmp_path, "verify", config={"j_top": 10, "j_max": 23})
+    assert code == 1
+    disjoint, coincide = read_json(out / "verify_j10.json")
+    assert disjoint["violations"] and coincide["violations"] == []
+    assert capsys.readouterr().err == ""
+
+
 def test_series_over_the_pair_budget_exits_2_naming_the_counts(tmp_path):
     """725,760 fragments at stage 10 in 355 chunks: the first chunk's
     surviving differences, summed per marker stage, and base floors make

@@ -29,7 +29,6 @@ from ergolab import (
     marker_floorset,
     measure,
     overlap_measure,
-    refine,
     straight_orbit,
     verify_conjugacy,
     verify_windows,
@@ -332,8 +331,9 @@ def test_conjugacy_counts_a_floor_two_marker_stages_share_once():
     floors = np.arange(moved.height(5))
     zone = (np.searchsorted(starts, floors, "right") - np.searchsorted(ends, floors)) % 2
     markers = set()
-    for half in (1, 2):  # marker stages 2 and 4
-        markers.update(refine(moved, marker_floorset(moved, half), 5).indices)
+    for half in (1, 2):  # marker stages 2 and 4, lifted past the moved column
+        at_q1 = marker_floorset(moved, half).floors
+        markers.update(tower._offset_sums(moved, at_q1, 2 * half + 1, 5).tolist())
     f = floors[:-1]
     scan = f[(zone[f] != zone[f + 1]) != np.isin(f, sorted(markers))]
     assert scan.tolist() == [20]
@@ -516,6 +516,28 @@ def test_verify_windows_j5_to_j7_are_certified_past_the_context(preset):
             Fraction(_floors_above(table, q, top - i), size) for i in disjoint.violations
         ]
     assert report.stage == 16 and table.height(16) >= 2**63
+
+
+def test_windows_and_conjugacy_scan_to_j_12():
+    """On ``j_max=27``, for every j up to 12: the disjointness window's only
+    survivor is ``d = 0`` at ``q = 2j``, once for each of the ``|P_q|``
+    column-offset sums, and every listed violation lies inside the leak
+    ``(q*h_q - M_q, q*h_q)``; the coincidence window passes; and conjugacy
+    passes at the top window's stage.  From j=10 on the base count at the
+    window's stage, ``2*(2j+1)!``, passes ``2**63``."""
+    table = build_stage_table(ConstructionParams(j_max=27))
+    for j in range(1, 13):
+        q = 2 * j
+        report = verify_windows(table, j)
+        disjoint, coincide = report.checks
+        p_q = math.prod(table.cut_count(i) for i in range(q, report.stage))
+        survivors = ext._survivors(table, report.stage, disjoint.lo, disjoint.hi, "")
+        assert survivors == [(q, 0, p_q)]
+        top, m_q = q * table.height(q), tower._top_base_floor(table, q)
+        assert disjoint.violations and all(top - m_q < i < top for i in disjoint.violations)
+        assert coincide.passed
+    assert math.prod(map(table.cut_count, range(1, report.stage))) >= 2**63
+    assert verify_conjugacy(table, report.stage).passed
 
 
 def test_verify_windows_reads_only_the_table(table, monkeypatch):

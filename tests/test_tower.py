@@ -1,5 +1,6 @@
 """Stage table and floor-set algebra."""
 
+import dataclasses
 import random
 import sys
 import time
@@ -174,6 +175,41 @@ def test_refine_stays_exact_past_int64():
     assert max(want) >= 2**63
     assert tower._offset_sums(table, (0,), 12, 13).dtype == np.int64
     assert tower._offset_sums(table, (0,), 12, 14).dtype == object
+
+
+def test_floor_set_holds_the_kernels_array_past_int64():
+    """Stage-15 floors refined to stage 16 of ``j_max=17``, past ``2**63``:
+    the ``FloorSet`` holds the kernel's object array, read-only, equal to the
+    Python-int sums, and a tuple with a floor past ``2**63`` gives an object
+    array too; below the bound the floors are int64."""
+    table = build_stage_table(ConstructionParams(j_max=17))
+    h = table.height(15)
+    floors = (0, h // 2, h - 1)
+    fs = FloorSet(15, floors)
+    assert fs.floors.dtype == object and FloorSet(15, (0, 1)).floors.dtype == np.int64
+    out = refine(table, fs, 16)
+    assert out.floors.dtype == object and not out.floors.flags.writeable
+    assert out.indices == tuple(o + f for o in table.column_offsets(15) for f in floors)
+    assert refine(table, FloorSet(12, (0, 1)), 13).floors.dtype == np.int64
+
+
+def test_floor_set_refuses_unsorted_or_repeated_floors():
+    for floors in ((3, 1), (1, 1)):
+        with pytest.raises(ValueError, match="^stage-2 floors are not sorted and distinct$"):
+            FloorSet(2, floors)
+    assert FloorSet.of(2, (3, 1, 1)) == FloorSet(2, (1, 3))
+
+
+def test_refine_refuses_a_table_whose_columns_overlap(table):
+    """With the second stage-2 column moved to offset 1, inside the first,
+    the base at stage 2, floors 0 and 2, lifts to 0, 2, 1, 3: unsorted, so
+    ``refine`` raises where the kernel returns them."""
+    offsets = list(table.offsets)
+    offsets[1] = (0, 1)
+    moved = dataclasses.replace(table, offsets=tuple(offsets))
+    assert tower._offset_sums(moved, (0, 2), 2, 3).tolist() == [0, 2, 1, 3]
+    with pytest.raises(ValueError, match="not sorted and distinct"):
+        refine(moved, base_floorset(moved, 2), 3)
 
 
 def test_base_floorset_examples(table):
