@@ -188,28 +188,72 @@ def _checkpoint_bound(n_max: int, ratio: float) -> int:
 def default_checkpoints(n_max: int, ratio: float = 1.05) -> np.ndarray:
     """Geometric grid of step counts from 1 to n_max inclusive, as a
     read-only int64 array: ``n`` steps to ``max(int(n * ratio), n + 1)``.
-    Raises :class:`~ergolab.tower.BudgetExceeded` first if it may pass the budget."""
+    Raises :class:`~ergolab.tower.BudgetExceeded` first if it may pass the
+    budget, or if ``n_max >= 2**62``, past any stage the series engine admits.
+
+    The step ``int(n * ratio) - n`` is about ``n * (ratio - 1)``, so it holds
+    for long arithmetic runs: one run of 1s below ``2/(ratio - 1)``, and
+    3,855 runs for the 196,692 checkpoints of ``(77_115_780, 1.00005)``.
+    Each run takes its first step from the rule and guesses its length from
+    where ``n * (ratio - 1)`` reaches the next integer, so the Python loop
+    runs once per run; the runs become the grid by ``np.cumsum``, and one
+    numpy pass checks every step against the rule.  The grid is kept up to
+    the first wrong step, if any, and the runs start again from the rule's
+    next value, so the guess sets the cost, never the grid.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if ratio <= 1.0:
         raise ValueError(f"checkpoint ratio must be > 1, got {ratio}")
+    if n_max >= 2**62:
+        raise BudgetExceeded(f"checkpoints up to N={n_max} pass 2**62")
     bound = _checkpoint_bound(n_max, ratio)
     if bound > _CHECKPOINT_BUDGET:
         raise BudgetExceeded(
             f"checkpoint ratio {ratio!r} up to N={n_max} gives up to {bound} checkpoints,"
             f" over the budget of {_CHECKPOINT_BUDGET}"
         )
-    out, n = [], 1
+    # the step int(n * ratio) - n grows where n * (ratio - 1) passes an
+    # integer, but the rounded product n * ratio may pass it early, by up to
+    # n * ratio * 2**-53, so the runs end where n * d passes it
+    d = ratio - 1.0 + ratio * 2**-52
+    parts, n = [], 1
     while n < n_max:
-        out.append(n)
-        n = m if (m := int(n * ratio)) > n else n + 1
-    out.append(n_max)
-    return _read_only(np.array(out, dtype=np.int64))
+        # the runs from n, whose first "step" is n itself; a run's terms
+        # stay below (s + 1) / d and below n_max (conditionals, not min and
+        # max: this loop runs once per run)
+        steps, lengths = [n], [1]
+        while n < n_max:
+            m = int(n * ratio)
+            s = (m if m < n_max else n_max) - n if m > n else 1
+            k = math.ceil(((s + 1) / d - n) / s)
+            if k < 1:
+                k = 1
+            elif n + s * (k - 1) >= n_max:
+                k = -((n - n_max) // s)
+            steps.append(s)
+            lengths.append(k)
+            n += s * k
+        grid = np.cumsum(np.repeat(np.array(steps, dtype=np.int64), lengths))[:-1]
+        # the rule's next term, capped at n_max; a product past 2**62 > n_max
+        # is capped there first, so the cast cannot overflow
+        want = np.minimum(grid * ratio, 2.0**62).astype(np.int64)
+        np.maximum(want, grid + 1, out=want)
+        np.minimum(want, n_max, out=want)
+        wrong = np.flatnonzero(want[:-1] != grid[1:])
+        if wrong.size:
+            grid, n = grid[: wrong[0] + 1], int(want[wrong[0]])
+        elif want[-1] != n_max:
+            n = int(want[-1])
+        parts.append(grid)
+    parts.append(np.array([n_max], dtype=np.int64))
+    return _read_only(np.concatenate(parts))
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """The distinct values of ``a``, sorted: one sort, no hashing."""
-    a = np.sort(a)
+    """The distinct values of ``a``, sorted: one stable sort, which merges
+    sorted runs such as the checkpoints and milestones in linear time."""
+    a = np.sort(a, kind="stable")
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
@@ -248,7 +292,11 @@ def average_series(
     The running sum steps at every checkpoint and every plateau end, by the
     step's length times the plateau's integrand, so the cost is proportional
     to the number of plateaus plus checkpoints, all of it in numpy but the
-    integrand (once per distinct count) and the emitted points.
+    integrand, once per distinct count.  The checkpoints, the milestones and
+    the plateau ends are sorted runs, so each stable sort below merges them:
+    one for the checkpoints with the milestones, and one argsort that puts
+    the plateau ends among them, whose order gives each stop its plateau
+    and each checkpoint its stop without a search.
     """
     out_of_range = ValueError(
         f"checkpoints must be a non-empty subset of [1, {profile.n_max}]"
@@ -270,17 +318,42 @@ def average_series(
     seen = np.zeros(profile.total + 1, dtype=bool)
     seen[profile.counts] = True
     count_of = (np.cumsum(seen) - 1)[profile.counts]
+    # the overlap c * w as a float is (c * num) / den: int true division
+    # rounds correctly, as float(c * w) does, without Fraction arithmetic
+    w = profile.width
+    num, den = w.numerator, w.denominator
     levels = tuple(
-        (o, pair_integrand(model, o))
-        for o in (c * profile.width for c in np.flatnonzero(seen).tolist())
+        (c * w, pair_integrand(model, (c * num) / den))
+        for c in np.flatnonzero(seen).tolist()
     )
     g_of = np.array([g for _, g in levels], dtype=np.float64)
+    # plateau k holds on (edges[k], edges[k+1]], so a stop's plateau is the
+    # number of inner edges below it; the stable argsort puts a checkpoint
+    # before an edge of the same value, so that is the number of edges
+    # before the stop's first occurrence
     edges = profile.edges
-    stops = _sorted_unique(np.concatenate((t, edges[(edges > 0) & (edges < t[-1])])))
-    # plateau k holds on (edges[k], edges[k+1]]
-    at = count_of[np.searchsorted(edges, stops) - 1]
-    sums = _neumaier_cumsum(np.diff(stops, prepend=0) * g_of[at])
-    hit = np.searchsorted(stops, t)
+    keys = np.concatenate((t, edges[(edges > 0) & (edges < t[-1])]))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    is_edge = order >= t.size
+    del order
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    stops = keys[first]
+    del keys
+    below = np.cumsum(is_edge)
+    below -= is_edge
+    at = count_of[below[first]]
+    del below, count_of
+    # each stop adds its distance from the stop before times its integrand
+    terms = g_of[at]
+    terms[0] *= stops[0]
+    terms[1:] *= stops[1:] - stops[:-1]
+    del stops
+    sums = _neumaier_cumsum(terms)
+    del terms
+    # a checkpoint's stop is the running count of first occurrences
+    hit = np.cumsum(first)[~is_edge]
+    hit -= 1
     return Series(
         n=_read_only(t),
         level=_read_only(at[hit]),

@@ -250,6 +250,14 @@ def cmd_verify(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_series(cfg: RunConfig, out_dir: Path) -> int:
+    import time
+
+    # seconds per layer, logged under --verbose; nothing of it enters --out
+    laps = [("", time.perf_counter())]
+
+    def lap(layer: str) -> None:
+        laps.append((layer, time.perf_counter()))
+
     table = tower.build_stage_table(cfg.construction())
     milestones = averages.milestone_sequence(table, cfg.j_top)
     if not milestones:
@@ -260,19 +268,26 @@ def cmd_series(cfg: RunConfig, out_dir: Path) -> int:
         )
     n_max = milestones[-1].n
     log.info("series up to N=%d", n_max)
+    lap("stage table")
     ctx = extension.context_for(table, n_max)
     a = extension.base_leveled_set(table, ctx.stage)
     log.info("context stage %d: %d fragments, %d markers",
              ctx.stage, len(a.level0), ctx.zone_edges.size)
+    lap("context")
     profile = averages.event_sweep(a, ctx, n_max)
     log.info("profile has %d plateaus", len(profile.counts))
+    lap("event_sweep")
     model = cfg.suspension_model()
     checkpoints = averages.default_checkpoints(n_max, cfg.checkpoint_ratio)
+    lap("checkpoints")
     series = averages.average_series(model, profile, checkpoints, milestones)
+    lap("average_series")
     report = averages.divergence_report(series, milestones, model)
+    lap("divergence_report")
 
     csv_path = out_dir / "series.csv"
     _csv.write_series(csv_path, series)
+    lap("series.csv")
     _write_json(
         out_dir / "report.json",
         {
@@ -284,6 +299,14 @@ def cmd_series(cfg: RunConfig, out_dir: Path) -> int:
             "divergence": report.to_json_obj(),
         },
     )
+    lap("report.json")
+    if log.isEnabledFor(logging.INFO):
+        import resource
+
+        log.info("seconds per layer: %s", ", ".join(
+            f"{layer} {t - t0:.4f}" for (_, t0), (layer, t) in zip(laps, laps[1:])
+        ))
+        log.info("peak RSS %.1f MB", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     print(f"series: {len(series)} checkpoints up to N={n_max}")
     for b in report.bound_checks:
         rel = "<=" if b.kind == "disjoint_end" else ">="

@@ -291,7 +291,15 @@ def _offset_sums(table: StageTable, floors, lo: int, hi: int) -> np.ndarray:
     hi-1``, top stage most significant: the stage-``lo`` floors ``floors``
     refined to stage ``hi``, and for ``floors = (0,)``, ``lo = 1`` the base
     floors there.  int64 while ``h_hi < 2**63``, so no floor of stage ``hi``
-    overflows, and Python ints (object dtype) past it."""
+    overflows, and Python ints (object dtype) past it.  Output of more than
+    ``_TABLE_BUDGET`` bytes at 8 per floor raises :class:`BudgetExceeded`,
+    counted from the column counts before any floor is built."""
+    count = len(floors) * math.prod(len(table.column_offsets(j)) for j in range(lo, hi))
+    if 8 * count > _TABLE_BUDGET:
+        raise BudgetExceeded(
+            f"refining {len(floors)} stage-{lo} floors to stage {hi} gives {count} floors,"
+            f" over the budget of {_TABLE_BUDGET // 8}"
+        )
     dtype = np.int64 if table.height(hi) < 2**63 else object
     sums = np.array(floors, dtype=dtype)
     for j in range(lo, hi):

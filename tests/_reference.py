@@ -159,6 +159,18 @@ def chunked_flip_profile(fragments, markers, n, chunk):
     return edges, counts
 
 
+def checkpoints(n_max, ratio):
+    """The geometric checkpoint grid one step at a time: ``n`` steps to
+    ``max(int(n * ratio), n + 1)`` from 1 while below ``n_max``, then
+    ``n_max``."""
+    out, n = [], 1
+    while n < n_max:
+        out.append(n)
+        n = max(int(n * ratio), n + 1)
+    out.append(n_max)
+    return out
+
+
 def step_levels(fragments, marker_set, n_max):
     """Single-step flip-lift simulation.
 

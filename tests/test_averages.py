@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ergolab import (
@@ -41,6 +41,8 @@ from ergolab.averages import (
 )
 from ergolab import averages
 from ergolab.extension import SegmentEscapesTower
+
+import _reference as ref
 
 MODEL = SuspensionModel("poisson", 1)
 
@@ -296,17 +298,40 @@ def test_profile_count_at_domain(profile6):
 
 def test_default_checkpoints_match_the_max_loop():
     """The grid equals the ``n = max(n + 1, int(n * ratio))`` loop."""
-
-    def max_loop(n_max, ratio):
-        out, n = [], 1
-        while n < n_max:
-            out.append(n)
-            n = max(n + 1, int(n * ratio))
-        return (*out, n_max)
-
     for ratio in (1.00005, 1.05, 1.5, 2.0, 10.0):
         for n_max in (1, 2, 3, 10, 999, 23_040, 43_545_600):
-            assert default_checkpoints(n_max, ratio).tolist() == list(max_loop(n_max, ratio))
+            assert default_checkpoints(n_max, ratio).tolist() == ref.checkpoints(n_max, ratio)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=100)
+@given(n_max=st.integers(1, 2**62 - 1), exponent=st.floats(-8, 3))
+@example(n_max=1, exponent=0.0)
+@example(n_max=2, exponent=-7.0)
+@example(n_max=1000, exponent=-7.0)
+@example(n_max=999_999, exponent=-7.0)
+@example(n_max=2**62 - 1, exponent=0.0)
+@example(n_max=2**62 - 1, exponent=300.0)
+@example(n_max=2**62 - 1, exponent=-0.3)
+@example(n_max=2**62 - 3, exponent=-4.0)
+@example(n_max=77_115_780, exponent=math.log10(0.00005))
+@example(n_max=43_545_600, exponent=math.log10(0.05))
+def test_default_checkpoints_equal_the_scalar_loop(n_max, exponent):
+    """The grid built from checked arithmetic runs equals the scalar loop of
+    ``tests/_reference.py`` on any ``(n_max, ratio)`` under the checkpoint
+    budget: ratios from ``1 + 1e-8`` up (2.0 and 1e300 among them),
+    ``n_max`` up to ``2**62 - 1``, the ``series-dense`` and default grids.
+    The suite turns warnings into errors, so a cast that overflows fails."""
+    ratio = 1 + 10**exponent
+    # the oracle steps once per checkpoint, so the grids stay under 2**20
+    assume(_checkpoint_bound(n_max, ratio) <= 1 << 20)
+    assert default_checkpoints(n_max, ratio).tolist() == ref.checkpoints(n_max, ratio)
+
+
+def test_default_checkpoints_refuse_n_max_from_2_to_the_62():
+    assert default_checkpoints(2**62 - 1, 2.0)[-2:].tolist() == [2**61, 2**62 - 1]
+    for n_max in (2**62, 2**63, 2**70):
+        with pytest.raises(BudgetExceeded, match=f"up to N={n_max} pass 2\\*\\*62"):
+            default_checkpoints(n_max, 2.0)
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=60)
@@ -347,9 +372,13 @@ def test_series_against_naive_running_mean(table, profile6):
     n_top = 1500
     series = average_series(MODEL, profile6, checkpoints=range(1, n_top + 1))
     g = [pair_integrand(MODEL, overlap_measure(n, a, ctx)) for n in range(1, n_top + 1)]
+    assert series.n.tolist() == list(range(1, n_top + 1))
+    exact = Fraction(0)
     for n, k, a_n in zip(series.n.tolist(), series.level.tolist(), series.a_n.tolist()):
-        naive = math.fsum(g[:n]) / n
-        assert abs(a_n - naive) <= 1e-10
+        # within 1 ulp of the correctly rounded exact mean of the float integrands
+        exact += Fraction(g[n - 1])
+        mean = float(exact / n)
+        assert abs(a_n - mean) <= math.ulp(mean)
         overlap, integrand = series.levels[k]
         assert overlap == profile6.overlap_at(n)
         assert integrand == g[n - 1]
@@ -360,6 +389,24 @@ def test_series_against_naive_running_mean(table, profile6):
     for column in ("n", "level", "a_n"):
         assert np.array_equal(getattr(again, column), getattr(series, column))
     assert [n for n, m in zip(again.n, again.is_milestone) if m] == [4, 8, 24, 48]
+
+
+def test_overlap_floats_equal_the_floats_of_their_fractions(table):
+    """``average_series`` passes ``pair_integrand`` the overlap ``c * w`` as
+    ``(c * w.numerator) / w.denominator``: int true division rounds
+    correctly, so it is ``float(c * w)``, on every count of ``series {}``
+    (0 to the 10,080 fragments of its context stage) and on random widths."""
+    n_max = milestone_sequence(table, 3)[-1].n
+    w = table.width(context_for(table, n_max).stage)
+    assert w == Fraction(1, 10_080)
+    for c in range(w.denominator + 1):
+        assert (c * w.numerator) / w.denominator == float(c * w)
+    rng = random.Random(11)
+    for _ in range(20_000):
+        w = Fraction(rng.randrange(1, 2 ** rng.randrange(1, 90)),
+                     rng.randrange(1, 2 ** rng.randrange(1, 90)))
+        c = rng.randrange(2 ** rng.randrange(1, 70))
+        assert (c * w.numerator) / w.denominator == float(c * w)
 
 
 def test_neumaier_cumsum_matches_scalar_loop_bit_for_bit(monkeypatch):

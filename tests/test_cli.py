@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -660,6 +661,25 @@ def test_verbose_logs_on_every_call_and_leaves_the_root_logger_alone(tmp_path, c
     assert run(tmp_path / "quiet", "verify", config=SMALL)[0] == 1
     assert capsys.readouterr().err == ""
     assert root.handlers == handlers and root.level == level
+
+
+def test_verbose_series_logs_seconds_per_layer_and_peak_rss(tmp_path, capsys):
+    """``--verbose`` logs the seconds of each layer of ``series`` and the
+    peak RSS to stderr; the artifacts are those of a quiet run."""
+    assert run(tmp_path / "quiet", "series", config=SMALL)[0] == 0
+    assert capsys.readouterr().err == ""
+    code, out = run(tmp_path / "verbose", "--verbose", "series", config=SMALL)
+    assert code == 0
+    err = capsys.readouterr().err
+    layers = re.search(r"^INFO ergolab: seconds per layer: (.*)$", err, re.M).group(1)
+    assert [re.fullmatch(r"(.+) \d+\.\d{4}", x).group(1) for x in layers.split(", ")] == [
+        "stage table", "context", "event_sweep", "checkpoints", "average_series",
+        "divergence_report", "series.csv", "report.json",
+    ]
+    assert re.search(r"^INFO ergolab: peak RSS \d+\.\d MB$", err, re.M)
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "series.csv"]
+    for name in ("report.json", "series.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "quiet" / "out" / name).read_bytes()
 
 
 def test_gaussian_model_series(tmp_path):

@@ -177,6 +177,30 @@ def test_refine_stays_exact_past_int64():
     assert tower._offset_sums(table, (0,), 12, 14).dtype == object
 
 
+def test_floor_sum_kernel_refuses_output_past_the_table_budget(monkeypatch):
+    """The kernel counts its output from the column counts before it builds a
+    floor, and refuses more than ``_TABLE_BUDGET`` bytes at 8 per floor: the
+    stage-13 base of ``j_max=17`` (958,003,200 floors, 7.7 GB) and the
+    stage-12 base (79,833,600) raise at once.  At the bound it builds."""
+    big = build_stage_table(ConstructionParams(j_max=17))
+    t0 = time.perf_counter()
+    for stage, count in ((13, 958_003_200), (12, 79_833_600)):
+        with pytest.raises(
+            BudgetExceeded,
+            match=f"1 stage-1 floors to stage {stage} gives {count} floors, over the budget of",
+        ):
+            base_floorset(big, stage)
+    assert time.perf_counter() - t0 < 1.0
+    table = build_stage_table(ConstructionParams(j_max=9))
+    count = len(base_floorset(table, 5))
+    assert count == 2 * 2 * 3 * 4
+    monkeypatch.setattr(tower, "_TABLE_BUDGET", 8 * count)
+    assert len(refine(table, FloorSet(1, (0,)), 5)) == count
+    monkeypatch.setattr(tower, "_TABLE_BUDGET", 8 * count - 1)
+    with pytest.raises(BudgetExceeded, match=f"gives {count} floors"):
+        refine(table, FloorSet(1, (0,)), 5)
+
+
 def test_floor_set_holds_the_kernels_array_past_int64():
     """Stage-15 floors refined to stage 16 of ``j_max=17``, past ``2**63``:
     the ``FloorSet`` holds the kernel's object array, read-only, equal to the
