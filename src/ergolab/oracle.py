@@ -3,7 +3,10 @@
 Randomness comes from numpy's counter-based Philox generator.  Samples are
 drawn in fixed-size chunks and chunk ``k`` is seeded with
 ``SeedSequence((seed, k))``, so estimates are bit-identical across runs and
-platforms and independent of any parallel execution of the chunks.
+platforms and independent of any parallel execution of the chunks.  Each
+chunk is drawn and tested in blocks of ``_BLOCK`` samples taken from the
+chunk's own stream, so the estimates are those of whole-chunk draws while
+an estimator holds at most one chunk of Gaussian ``x`` plus one block.
 
 Each estimator makes one pass per gate family: it takes a sequence of
 parameters (overlap masses, correlations), draws each chunk once and tests
@@ -31,6 +34,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 19
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,16 @@ class McConfig:
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chunk))))
+
+
+def _row_rng(seed: int, chunk: int, start: int) -> np.random.Generator:
+    """Chunk ``chunk``'s stream from draw ``start`` on: each Philox counter
+    step yields 4 draws, so ``advance`` jumps ``start // 4`` steps and the
+    remaining draws are discarded."""
+    rng = _chunk_rng(seed, chunk)
+    rng.bit_generator.advance(start // 4)
+    rng.bit_generator.random_raw(start % 4)
+    return rng
 
 
 def _chunks(samples: int):
@@ -111,14 +125,19 @@ def mc_pair_integral_poisson(
         splits.append([(lo0[c], hi0[c], lo1[m - c], hi1[m - c]) for c in cs])
     hits = [0] * len(lams)
     for k, n in _chunks(cfg.samples):
-        u = _chunk_rng(cfg.seed, k).random((3, n))
-        # both difference counts fall in one bucket iff their min and max do
-        lo_u, hi_u = np.minimum(u[1], u[2]), np.maximum(u[1], u[2])
-        for i, split in enumerate(splits):
-            for lo0, hi0, lo1, hi1 in split:
-                hits[i] += int(np.count_nonzero(
-                    (u[0] >= lo0) & (u[0] < hi0) & (lo_u >= lo1) & (hi_u < hi1)
-                ))
+        # the uniforms of sample i are draws i, n+i and 2n+i of the chunk
+        # stream, as in random((3, n)): one generator per row, in lockstep
+        rows = [_row_rng(cfg.seed, k, r * n) for r in range(3)]
+        for start in range(0, n, _BLOCK):
+            s = min(_BLOCK, n - start)
+            u0, u1, u2 = (rng.random(s) for rng in rows)
+            # both difference counts fall in one bucket iff their min and max do
+            lo_u, hi_u = np.minimum(u1, u2), np.maximum(u1, u2)
+            for i, split in enumerate(splits):
+                for lo0, hi0, lo1, hi1 in split:
+                    hits[i] += int(np.count_nonzero(
+                        (u0 >= lo0) & (u0 < hi0) & (lo_u >= lo1) & (hi_u < hi1)
+                    ))
     return [_estimate(h, cfg.samples) for h in hits]
 
 
@@ -169,12 +188,17 @@ def mc_gaussian_orthant(
             raise ValueError(f"correlation {rho} outside [-1, 1]")
     tails = [math.sqrt(1.0 - rho * rho) for rho in rhos]
     hits = [0] * len(rhos)
+    # y follows the chunk's n normals of x in its stream, so x is drawn whole
+    # into one buffer and y block by block after it
+    buf = np.empty(min(_CHUNK, cfg.samples))
     for k, n in _chunks(cfg.samples):
         rng = _chunk_rng(cfg.seed, k)
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        x_pos = x > 0.0
-        for i, (rho, tail) in enumerate(zip(rhos, tails)):
-            z = rho * x + tail * y
-            hits[i] += int(np.count_nonzero(x_pos & (z > 0.0)))
+        x_all = rng.standard_normal(out=buf[:n])
+        for start in range(0, n, _BLOCK):
+            y = rng.standard_normal(min(_BLOCK, n - start))
+            x = x_all[start : start + len(y)]
+            x_pos = x > 0.0
+            for i, (rho, tail) in enumerate(zip(rhos, tails)):
+                z = rho * x + tail * y
+                hits[i] += int(np.count_nonzero(x_pos & (z > 0.0)))
     return [_estimate(h, cfg.samples) for h in hits]

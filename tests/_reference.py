@@ -217,6 +217,56 @@ def poisson_pair_estimate(lam, a, m, cfg):
     return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / cfg.samples)
 
 
+def gaussian_orthant_estimate(rho, cfg):
+    """P(X > 0, Z > 0) for standard normals with correlation rho, one
+    correlation, each chunk drawn whole.
+
+    The estimator ``oracle.mc_gaussian_orthant`` blocks: per chunk, ``x`` is
+    the stream's first ``n`` normals and ``y`` the next ``n``, and ``Z =
+    rho*X + sqrt(1 - rho^2)*Y``.  Returns (estimate, standard error).
+    """
+    import math
+
+    from ergolab.oracle import _chunk_rng, _chunks
+
+    tail = math.sqrt(1.0 - rho * rho)
+    hits = 0
+    for k, n in _chunks(cfg.samples):
+        rng = _chunk_rng(cfg.seed, k)
+        x = rng.standard_normal(n)
+        y = rng.standard_normal(n)
+        hits += int(np.count_nonzero((x > 0.0) & (rho * x + tail * y > 0.0)))
+    p_hat = hits / cfg.samples
+    return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / cfg.samples)
+
+
+def exact_running_means(profile, integrand, ns):
+    """The exact running means at the increasing step counts ``ns`` of the
+    float integrands of ``profile``'s plateaus: plateau ``k`` holds
+    ``integrand(float(counts[k] * width))`` on ``(edges[k], edges[k+1]]``,
+    and the steps are summed as ``Fraction``s, one plateau at a time."""
+    ends = profile.edges.tolist()[1:] + [profile.n_max]
+    counts = profile.counts.tolist()
+    g = {}
+
+    def term(k):
+        c = counts[k]
+        if c not in g:
+            g[c] = Fraction(integrand(float(c * profile.width)))
+        return g[c]
+
+    out, total, k, at = [], Fraction(0), 0, 0
+    for n in ns:
+        while ends[k] < n:
+            total += (ends[k] - at) * term(k)
+            at = ends[k]
+            k += 1
+        total += (n - at) * term(k)
+        at = n
+        out.append(total / n)
+    return out
+
+
 def series_csv(series):
     """The bytes of ``series.csv`` for an ``averages.Series``, one row at a
     time: integers by ``str``, floats by ``repr``, CRLF line ends."""

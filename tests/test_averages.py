@@ -391,6 +391,25 @@ def test_series_against_naive_running_mean(table, profile6):
     assert [n for n, m in zip(again.n, again.is_milestone) if m] == [4, 8, 24, 48]
 
 
+@pytest.mark.parametrize("model", [MODEL, SuspensionModel("gaussian")])
+def test_series_default_within_one_ulp_of_the_exact_mean(table, model):
+    """Every ``a_n`` of ``series {}`` (337 checkpoints to N = 43,545,600 over
+    32,001 plateaus) lies within 1 ulp of the correctly rounded exact mean of
+    its float integrands, summed as ``Fraction``s over the plateaus."""
+    miles = milestone_sequence(table, 3)
+    n_max = miles[-1].n
+    ctx = context_for(table, n_max)
+    profile = event_sweep(base_leveled_set(table, ctx.stage), ctx, n_max)
+    series = average_series(model, profile, default_checkpoints(n_max), miles)
+    means = ref.exact_running_means(
+        profile, lambda x: pair_integrand(model, x), series.n.tolist()
+    )
+    assert len(means) == 337
+    for a_n, exact in zip(series.a_n.tolist(), means):
+        mean = float(exact)
+        assert abs(a_n - mean) <= math.ulp(mean)
+
+
 def test_overlap_floats_equal_the_floats_of_their_fractions(table):
     """``average_series`` passes ``pair_integrand`` the overlap ``c * w`` as
     ``(c * w.numerator) / w.denominator``: int true division rounds

@@ -1,5 +1,8 @@
 """Seeded Monte Carlo estimators and the 3-sigma gate."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,8 @@ from ergolab import (
     pair_integrand,
     three_sigma_gate,
 )
-from ergolab.oracle import _CHUNK, _poisson_cdf
+from ergolab import oracle
+from ergolab.oracle import _CHUNK, _chunk_rng, _poisson_cdf, _row_rng
 
 import _reference as ref
 
@@ -157,3 +161,64 @@ def test_batches_equal_single_parameter_runs():
     assert mc_gaussian_orthant(rhos, cfg) == [
         mc_gaussian_orthant((rho,), cfg)[0] for rho in rhos
     ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 1001, 1002, 1003, 1004])
+@pytest.mark.parametrize("seed, k", [(1, 0), (3001, 2)])
+def test_row_rngs_start_at_the_rows_of_a_whole_chunk_draw(seed, k, n):
+    """Row ``r`` of ``random((3, n))`` is the stream from draw ``r*n`` on,
+    for every ``n % 4``: Philox's ``advance`` steps 4 draws at a time."""
+    rows = _chunk_rng(seed, k).random((3, n))
+    for r in range(3):
+        assert np.array_equal(_row_rng(seed, k, r * n).random(n), rows[r])
+
+
+@pytest.mark.parametrize(
+    "chunk, block, samples",
+    [
+        # one partial block; n % 4 of the only chunk from 1 to 3 and 0
+        (_CHUNK, 7, 1), (_CHUNK, 7, 6), (_CHUNK, 7, 7), (_CHUNK, 7, 15), (_CHUNK, 7, 200),
+        # small chunks of 5 blocks, the last chunk's n % 4 from 0 to 3
+        (35, 7, 140), (35, 7, 141), (35, 7, 142), (35, 7, 143),
+        # full-size chunks cut by a block that does not divide them
+        (_CHUNK, 1001, _CHUNK + 2002), (_CHUNK, 1001, _CHUNK + 2003),
+    ],
+)
+def test_blocks_equal_whole_chunk_draws(monkeypatch, chunk, block, samples):
+    """Both estimators give bit for bit the estimates of their references,
+    which draw each chunk whole, across chunk and block boundaries."""
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    cfg = McConfig(seed=41, samples=samples)
+    lams = (1.3, 0.0, 0.5)
+    for m in (0, 1, 3):
+        got = mc_pair_integral_poisson(lams, 1.3, m, cfg)
+        assert got == [ref.poisson_pair_estimate(lam, 1.3, m, cfg) for lam in lams]
+    rhos = (0.0, 0.5, 1.0, -0.7)
+    got = mc_gaussian_orthant(rhos, cfg)
+    assert got == [ref.gaussian_orthant_estimate(rho, cfg) for rho in rhos]
+
+
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_poisson_estimator_memory_is_one_block():
+    """1M samples peak near three blocks of uniforms, not a (3, n) chunk
+    (30.9 MiB when each chunk was drawn whole)."""
+    cfg = McConfig(seed=1, samples=1_000_000)
+    peak = _peak_bytes(lambda: mc_pair_integral_poisson((1.0, 0.0, 0.4), 1.0, 1, cfg))
+    assert peak < 3 * 2**20
+
+
+def test_gaussian_estimator_memory_is_one_chunk_of_x_plus_one_block():
+    """1M samples peak near one chunk of ``x`` (4 MiB) plus a block of ``y``
+    and its temporaries (20.5 MiB when each chunk was drawn whole)."""
+    cfg = McConfig(seed=1, samples=1_000_000)
+    peak = _peak_bytes(lambda: mc_gaussian_orthant((0.0, 0.5, 1.0), cfg))
+    assert peak < 6 * 2**20

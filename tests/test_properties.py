@@ -3,6 +3,7 @@ random small constructions of both presets."""
 
 import collections
 import dataclasses
+import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
@@ -19,16 +20,20 @@ from ergolab import (
     LeveledSet,
     SegmentEscapesTower,
     StageOverflow,
+    SuspensionModel,
+    average_series,
     base_leveled_set,
     build_stage_table,
     claim_windows,
     cocycle_context,
     context_for,
+    default_checkpoints,
     event_sweep,
     flip_orbit,
     level_swap,
     marker_floorset,
     overlap_measure,
+    pair_integrand,
     refine,
     straight_orbit,
     verify_conjugacy,
@@ -438,6 +443,36 @@ def test_event_sweep_matches_flips_counted_chunk_by_chunk_on_random_tables(table
     )
     n = data.draw(st.integers(1, room) | st.sampled_from(last_flips or [room]), label="n")
     _check_chunked_flips(table, offsets, h, marker_stages, stage, n, chunk)
+
+
+@settings(SETTINGS, max_examples=50)
+@given(
+    table=ref.random_tables(),
+    model=st.sampled_from(
+        [SuspensionModel("poisson", 1), SuspensionModel("poisson", 3, 2), SuspensionModel("gaussian")]
+    ),
+    data=st.data(),
+)
+def test_series_within_one_ulp_of_the_exact_mean_on_random_tables(table, model, data):
+    """On random schedules, every ``a_n`` lies within 1 ulp of the correctly
+    rounded exact mean of its float integrands (see
+    :func:`_reference.exact_running_means`), at every step up to 300 and on
+    the geometric grid past it."""
+    stage = data.draw(st.integers(2, table.j_max), label="stage")
+    a = base_leveled_set(table, stage)
+    room = table.height(stage) - 1 - int(a.level0.floors[-1])
+    if room < 1:
+        reject()
+    n_max = data.draw(st.integers(1, min(room, 1 << 22)), label="n_max")
+    profile = event_sweep(a, cocycle_context(table, stage), n_max)
+    checkpoints = [*range(1, min(n_max, 300) + 1), *default_checkpoints(n_max).tolist()]
+    series = average_series(model, profile, checkpoints)
+    means = ref.exact_running_means(
+        profile, lambda x: pair_integrand(model, x), series.n.tolist()
+    )
+    for a_n, exact in zip(series.a_n.tolist(), means):
+        mean = float(exact)
+        assert abs(a_n - mean) <= math.ulp(mean)
 
 
 def test_event_sweep_drops_the_times_whose_nets_cancel_within_a_chunk():
