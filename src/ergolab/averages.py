@@ -241,11 +241,9 @@ def default_checkpoints(n_max: int, ratio: float = 1.05) -> np.ndarray:
         np.maximum(want, grid + 1, out=want)
         np.minimum(want, n_max, out=want)
         wrong = np.flatnonzero(want[:-1] != grid[1:])
-        if wrong.size:
-            grid, n = grid[: wrong[0] + 1], int(want[wrong[0]])
-        elif want[-1] != n_max:
-            n = int(want[-1])
-        parts.append(grid)
+        end = wrong[0] + 1 if wrong.size else grid.size
+        parts.append(grid[:end])
+        n = int(want[end - 1])
     parts.append(np.array([n_max], dtype=np.int64))
     return _read_only(np.concatenate(parts))
 

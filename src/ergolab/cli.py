@@ -2,7 +2,8 @@
 
 Everything an invocation needs comes from one JSON config file plus ``--out``;
 identical config and seed produce byte-identical artifacts.  Exit codes:
-0 success, 1 a checked claim was violated, 2 configuration error.
+0 success, 1 a checked claim was violated, 2 request refused: a bad config
+or schedule, a stage past ``j_max``, or a request over a budget.
 """
 
 from __future__ import annotations

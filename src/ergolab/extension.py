@@ -133,27 +133,26 @@ class CocycleContext:
 def _local_zones(table: StageTable, q: int) -> tuple[list[int], list[int]]:
     """First and last floor of every stage-``q`` swap zone at stage ``q+1``,
     in column order: ``o + h_q + 1`` and ``o + q*h_q`` above the column at
-    offset ``o``.  :func:`_swap_zones` lifts them to any higher stage, and
-    :func:`verify_conjugacy` compares them with the markers there."""
+    offset ``o``.  :func:`_zone_edges` lifts their edges to any higher
+    stage, and :func:`verify_conjugacy` compares them with the markers there."""
     h_q = table.height(q)
     cols = table.column_offsets(q)
     return [o + h_q + 1 for o in cols], [o + q * h_q for o in cols]
 
 
-def _swap_zones(table: StageTable, stage: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and last floor of every swap zone at ``stage``, in sumset order.
+def _zone_edges(table: StageTable, stage: int) -> np.ndarray:
+    """The zone edges at ``stage``, one below every zone's first floor and
+    one on its last, per marker stage in sumset order.
 
     Refinement adds the column offsets of each stage above ``q``, so the
-    stage-``q`` zones are the sumset ``O_{q+1} + ... + O_{stage-1}`` plus
-    their first and last floors at stage ``q+1`` (:func:`_local_zones`).
+    stage-``q`` edges are the sumset ``O_{q+1} + ... + O_{stage-1}`` plus
+    their edges at stage ``q+1`` (:func:`_local_zones`).
     """
-    starts = [np.zeros(0, dtype=np.int64)]
-    ends = [np.zeros(0, dtype=np.int64)]
+    edges = [np.zeros(0, dtype=np.int64)]
     for q in (q for q in table.params.effective_marker_stages() if q < stage):
         first, last = _local_zones(table, q)
-        starts.append(_offset_sums(table, first, q + 1, stage))
-        ends.append(_offset_sums(table, last, q + 1, stage))
-    return np.concatenate(starts), np.concatenate(ends)
+        edges.append(_offset_sums(table, [f - 1 for f in first] + last, q + 1, stage))
+    return np.concatenate(edges)
 
 
 def cocycle_context(table: StageTable, stage: int) -> CocycleContext:
@@ -178,8 +177,7 @@ def cocycle_context(table: StageTable, stage: int) -> CocycleContext:
             f"stage {stage} holds {markers} marker floors and {base} base floors,"
             f" over the budget of {_CONTEXT_BUDGET} floors"
         )
-    starts, ends = _swap_zones(table, stage)
-    return CocycleContext(table, stage, np.sort(np.concatenate((starts - 1, ends))))
+    return CocycleContext(table, stage, np.sort(_zone_edges(table, stage)))
 
 
 def _context_stage(table: StageTable, n_max: int) -> int:
@@ -334,13 +332,6 @@ _GRID_POINTS = 10_000
 # guards on work, checked before it is done so that a run past them fails fast
 _PARTIAL_BUDGET = 1 << 20
 _EVENT_BUDGET = 1 << 20
-
-
-def _runs(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges ``first[k] .. first[k] + lengths[k] - 1``, concatenated."""
-    runs = np.arange(lengths.sum())
-    runs += np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
-    return runs
 
 
 def _merge_events(times: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -558,7 +549,7 @@ def verify_windows(table: StageTable, j: int) -> WindowReport:
         if lengths.sum() <= _GRID_POINTS:
             mode, checked = "exhaustive", hi - lo - 1
             n = lengths.astype(np.int64)
-            steps = np.repeat(starts, n) + _runs(np.zeros_like(n), n)
+            steps = np.repeat(starts - (np.cumsum(n) - n), n) + np.arange(n.sum())
         else:
             grid = _sample_grid(lo, hi, _GRID_POINTS).astype(dtype)
             mode, checked = "sampled", grid.size
@@ -812,17 +803,18 @@ def verify_conjugacy(table: StageTable, stage: int) -> ConjugacyReport:
 
     Instances of stages ``q <= p`` share a floor once for each way of
     writing 0 as one difference per stage, top stage first: ``O_j - O_j``
-    above ``p``, ``M_p - O_p``, then ``-O_j`` and ``-M_q`` below (``O_j -
-    O_j`` and ``M_q - M_q`` when ``q = p``, less the pairs of an instance
-    with itself).  That is a pruned search (:func:`_pruned_sums`) in Python
-    ints, whose cost follows the marker stages and cut counts, not the
-    floors.  The certificate: every ``U_q`` is empty and no floor is shared,
-    so no floor step mismatches.  Otherwise every ``L_q`` and ``M_q`` is
-    lifted to ``s`` by :func:`~ergolab.tower._offset_sums`, a floor that
-    several markers share counts once, and the floors counted an odd number
-    of times are the mismatches.  The floors to lift are counted first;
-    past ``_EVENT_BUDGET`` it raises :class:`~ergolab.tower.BudgetExceeded`
-    before lifting any.
+    (:func:`_digit_differences`) above ``p``, ``M_p - O_p``, then ``-O_j``
+    and ``-M_q`` below (``O_j - O_j`` and ``M_q - M_q`` when ``q = p``, less
+    the pairs of an instance with itself).  That is a pruned search
+    (:func:`_pruned_sums`) in Python ints, whose cost follows the marker
+    stages and cut counts, not the floors.  The certificate: every ``U_q``
+    is empty and no floor is shared, so no floor step mismatches.  Otherwise
+    the zone edges at ``s`` (:func:`_zone_edges`) are counted with every
+    ``M_q`` lifted to ``s`` by :func:`~ergolab.tower._offset_sums`, a floor
+    that several markers share counting once, and the floors counted an odd
+    number of times are the mismatches.  The floors to lift are counted
+    first; past ``_EVENT_BUDGET`` it raises
+    :class:`~ergolab.tower.BudgetExceeded` before lifting any.
     """
     height = table.height(stage)
     what = f"conjugacy at stage {stage}"
@@ -832,7 +824,7 @@ def verify_conjugacy(table: StageTable, stage: int) -> ConjugacyReport:
         j: collections.Counter(table.column_offsets(j))
         for j in range(min(qs, default=stage) + 1, stage)
     }
-    diffs = {j: _minus(c, c) for j, c in cols.items()}
+    diffs = _digit_differences(table, stage)
     edges, markers = {}, {}
     for q in qs:
         first, last = _local_zones(table, q)
@@ -847,7 +839,7 @@ def verify_conjugacy(table: StageTable, stage: int) -> ConjugacyReport:
     def shares(q: int, p: int) -> bool:
         """Whether an instance of marker stage ``q`` shares a floor with
         another instance of ``p >= q``."""
-        digits = [diffs[j] for j in range(stage - 1, p, -1)]
+        digits = diffs[: stage - 1 - p]
         if p == q:
             digits.append(_minus(markers[q], markers[q]))
             itself = len(markers[q]) * lifts[q]
@@ -866,10 +858,10 @@ def verify_conjugacy(table: StageTable, stage: int) -> ConjugacyReport:
             f"{what} is not certified: its zone edges and markers lift to {count} floors,"
             f" over the budget of {_EVENT_BUDGET}"
         )
-    lifted = [_offset_sums(table, list(edges[q].elements()), q + 1, stage) for q in qs]
     marked = [_offset_sums(table, list(markers[q]), q + 1, stage) for q in qs]
     # a floor that several markers share counts once
     marked = np.unique(np.concatenate(marked))
-    floors, times = np.unique(np.concatenate((*lifted, marked)), return_counts=True)
+    floors = np.concatenate((_zone_edges(table, stage), marked))
+    floors, times = np.unique(floors, return_counts=True)
     mism = tuple(floors[times % 2 == 1].tolist())
     return ConjugacyReport(stage=stage, floors_checked=height - 1, mismatched_floors=mism)

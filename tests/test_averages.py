@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tracemalloc
+import types
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -287,6 +288,9 @@ def test_sweep_rejects_escaping_fragments(table):
     ctx = cocycle_context(table, 4)
     with pytest.raises(SegmentEscapesTower):
         event_sweep(base_leveled_set(table, 4), ctx, table.height(4))
+    for n_max in (0, -1):
+        with pytest.raises(ValueError, match=f"^n_max must be >= 1, got {n_max}$"):
+            event_sweep(base_leveled_set(table, 4), ctx, n_max)
 
 
 def test_profile_count_at_domain(profile6):
@@ -327,6 +331,20 @@ def test_default_checkpoints_equal_the_scalar_loop(n_max, exponent):
     assert default_checkpoints(n_max, ratio).tolist() == ref.checkpoints(n_max, ratio)
 
 
+@pytest.mark.parametrize("extra", [1, 3])
+def test_default_checkpoints_repair_runs_guessed_too_long(monkeypatch, extra):
+    """With every run's length guessed ``extra`` terms too long, each grid is
+    kept up to its first wrong step and the runs start again from the rule's
+    next value, so the grid still equals the scalar loop."""
+    shim = types.SimpleNamespace(**vars(math))
+    shim.ceil = lambda x: math.ceil(x) + extra
+    monkeypatch.setattr(averages, "math", shim)
+    rng = random.Random(extra)
+    for _ in range(150):
+        n_max, ratio = rng.randint(1, 10**6), 1 + 10 ** rng.uniform(-2, 0)
+        assert default_checkpoints(n_max, ratio).tolist() == ref.checkpoints(n_max, ratio)
+
+
 def test_default_checkpoints_refuse_n_max_from_2_to_the_62():
     assert default_checkpoints(2**62 - 1, 2.0)[-2:].tolist() == [2**61, 2**62 - 1]
     for n_max in (2**62, 2**63, 2**70):
@@ -358,6 +376,9 @@ def test_default_checkpoints_shape():
     assert len(cps) < 400
     with pytest.raises(ValueError):
         default_checkpoints(100, ratio=1.0)
+    for n_max in (0, -1):
+        with pytest.raises(ValueError, match=f"^n_max must be >= 1, got {n_max}$"):
+            default_checkpoints(n_max)
     # the series-dense grid passes the preflight; a ratio this near 1 does not
     dense = (77_115_780, 1.00005)
     assert len(default_checkpoints(*dense)) < _checkpoint_bound(*dense) < _CHECKPOINT_BUDGET
@@ -465,6 +486,10 @@ def test_series_validates_checkpoint_range(profile6):
         average_series(MODEL, profile6, checkpoints=[0])
     with pytest.raises(ValueError):
         average_series(MODEL, profile6, checkpoints=[profile6.n_max + 1])
+    # no checkpoints, or one that int64 cannot hold
+    for checkpoints in ([], np.zeros(0, dtype=np.int64), [1, 2**63]):
+        with pytest.raises(ValueError, match=r"^checkpoints must be a non-empty subset of \[1, "):
+            average_series(MODEL, profile6, checkpoints=checkpoints)
 
 
 def test_divergence_report_j_top_2(table, profile6):

@@ -15,8 +15,10 @@ from ergolab import (
     BudgetExceeded,
     ConstructionParams,
     FloorSet,
+    InvalidConstruction,
     LeveledSet,
     SegmentEscapesTower,
+    StageOverflow,
     base_floorset,
     base_leveled_set,
     build_stage_table,
@@ -207,6 +209,11 @@ def test_claim_windows_values(table):
     assert claim_windows(table, 1) == ((4, 8), (24, 48))
     assert claim_windows(table, 2) == ((288, 1152), (5760, 23040))
     assert claim_windows(table, 3) == ((172800, 1036800), (7257600, 43545600))
+    only4 = build_stage_table(ConstructionParams(j_max=9, marker_stages=frozenset({4})))
+    with pytest.raises(InvalidConstruction, match="^stage 2 carries no markers; no windows"):
+        claim_windows(only4, 1)
+    with pytest.raises(StageOverflow, match="^windows for j=5 need stage 11 materialized$"):
+        claim_windows(table, 5)
 
 
 def test_verify_windows_j1_diagnostic(table):
@@ -327,9 +334,9 @@ def test_conjugacy_counts_a_floor_two_marker_stages_share_once():
     offsets[3] = (offsets[3][0], 20 - table.height(4), *offsets[3][2:])
     moved = dataclasses.replace(table, offsets=tuple(offsets))
 
-    starts, ends = (np.sort(e) for e in ext._swap_zones(moved, 5))
+    edges = np.sort(ext._zone_edges(moved, 5))
     floors = np.arange(moved.height(5))
-    zone = (np.searchsorted(starts, floors, "right") - np.searchsorted(ends, floors)) % 2
+    zone = np.searchsorted(edges, floors) % 2  # an odd number of edges lie below
     markers = set()
     for half in (1, 2):  # marker stages 2 and 4, lifted past the moved column
         at_q1 = marker_floorset(moved, half).floors

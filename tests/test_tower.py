@@ -93,6 +93,18 @@ def test_offset_telescoping(table):
         assert offs[-1] + table.height(j) + spc[-1] == table.height(j + 1)
 
 
+def test_construction_params_refuse_bad_schedules():
+    for kwargs, message in (
+        ({"preset": "spiral"}, "unknown preset 'spiral'"),
+        ({"j_max": 0}, "j_max must be >= 1, got 0"),
+        ({"j_max": -3}, "j_max must be >= 1, got -3"),
+        ({"marker_stages": frozenset({2, 3})}, r"marker stages must be even and >= 2, got \[3\]"),
+        ({"marker_stages": frozenset({0, 4})}, r"marker stages must be even and >= 2, got \[0\]"),
+    ):
+        with pytest.raises(InvalidConstruction, match=f"^{message}$"):
+            ConstructionParams(**kwargs)
+
+
 def test_cut_count_below_two_rejected():
     @dataclass(frozen=True)
     class OneCut(ConstructionParams):
@@ -222,6 +234,18 @@ def test_floor_set_refuses_unsorted_or_repeated_floors():
         with pytest.raises(ValueError, match="^stage-2 floors are not sorted and distinct$"):
             FloorSet(2, floors)
     assert FloorSet.of(2, (3, 1, 1)) == FloorSet(2, (1, 3))
+    # equal sets hash alike, whether built from a tuple or from an array
+    assert hash(FloorSet.of(2, (3, 1, 1))) == hash(FloorSet(2, np.array([1, 3])))
+    assert len({FloorSet(2, (1, 3)), FloorSet.of(2, (3, 1)), FloorSet(3, (1, 3))}) == 2
+
+
+def test_refine_refuses_a_lower_stage_or_floors_outside_the_stage(table):
+    with pytest.raises(ValueError, match="^cannot refine stage 3 down to 2$"):
+        refine(table, base_floorset(table, 3), 2)
+    h = table.height(3)
+    for lo, hi in ((-1, 0), (0, h)):
+        with pytest.raises(ValueError, match=rf"^stage-3 floors {lo}\.\.{hi} not in \[0, {h}\)$"):
+            refine(table, FloorSet(3, (lo, hi)), 4)
 
 
 def test_refine_refuses_a_table_whose_columns_overlap(table):
@@ -267,6 +291,13 @@ def test_marker_floorset_requires_materialized_stage():
     with pytest.raises(InvalidConstruction):
         marker_floorset(build_stage_table(
             ConstructionParams(j_max=6, marker_stages=frozenset({4}))), 1)
+    # the last stage has no columns above it yet
+    for method in (t.column_offsets, t.spacer_counts):
+        with pytest.raises(StageOverflow, match="^stage 4 is the last materialized stage"):
+            method(4)
+        for stage in (0, 5):
+            with pytest.raises(StageOverflow, match=f"^stage {stage} outside materialized range"):
+                method(stage)
 
 
 def test_effective_marker_stages(table):
