@@ -13,7 +13,6 @@ from .tower import (
     base_floorset,
     build_stage_table,
     marker_floorset,
-    measure,
     refine,
 )
 from .extension import (

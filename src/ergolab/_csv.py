@@ -9,7 +9,10 @@ Floats are written as their ``repr``.  For ``a_n`` in ``[1e-4, 1e16)``, where
 ``repr`` uses fixed notation, :func:`_shortest` finds its digits in numpy by
 the rule of CPython's ``repr`` (Gay's shortest round trip: the shortest
 digits that read back to the double, then the closest, then the even);
-every other value goes through ``repr``.
+every other value goes through ``repr``.  ``ndarray.astype("S32")`` also
+gives ``repr``'s text (it matched on 4M random doubles), but is slower than
+``repr`` itself: for series-dense's 196,695 values of ``a_n`` it takes
+191 ms, ``repr`` 118 ms and :func:`_float_fields` 29 ms.
 """
 
 from __future__ import annotations

@@ -48,7 +48,9 @@ __all__ = [
 # most checkpoints a series may emit, each a CSV row and ~9 numpy temporaries
 _CHECKPOINT_BUDGET = 1 << 22
 
-# terms per block of the compensated running sum
+# terms per block of the compensated running sum: summing series-dense's
+# 196,695 checkpoints as one block raises the process's peak RSS from 49.5
+# to 56.4 MB
 _SUM_BLOCK = 1 << 16
 
 _MILESTONE_KINDS = ("disjoint_start", "disjoint_end", "coincide_start", "coincide_end")

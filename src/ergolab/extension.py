@@ -72,7 +72,6 @@ from .tower import (
     _top_base_floor,
     base_floorset,
     marker_floorset,
-    measure,
     refine,
 )
 
@@ -202,9 +201,6 @@ class LeveledSet:
 
     level0: FloorSet
     level1: FloorSet
-
-    def total_measure(self, table: StageTable) -> Fraction:
-        return measure(table, self.level0) + measure(table, self.level1)
 
 
 def base_leveled_set(table: StageTable, stage: int) -> LeveledSet:
@@ -580,8 +576,9 @@ def _sumset(
     sums of ``series`` on the staircase preset formed 242k partial sums,
     almost none pruned or merged, and Python dicts took 0.19 s of a 0.34 s
     profiled run; with shared tails (:func:`_stage_sums`) they form 114k.
-    ``verify`` must work past int64, and on its default run's 12 tiny
-    searches numpy took 0.43 ms against 0.07 ms for dicts."""
+    ``verify`` must work past int64, and routing its tiny searches through
+    this routine made a warm in-process ``verify {}`` take 4.0-4.5 ms
+    against 3.3-4.0 ms (the searches 0.85 against 0.15 ms)."""
     rest_lo = [0, *itertools.accumulate(int(v[0]) for v, _ in reversed(digits))]
     rest_hi = [0, *itertools.accumulate(int(v[-1]) for v, _ in reversed(digits))]
     if start is None:

@@ -100,7 +100,7 @@ def _buckets(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mc_pair_integral_poisson(
-    lam_overlaps: Sequence[float], a: float, m: int, cfg: McConfig
+    lam_overlaps: Sequence[float], m: int, cfg: McConfig
 ) -> list[tuple[float, float]]:
     """Estimate P(m points in each image set) for each overlap mass.
 
@@ -113,14 +113,14 @@ def mc_pair_integral_poisson(
     """
     lams = [float(lam) for lam in lam_overlaps]
     for lam in lams:
-        if not 0.0 <= lam <= a:
-            raise ValueError(f"overlap {lam} outside [0, {a}]")
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"overlap {lam} outside [0, 1]")
     # per overlap, the (common, difference) bucket bounds of every split
     # c + (m - c) = m whose two buckets both exist
     splits = []
     for lam in lams:
         lo0, hi0 = _buckets(_poisson_cdf(lam))
-        lo1, hi1 = _buckets(_poisson_cdf(a - lam))
+        lo1, hi1 = _buckets(_poisson_cdf(1.0 - lam))
         cs = range(max(0, m - len(lo1) + 1), min(m, len(lo0) - 1) + 1)
         splits.append([(lo0[c], hi0[c], lo1[m - c], hi1[m - c]) for c in cs])
     hits = [0] * len(lams)

@@ -1,21 +1,24 @@
 """Closed-form suspension functionals over the base overlap measure.
 
+The observables are cylinder functions of one set ``A``, the unit base, so
+``mu(A) = 1`` and every overlap mass ``lam`` lies in ``[0, 1]``.
+
 For the Poisson suspension the observable is the indicator of "exactly m
 points in A".  Splitting the two image sets into the common part (mass
-``lam``) and two equal-mass differences (``a - lam`` each, both lifts
+``lam``) and two equal-mass differences (``1 - lam`` each, both lifts
 preserve measure) gives the pair integral
 
-    sum_{k=0}^{m}  P(k; lam) * P(m-k; a-lam)^2,
+    sum_{k=0}^{m}  P(k; lam) * P(m-k; 1-lam)^2,
 
 with P the Poisson pmf.  For the Gaussian suspension the observable is the
 indicator of the half-space {<., chi_A> > 0}; the pair integral is the
-orthant probability of two standard normals with correlation ``lam / a``,
-``1/4 + arcsin(rho) / (2 pi)``.
+orthant probability of two standard normals with correlation ``lam``,
+``1/4 + arcsin(lam) / (2 pi)``.
 
 Both formulas hit ``c**2`` at overlap 0 (independence) and ``c`` at overlap
-``a`` (coincidence), where ``c`` is the plain integral of the observable.
-This module is the only floating-point layer; exact rationals are converted
-at the boundary.
+1 (coincidence), where ``c`` is the plain integral of the observable:
+``P(m; 1)`` for Poisson, ``1/2`` for Gaussian.  This module is the only
+floating-point layer; exact rationals are converted at the boundary.
 """
 
 from __future__ import annotations
@@ -35,19 +38,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SuspensionModel:
-    """Suspension kind, Poisson cylinder count m, and base-set measure a."""
+    """Suspension kind and Poisson cylinder count m over the unit base."""
 
     kind: str = "poisson"  # "poisson" | "gaussian"
     m: int = 1
-    a: Fraction | float = Fraction(1)
 
     def __post_init__(self) -> None:
         if self.kind not in ("poisson", "gaussian"):
             raise ValueError(f"unknown suspension kind {self.kind!r}")
         if self.m < 0:
             raise ValueError(f"cylinder count m must be >= 0, got {self.m}")
-        if self.a <= 0:
-            raise ValueError(f"base measure a must be > 0, got {self.a}")
 
 
 def poisson_pmf(k: int, lam: float) -> float:
@@ -73,20 +73,19 @@ def gaussian_orthant(rho: float) -> float:
 def cylinder_constant(model: SuspensionModel) -> float:
     """The plain integral c of the model's observable."""
     if model.kind == "poisson":
-        return poisson_pmf(model.m, float(model.a))
+        return poisson_pmf(model.m, 1.0)
     return 0.5  # centered Gaussian half-space
 
 
 def pair_integrand(model: SuspensionModel, lam_overlap: Fraction | float) -> float:
     """Pair integral of the observable against its lifted copy, given the overlap mass."""
-    a = float(model.a)
     lam = float(lam_overlap)
-    if not 0.0 <= lam <= a:
-        raise ValueError(f"overlap {lam} outside [0, {a}]")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"overlap {lam} outside [0, 1]")
     if model.kind == "poisson":
-        rest = a - lam
+        rest = 1.0 - lam
         return math.fsum(
             poisson_pmf(k, lam) * poisson_pmf(model.m - k, rest) ** 2
             for k in range(model.m + 1)
         )
-    return gaussian_orthant(lam / a)
+    return gaussian_orthant(lam)

@@ -41,7 +41,6 @@ __all__ = [
     "StageOverflow",
     "build_stage_table",
     "refine",
-    "measure",
     "base_floorset",
     "marker_floorset",
 ]
@@ -325,10 +324,6 @@ def refine(table: StageTable, fs: FloorSet, to_stage: int) -> FloorSet:
     if len(fs) and (fs.floors[0] < 0 or fs.floors[-1] >= h):
         raise ValueError(f"stage-{fs.stage} floors {fs.floors[0]}..{fs.floors[-1]} not in [0, {h})")
     return FloorSet(to_stage, _offset_sums(table, fs.floors, fs.stage, to_stage))
-
-
-def measure(table: StageTable, fs: FloorSet) -> Fraction:
-    return len(fs) * table.width(fs.stage)
 
 
 def base_floorset(table: StageTable, stage: int) -> FloorSet:

@@ -191,7 +191,7 @@ def overlaps(fragments, marker_set, n_max):
     return [Fraction(sum(1 for z in row if z == 0), total) for row in levels]
 
 
-def poisson_pair_estimate(lam, a, m, cfg):
+def poisson_pair_estimate(lam, m, cfg):
     """P(m points in each image set) by inversion sampling, one overlap.
 
     The estimator the bucket counter of ``oracle.mc_pair_integral_poisson``
@@ -205,7 +205,7 @@ def poisson_pair_estimate(lam, a, m, cfg):
     from ergolab.oracle import _chunk_rng, _chunks, _poisson_cdf
 
     cdf_common = _poisson_cdf(lam)
-    cdf_diff = _poisson_cdf(a - lam)
+    cdf_diff = _poisson_cdf(1.0 - lam)
     hits = 0
     for k, n in _chunks(cfg.samples):
         u = _chunk_rng(cfg.seed, k).random((3, n))

@@ -245,7 +245,7 @@ def test_criterion_5_suspension_endpoints():
     tol = 1e-12
     worst = 0.0
     for m in (1, 2, 3):
-        model = SuspensionModel("poisson", m, Fraction(1))
+        model = SuspensionModel("poisson", m)
         c = cylinder_constant(model)
         worst = max(worst, abs(pair_integrand(model, Fraction(1)) - c))
         worst = max(worst, abs(pair_integrand(model, Fraction(0)) - c * c))
@@ -270,7 +270,7 @@ def test_criterion_6_monte_carlo_gates():
         exact = pair_integrand(model, lam)
         gates.append(
             three_sigma_gate(
-                exact, lambda c, lam=lam: mc_pair_integral_poisson((lam,), 1.0, 1, c)[0], cfg
+                exact, lambda c, lam=lam: mc_pair_integral_poisson((lam,), 1, c)[0], cfg
             )
         )
     gauss = SuspensionModel("gaussian")

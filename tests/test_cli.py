@@ -572,9 +572,9 @@ def test_mc_check_retries_one_batch_at_the_next_seed(tmp_path, monkeypatch):
     poisson, gaussian = oracle.mc_pair_integral_poisson, oracle.mc_gaussian_orthant
     calls = {"poisson": [], "gaussian": []}
 
-    def poisson_missing_gate_2(lams, a, m, cfg):
+    def poisson_missing_gate_2(lams, m, cfg):
         calls["poisson"].append(cfg.seed)
-        got = poisson(lams, a, m, cfg)
+        got = poisson(lams, m, cfg)
         if cfg.seed == seed:
             got[1] = (0.9, 1e-6)  # far from the exact value: forces the retry
         return got
@@ -599,9 +599,9 @@ def test_mc_check_retries_one_batch_when_two_gates_miss(tmp_path, monkeypatch):
     poisson = oracle.mc_pair_integral_poisson
     calls = []
 
-    def poisson_missing_gates_1_and_3(lams, a, m, cfg):
+    def poisson_missing_gates_1_and_3(lams, m, cfg):
         calls.append(cfg.seed)
-        got = poisson(lams, a, m, cfg)
+        got = poisson(lams, m, cfg)
         if cfg.seed == seed:
             got[0] = got[2] = (0.9, 1e-6)
         return got

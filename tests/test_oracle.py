@@ -24,8 +24,8 @@ CFG = McConfig(seed=20240801, samples=200_000)
 
 
 def test_fixed_seed_is_bit_identical():
-    a = mc_pair_integral_poisson((0.4,), 1.0, 1, CFG)[0]
-    b = mc_pair_integral_poisson((0.4,), 1.0, 1, CFG)[0]
+    a = mc_pair_integral_poisson((0.4,), 1, CFG)[0]
+    b = mc_pair_integral_poisson((0.4,), 1, CFG)[0]
     assert a == b
     c = mc_gaussian_orthant((0.3,), CFG)[0]
     d = mc_gaussian_orthant((0.3,), CFG)[0]
@@ -42,7 +42,7 @@ def test_poisson_estimates_match_exact_formula():
     model = SuspensionModel("poisson", 1)
     for lam in (1.0, 0.0, 0.4):
         exact = pair_integrand(model, lam)
-        est, se = mc_pair_integral_poisson((lam,), 1.0, 1, CFG)[0]
+        est, se = mc_pair_integral_poisson((lam,), 1, CFG)[0]
         assert se > 0
         assert abs(est - exact) <= 3 * se
 
@@ -62,11 +62,10 @@ def test_poisson_estimates_on_randomized_parameters():
     cfg = McConfig(seed=777, samples=100_000)
     for _ in range(5):
         m = rng.randrange(1, 5)
-        a = rng.uniform(0.5, 3.0)
-        lam = rng.uniform(0.0, a)
-        exact = pair_integrand(SuspensionModel("poisson", m, a), lam)
-        est, se = mc_pair_integral_poisson((lam,), a, m, cfg)[0]
-        assert abs(est - exact) <= 3 * se, (m, a, lam)
+        lam = rng.uniform(0.0, 1.0)
+        exact = pair_integrand(SuspensionModel("poisson", m), lam)
+        est, se = mc_pair_integral_poisson((lam,), m, cfg)[0]
+        assert abs(est - exact) <= 3 * se, (m, lam)
 
 
 def test_estimators_span_chunk_boundaries_deterministically():
@@ -81,7 +80,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         McConfig(seed=1, samples=0)
     with pytest.raises(ValueError):
-        mc_pair_integral_poisson((2.0,), 1.0, 1, CFG)[0]
+        mc_pair_integral_poisson((2.0,), 1, CFG)[0]
     with pytest.raises(ValueError):
         mc_gaussian_orthant((1.5,), CFG)[0]
 
@@ -128,34 +127,33 @@ def test_three_sigma_gate_tests_a_run_without_hits_at_the_exact_error():
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=60)
 @given(
-    a=st.floats(0.5, 3.0),
     frac=st.floats(0.0, 1.0),
     m=st.one_of(st.integers(0, 6), st.none()),
     seed=st.integers(0, 2**32 - 1),
     samples=st.integers(1, 4000),
 )
-def test_bucket_counting_equals_inversion_sampling(a, frac, m, seed, samples):
+def test_bucket_counting_equals_inversion_sampling(frac, m, seed, samples):
     if m is None:  # more points than the CDF has entries
-        m = len(_poisson_cdf(a)) + 1
-    lams = (0.0, a, frac * a)
+        m = len(_poisson_cdf(1.0)) + 1
+    lams = (0.0, 1.0, frac)
     cfg = McConfig(seed=seed, samples=samples)
-    got = mc_pair_integral_poisson(lams, a, m, cfg)
-    assert got == [ref.poisson_pair_estimate(lam, a, m, cfg) for lam in lams]
+    got = mc_pair_integral_poisson(lams, m, cfg)
+    assert got == [ref.poisson_pair_estimate(lam, m, cfg) for lam in lams]
 
 
 def test_bucket_counting_equals_inversion_sampling_across_chunks():
     cfg = McConfig(seed=5, samples=_CHUNK + 1234)
-    lams = (1.7, 0.0, 0.6)
+    lams = (1.0, 0.0, 0.6)
     for m in (0, 2):
-        got = mc_pair_integral_poisson(lams, 1.7, m, cfg)
-        assert got == [ref.poisson_pair_estimate(lam, 1.7, m, cfg) for lam in lams]
+        got = mc_pair_integral_poisson(lams, m, cfg)
+        assert got == [ref.poisson_pair_estimate(lam, m, cfg) for lam in lams]
 
 
 def test_batches_equal_single_parameter_runs():
     cfg = McConfig(seed=9, samples=_CHUNK + 77)
     lams = (1.0, 0.0, 0.4, 0.4)
-    assert mc_pair_integral_poisson(lams, 1.0, 2, cfg) == [
-        mc_pair_integral_poisson((lam,), 1.0, 2, cfg)[0] for lam in lams
+    assert mc_pair_integral_poisson(lams, 2, cfg) == [
+        mc_pair_integral_poisson((lam,), 2, cfg)[0] for lam in lams
     ]
     rhos = (0.0, 0.5, 1.0, -1.0, -0.3)
     assert mc_gaussian_orthant(rhos, cfg) == [
@@ -190,10 +188,10 @@ def test_blocks_equal_whole_chunk_draws(monkeypatch, chunk, block, samples):
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     monkeypatch.setattr(oracle, "_BLOCK", block)
     cfg = McConfig(seed=41, samples=samples)
-    lams = (1.3, 0.0, 0.5)
+    lams = (1.0, 0.0, 0.5)
     for m in (0, 1, 3):
-        got = mc_pair_integral_poisson(lams, 1.3, m, cfg)
-        assert got == [ref.poisson_pair_estimate(lam, 1.3, m, cfg) for lam in lams]
+        got = mc_pair_integral_poisson(lams, m, cfg)
+        assert got == [ref.poisson_pair_estimate(lam, m, cfg) for lam in lams]
     rhos = (0.0, 0.5, 1.0, -0.7)
     got = mc_gaussian_orthant(rhos, cfg)
     assert got == [ref.gaussian_orthant_estimate(rho, cfg) for rho in rhos]
@@ -212,7 +210,7 @@ def test_poisson_estimator_memory_is_one_block():
     """1M samples peak near three blocks of uniforms, not a (3, n) chunk
     (30.9 MiB when each chunk was drawn whole)."""
     cfg = McConfig(seed=1, samples=1_000_000)
-    peak = _peak_bytes(lambda: mc_pair_integral_poisson((1.0, 0.0, 0.4), 1.0, 1, cfg))
+    peak = _peak_bytes(lambda: mc_pair_integral_poisson((1.0, 0.0, 0.4), 1, cfg))
     assert peak < 3 * 2**20
 
 

@@ -449,7 +449,7 @@ def test_event_sweep_matches_flips_counted_chunk_by_chunk_on_random_tables(table
 @given(
     table=ref.random_tables(),
     model=st.sampled_from(
-        [SuspensionModel("poisson", 1), SuspensionModel("poisson", 3, 2), SuspensionModel("gaussian")]
+        [SuspensionModel("poisson", 1), SuspensionModel("poisson", 3), SuspensionModel("gaussian")]
     ),
     data=st.data(),
 )

@@ -89,5 +89,3 @@ def test_model_validation():
         SuspensionModel("weird")
     with pytest.raises(ValueError):
         SuspensionModel("poisson", -1)
-    with pytest.raises(ValueError):
-        SuspensionModel("poisson", 1, Fraction(0))

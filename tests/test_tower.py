@@ -20,7 +20,6 @@ from ergolab import (
     base_floorset,
     build_stage_table,
     marker_floorset,
-    measure,
     refine,
 )
 
@@ -121,8 +120,16 @@ def test_marker_stage_with_short_spacers_rejected():
         def spacer_count(self, j, column, h_j):
             return 1  # far below the j*h_j needed on marker stages
 
+    @dataclass(frozen=True)
+    class NegativeSpacers(ConstructionParams):
+        def spacer_count(self, j, column, h_j):
+            return -1 if j == 1 else j * h_j
+
     with pytest.raises(MarkerOutsideSpacers, match="marker stage 2"):
         build_stage_table(ShortSpacers(j_max=4))
+    negative = r"^stage 1: negative spacer count in \(-1, -1\)$"
+    with pytest.raises(InvalidConstruction, match=negative):
+        build_stage_table(NegativeSpacers(j_max=3))
 
 
 def test_stage_table_budget_admits_j_max_64_and_fails_fast_past_it(monkeypatch):
@@ -145,7 +152,7 @@ def test_stage_table_budget_admits_j_max_64_and_fails_fast_past_it(monkeypatch):
 def test_mass_conservation_of_the_base(table):
     for j in range(1, table.j_max + 1):
         fs = base_floorset(table, j)
-        assert measure(table, fs) == 1
+        assert len(fs) * table.width(fs.stage) == 1
 
 
 def test_refine_identity_and_example(table):
@@ -162,7 +169,7 @@ def test_refine_preserves_measure_and_multiplies_cardinality(table):
         fs = FloorSet.of(stage, rng.sample(range(h), min(h, rng.randrange(1, 5))))
         to = rng.randrange(stage, 7)
         out = refine(table, fs, to)
-        assert measure(table, out) == measure(table, fs)
+        assert len(out) * table.width(out.stage) == len(fs) * table.width(fs.stage)
         mult = 1
         for j in range(stage, to):
             mult *= table.cut_count(j)
@@ -263,7 +270,7 @@ def test_refine_refuses_a_table_whose_columns_overlap(table):
 def test_base_floorset_examples(table):
     assert base_floorset(table, 1).indices == (0,)
     assert base_floorset(table, 2).indices == (0, 2)
-    assert measure(table, base_floorset(table, 3)) == 1
+    assert len(base_floorset(table, 3)) * table.width(3) == 1
     # X1 at stage 3 is 4 floors of width 1/4
     fs = base_floorset(table, 3)
     assert len(fs) == 4 and table.width(3) == Fraction(1, 4)
@@ -273,7 +280,7 @@ def test_marker_floorset_example_and_measure(table):
     mk = marker_floorset(table, 1)
     assert mk == FloorSet(3, (4, 8, 16, 20))
     # each of the two marker copies has one floor per column: measure w_2
-    assert measure(table, mk) == 2 * table.width(2)
+    assert len(mk) * table.width(mk.stage) == 2 * table.width(2)
 
 
 def test_markers_of_distinct_stages_are_disjoint(table):
