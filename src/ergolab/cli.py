@@ -331,7 +331,7 @@ def cmd_mc_check(cfg: RunConfig, out_dir: Path) -> int:
     lams = {"coincident": 1.0, "independent": 0.0, "generic": 0.4}
     rhos = {"independent": 0.0, "generic": 0.5, "coincident": 1.0}
     # per family, its (label, exact) gates and the batch runner that draws
-    # the family's chunk stream once per seed for all of them
+    # the family's row streams once per seed for all of them
     families = [
         (
             [(f"poisson m={m} {k} (lam={v})", suspension.pair_integrand(poisson, v))

@@ -1,16 +1,16 @@
 """Seeded Monte Carlo cross-checks for the suspension functionals.
 
-Randomness comes from numpy's counter-based Philox generator.  Samples are
-drawn in fixed-size chunks and chunk ``k`` is seeded with
-``SeedSequence((seed, k))``, so estimates are bit-identical across runs and
-platforms and independent of any parallel execution of the chunks.  Each
-chunk is drawn and tested in blocks of ``_BLOCK`` samples taken from the
-chunk's own stream, so the estimates are those of whole-chunk draws while
-an estimator holds at most one chunk of Gaussian ``x`` plus one block.
+Randomness comes from numpy's counter-based Philox generator.  Each row of
+draws is its own stream, row ``r`` seeded with ``SeedSequence((seed, r))``:
+rows 0-2 hold the Poisson estimator's three uniforms per sample, rows 0-1
+the Gaussian estimator's ``x`` and ``y``.  The streams are read in blocks of
+``_BLOCK`` samples.  A stream drawn in blocks gives exactly its whole draw,
+so estimates are bit-identical across runs, platforms and block sizes, and
+an estimator holds one block of each row.
 
 Each estimator makes one pass per gate family: it takes a sequence of
-parameters (overlap masses, correlations), draws each chunk once and tests
-it against every parameter, so a batch gives bit for bit the estimates of
+parameters (overlap masses, correlations), draws its rows once and tests
+them against every parameter, so a batch gives bit for bit the estimates of
 its parameters run one at a time.  Poisson counts are not inverted one by
 one: the sampler counts the uniforms that fall in each count's bucket
 between consecutive CDF values, which hits exactly the samples that
@@ -33,7 +33,6 @@ __all__ = [
     "three_sigma_gate",
 ]
 
-_CHUNK = 1 << 19
 _BLOCK = 1 << 15
 
 
@@ -43,32 +42,19 @@ class McConfig:
     samples: int = 1_000_000
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
 
 
-def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chunk))))
-
-
-def _row_rng(seed: int, chunk: int, start: int) -> np.random.Generator:
-    """Chunk ``chunk``'s stream from draw ``start`` on: each Philox counter
-    step yields 4 draws, so ``advance`` jumps ``start // 4`` steps and the
-    remaining draws are discarded."""
-    rng = _chunk_rng(seed, chunk)
-    rng.bit_generator.advance(start // 4)
-    rng.bit_generator.random_raw(start % 4)
-    return rng
-
-
-def _chunks(samples: int):
-    k = 0
-    done = 0
-    while done < samples:
-        n = min(_CHUNK, samples - done)
-        yield k, n
-        k += 1
-        done += n
+def _streams(seed: int, count: int) -> list[np.random.Generator]:
+    """Rows ``0..count-1`` of draws: Philox streams seeded with
+    ``SeedSequence((seed, r))``."""
+    return [
+        np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, r))))
+        for r in range(count)
+    ]
 
 
 def _poisson_cdf(lam: float) -> np.ndarray:
@@ -107,7 +93,7 @@ def mc_pair_integral_poisson(
     Draws one uniform each for the common region and the two difference
     regions, whose Poisson counts are the CDF buckets they fall in, and
     counts samples where both sums hit ``m`` exactly: the common count ``c``
-    and both difference counts ``m - c``.  One draw of the chunk stream
+    and both difference counts ``m - c``.  One draw of the three row streams
     serves every overlap in ``lam_overlaps``.  Returns (estimate, binomial
     standard error) per overlap, in order.
     """
@@ -124,20 +110,17 @@ def mc_pair_integral_poisson(
         cs = range(max(0, m - len(lo1) + 1), min(m, len(lo0) - 1) + 1)
         splits.append([(lo0[c], hi0[c], lo1[m - c], hi1[m - c]) for c in cs])
     hits = [0] * len(lams)
-    for k, n in _chunks(cfg.samples):
-        # the uniforms of sample i are draws i, n+i and 2n+i of the chunk
-        # stream, as in random((3, n)): one generator per row, in lockstep
-        rows = [_row_rng(cfg.seed, k, r * n) for r in range(3)]
-        for start in range(0, n, _BLOCK):
-            s = min(_BLOCK, n - start)
-            u0, u1, u2 = (rng.random(s) for rng in rows)
-            # both difference counts fall in one bucket iff their min and max do
-            lo_u, hi_u = np.minimum(u1, u2), np.maximum(u1, u2)
-            for i, split in enumerate(splits):
-                for lo0, hi0, lo1, hi1 in split:
-                    hits[i] += int(np.count_nonzero(
-                        (u0 >= lo0) & (u0 < hi0) & (lo_u >= lo1) & (hi_u < hi1)
-                    ))
+    rows = _streams(cfg.seed, 3)
+    for start in range(0, cfg.samples, _BLOCK):
+        s = min(_BLOCK, cfg.samples - start)
+        u0, u1, u2 = (rng.random(s) for rng in rows)
+        # both difference counts fall in one bucket iff their min and max do
+        lo_u, hi_u = np.minimum(u1, u2), np.maximum(u1, u2)
+        for i, split in enumerate(splits):
+            for lo0, hi0, lo1, hi1 in split:
+                hits[i] += int(np.count_nonzero(
+                    (u0 >= lo0) & (u0 < hi0) & (lo_u >= lo1) & (hi_u < hi1)
+                ))
     return [_estimate(h, cfg.samples) for h in hits]
 
 
@@ -179,7 +162,8 @@ def mc_gaussian_orthant(
 ) -> list[tuple[float, float]]:
     """Estimate P(X > 0, Z > 0) for standard normals with correlation rho.
 
-    One draw of the chunk stream serves every correlation in ``rhos``.
+    ``Z = rho*X + sqrt(1 - rho^2)*Y`` with ``X`` and ``Y`` from two row
+    streams.  One draw of them serves every correlation in ``rhos``.
     Returns (estimate, binomial standard error) per correlation, in order.
     """
     rhos = [float(rho) for rho in rhos]
@@ -188,17 +172,12 @@ def mc_gaussian_orthant(
             raise ValueError(f"correlation {rho} outside [-1, 1]")
     tails = [math.sqrt(1.0 - rho * rho) for rho in rhos]
     hits = [0] * len(rhos)
-    # y follows the chunk's n normals of x in its stream, so x is drawn whole
-    # into one buffer and y block by block after it
-    buf = np.empty(min(_CHUNK, cfg.samples))
-    for k, n in _chunks(cfg.samples):
-        rng = _chunk_rng(cfg.seed, k)
-        x_all = rng.standard_normal(out=buf[:n])
-        for start in range(0, n, _BLOCK):
-            y = rng.standard_normal(min(_BLOCK, n - start))
-            x = x_all[start : start + len(y)]
-            x_pos = x > 0.0
-            for i, (rho, tail) in enumerate(zip(rhos, tails)):
-                z = rho * x + tail * y
-                hits[i] += int(np.count_nonzero(x_pos & (z > 0.0)))
+    xs, ys = _streams(cfg.seed, 2)
+    for start in range(0, cfg.samples, _BLOCK):
+        s = min(_BLOCK, cfg.samples - start)
+        x, y = xs.standard_normal(s), ys.standard_normal(s)
+        x_pos = x > 0.0
+        for i, (rho, tail) in enumerate(zip(rhos, tails)):
+            z = rho * x + tail * y
+            hits[i] += int(np.count_nonzero(x_pos & (z > 0.0)))
     return [_estimate(h, cfg.samples) for h in hits]

@@ -191,51 +191,51 @@ def overlaps(fragments, marker_set, n_max):
     return [Fraction(sum(1 for z in row if z == 0), total) for row in levels]
 
 
+def _row_draws(cfg, rows, draw):
+    """Each row stream of ``oracle``'s estimators drawn whole: row ``r`` is
+    the Philox stream seeded with ``SeedSequence((cfg.seed, r))``."""
+    return [
+        draw(np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, r)))),
+             cfg.samples)
+        for r in range(rows)
+    ]
+
+
 def poisson_pair_estimate(lam, m, cfg):
     """P(m points in each image set) by inversion sampling, one overlap.
 
     The estimator the bucket counter of ``oracle.mc_pair_integral_poisson``
-    replaced: three ``searchsorted`` calls per chunk turn the same Philox
-    uniforms into region counts.  Returns (estimate, standard error).
+    replaced: ``searchsorted`` turns each of the three rows of uniforms,
+    drawn whole, into a region count.  Returns (estimate, standard error).
     """
     import math
 
-    import numpy as np
-
-    from ergolab.oracle import _chunk_rng, _chunks, _poisson_cdf
+    from ergolab.oracle import _poisson_cdf
 
     cdf_common = _poisson_cdf(lam)
     cdf_diff = _poisson_cdf(1.0 - lam)
-    hits = 0
-    for k, n in _chunks(cfg.samples):
-        u = _chunk_rng(cfg.seed, k).random((3, n))
-        k_common = np.searchsorted(cdf_common, u[0], side="right")
-        k_one = np.searchsorted(cdf_diff, u[1], side="right")
-        k_two = np.searchsorted(cdf_diff, u[2], side="right")
-        hits += int(np.count_nonzero((k_common + k_one == m) & (k_common + k_two == m)))
+    u0, u1, u2 = _row_draws(cfg, 3, np.random.Generator.random)
+    k_common = np.searchsorted(cdf_common, u0, side="right")
+    k_one = np.searchsorted(cdf_diff, u1, side="right")
+    k_two = np.searchsorted(cdf_diff, u2, side="right")
+    hits = int(np.count_nonzero((k_common + k_one == m) & (k_common + k_two == m)))
     p_hat = hits / cfg.samples
     return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / cfg.samples)
 
 
 def gaussian_orthant_estimate(rho, cfg):
     """P(X > 0, Z > 0) for standard normals with correlation rho, one
-    correlation, each chunk drawn whole.
+    correlation, each row drawn whole.
 
-    The estimator ``oracle.mc_gaussian_orthant`` blocks: per chunk, ``x`` is
-    the stream's first ``n`` normals and ``y`` the next ``n``, and ``Z =
-    rho*X + sqrt(1 - rho^2)*Y``.  Returns (estimate, standard error).
+    The estimator ``oracle.mc_gaussian_orthant`` blocks: ``x`` is row 0,
+    ``y`` row 1 and ``Z = rho*X + sqrt(1 - rho^2)*Y``.  Returns (estimate,
+    standard error).
     """
     import math
 
-    from ergolab.oracle import _chunk_rng, _chunks
-
     tail = math.sqrt(1.0 - rho * rho)
-    hits = 0
-    for k, n in _chunks(cfg.samples):
-        rng = _chunk_rng(cfg.seed, k)
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        hits += int(np.count_nonzero((x > 0.0) & (rho * x + tail * y > 0.0)))
+    x, y = _row_draws(cfg, 2, np.random.Generator.standard_normal)
+    hits = int(np.count_nonzero((x > 0.0) & (rho * x + tail * y > 0.0)))
     p_hat = hits / cfg.samples
     return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / cfg.samples)
 

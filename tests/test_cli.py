@@ -553,7 +553,7 @@ def test_mc_check_default_artifact_is_pinned(tmp_path):
     code, out = run(tmp_path, "mc-check", config={})
     assert code == 0
     digest = hashlib.sha256((out / "mc_check.json").read_bytes()).hexdigest()
-    assert digest == "7b01993442970ca8095fb2fed8e91474faf2d55885ba07c4f2755398f93d91c6"
+    assert digest == "ee1eddd2634140b47c570b016ee921d9ed99d2ae0e0b8e94437c3066bd9f42df"
 
 
 def test_mc_check_passes_a_gate_whose_event_is_too_rare_to_hit(tmp_path):

@@ -16,7 +16,7 @@ from ergolab import (
     three_sigma_gate,
 )
 from ergolab import oracle
-from ergolab.oracle import _CHUNK, _chunk_rng, _poisson_cdf, _row_rng
+from ergolab.oracle import _BLOCK, _poisson_cdf, _streams
 
 import _reference as ref
 
@@ -33,9 +33,9 @@ def test_fixed_seed_is_bit_identical():
 
 
 def test_seed_changes_the_stream():
-    a = mc_gaussian_orthant((0.3,), CFG)[0]
-    b = mc_gaussian_orthant((0.3,), McConfig(seed=CFG.seed + 1, samples=CFG.samples))[0]
-    assert a != b
+    nxt = McConfig(seed=CFG.seed + 1, samples=CFG.samples)
+    assert mc_pair_integral_poisson((0.4,), 1, CFG) != mc_pair_integral_poisson((0.4,), 1, nxt)
+    assert mc_gaussian_orthant((0.3,), CFG) != mc_gaussian_orthant((0.3,), nxt)
 
 
 def test_poisson_estimates_match_exact_formula():
@@ -68,8 +68,8 @@ def test_poisson_estimates_on_randomized_parameters():
         assert abs(est - exact) <= 3 * se, (m, lam)
 
 
-def test_estimators_span_chunk_boundaries_deterministically():
-    big = McConfig(seed=3, samples=(1 << 19) + 1234)
+def test_estimators_span_block_boundaries_deterministically():
+    big = McConfig(seed=3, samples=16 * _BLOCK + 1234)
     a = mc_gaussian_orthant((0.0,), big)[0]
     b = mc_gaussian_orthant((0.0,), big)[0]
     assert a == b
@@ -79,6 +79,8 @@ def test_estimators_span_chunk_boundaries_deterministically():
 def test_input_validation():
     with pytest.raises(ValueError):
         McConfig(seed=1, samples=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        McConfig(seed=-1)
     with pytest.raises(ValueError):
         mc_pair_integral_poisson((2.0,), 1, CFG)[0]
     with pytest.raises(ValueError):
@@ -141,8 +143,8 @@ def test_bucket_counting_equals_inversion_sampling(frac, m, seed, samples):
     assert got == [ref.poisson_pair_estimate(lam, m, cfg) for lam in lams]
 
 
-def test_bucket_counting_equals_inversion_sampling_across_chunks():
-    cfg = McConfig(seed=5, samples=_CHUNK + 1234)
+def test_bucket_counting_equals_inversion_sampling_across_blocks():
+    cfg = McConfig(seed=5, samples=16 * _BLOCK + 1234)
     lams = (1.0, 0.0, 0.6)
     for m in (0, 2):
         got = mc_pair_integral_poisson(lams, m, cfg)
@@ -150,7 +152,7 @@ def test_bucket_counting_equals_inversion_sampling_across_chunks():
 
 
 def test_batches_equal_single_parameter_runs():
-    cfg = McConfig(seed=9, samples=_CHUNK + 77)
+    cfg = McConfig(seed=9, samples=16 * _BLOCK + 77)
     lams = (1.0, 0.0, 0.4, 0.4)
     assert mc_pair_integral_poisson(lams, 2, cfg) == [
         mc_pair_integral_poisson((lam,), 2, cfg)[0] for lam in lams
@@ -162,32 +164,40 @@ def test_batches_equal_single_parameter_runs():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 1001, 1002, 1003, 1004])
-@pytest.mark.parametrize("seed, k", [(1, 0), (3001, 2)])
-def test_row_rngs_start_at_the_rows_of_a_whole_chunk_draw(seed, k, n):
-    """Row ``r`` of ``random((3, n))`` is the stream from draw ``r*n`` on,
-    for every ``n % 4``: Philox's ``advance`` steps 4 draws at a time."""
-    rows = _chunk_rng(seed, k).random((3, n))
-    for r in range(3):
-        assert np.array_equal(_row_rng(seed, k, r * n).random(n), rows[r])
+@pytest.mark.parametrize("seed, r", [(1, 0), (3001, 2)])
+def test_a_row_stream_drawn_in_blocks_equals_its_whole_draw(seed, r, n):
+    """The estimators rest on this: row ``r``'s stream, drawn in blocks of
+    mixed sizes that are not multiples of 4 (Philox yields 4 draws per
+    counter step), gives its whole draw, for uniforms and normals."""
+    # blocks of 1, 3, 5, 7 and 1001 draws, the last one cut at n
+    bounds = [0] + [b for b in (1, 4, 9, 16, 1017) if b < n] + [n]
+    for draw in (np.random.Generator.random, np.random.Generator.standard_normal):
+        whole = draw(_streams(seed, r + 1)[r], n)
+        rng = _streams(seed, r + 1)[r]
+        blocks = [draw(rng, e - s) for s, e in zip(bounds[:-1], bounds[1:])]
+        assert np.array_equal(np.concatenate(blocks), whole)
 
 
 @pytest.mark.parametrize(
-    "chunk, block, samples",
+    "seed, block, samples",
     [
-        # one partial block; n % 4 of the only chunk from 1 to 3 and 0
-        (_CHUNK, 7, 1), (_CHUNK, 7, 6), (_CHUNK, 7, 7), (_CHUNK, 7, 15), (_CHUNK, 7, 200),
-        # small chunks of 5 blocks, the last chunk's n % 4 from 0 to 3
+        # one partial block; samples % 4 from 1 to 3 and 0
+        (524288, 7, 1), (524288, 7, 6), (524288, 7, 7), (524288, 7, 15),
+        (524288, 7, 200),
+        # whole blocks and a partial last block, samples % 4 from 0 to 3
         (35, 7, 140), (35, 7, 141), (35, 7, 142), (35, 7, 143),
-        # full-size chunks cut by a block that does not divide them
-        (_CHUNK, 1001, _CHUNK + 2002), (_CHUNK, 1001, _CHUNK + 2003),
+        # a block that does not divide the samples
+        (524288, 1001, 526290), (524288, 1001, 526291),
+        # one sample per block, and the default block
+        (41, 1, 13), (41, _BLOCK, 3 * _BLOCK + 5),
     ],
 )
-def test_blocks_equal_whole_chunk_draws(monkeypatch, chunk, block, samples):
+def test_blocks_equal_whole_chunk_draws(monkeypatch, seed, block, samples):
     """Both estimators give bit for bit the estimates of their references,
-    which draw each chunk whole, across chunk and block boundaries."""
-    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    which draw each row stream whole, as one chunk of ``samples`` draws,
+    across block boundaries and for several seeds."""
     monkeypatch.setattr(oracle, "_BLOCK", block)
-    cfg = McConfig(seed=41, samples=samples)
+    cfg = McConfig(seed=seed, samples=samples)
     lams = (1.0, 0.0, 0.5)
     for m in (0, 1, 3):
         got = mc_pair_integral_poisson(lams, m, cfg)
@@ -207,16 +217,16 @@ def _peak_bytes(run) -> int:
 
 
 def test_poisson_estimator_memory_is_one_block():
-    """1M samples peak near three blocks of uniforms, not a (3, n) chunk
-    (30.9 MiB when each chunk was drawn whole)."""
+    """1M samples peak near one block of each of the three rows of uniforms,
+    not the rows drawn whole (22.9 MiB of uniforms alone)."""
     cfg = McConfig(seed=1, samples=1_000_000)
     peak = _peak_bytes(lambda: mc_pair_integral_poisson((1.0, 0.0, 0.4), 1, cfg))
     assert peak < 3 * 2**20
 
 
-def test_gaussian_estimator_memory_is_one_chunk_of_x_plus_one_block():
-    """1M samples peak near one chunk of ``x`` (4 MiB) plus a block of ``y``
-    and its temporaries (20.5 MiB when each chunk was drawn whole)."""
+def test_gaussian_estimator_memory_is_one_block():
+    """1M samples peak near one block of ``x`` and of ``y`` and their
+    temporaries, not the rows drawn whole (15.3 MiB of normals alone)."""
     cfg = McConfig(seed=1, samples=1_000_000)
     peak = _peak_bytes(lambda: mc_gaussian_orthant((0.0, 0.5, 1.0), cfg))
-    assert peak < 6 * 2**20
+    assert peak < 3 * 2**20
