@@ -21,6 +21,7 @@ bit-identical across runs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -205,8 +206,9 @@ def default_checkpoints(n_max: int, ratio: float = 1.05) -> np.ndarray:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if ratio <= 1.0:
-        raise ValueError(f"checkpoint ratio must be > 1, got {ratio}")
+    # the upper bound also refuses inf and nan, as the CLI does
+    if not 1.0 < ratio <= sys.float_info.max:
+        raise ValueError(f"checkpoint_ratio must be a finite number > 1, got {ratio}")
     if n_max >= 2**62:
         raise BudgetExceeded(f"checkpoints up to N={n_max} pass 2**62")
     bound = _checkpoint_bound(n_max, ratio)

@@ -23,11 +23,12 @@ The headline claims verified here, for the unit base set ``A`` at level 0:
 * conjugacy: swapping levels on the swap zones conjugates the straight lift
   into the flip lift.  The swap is an involution, so this is the one-step
   identity ``zone(f) XOR zone(f+1) = marker(f)`` on every floor, which
-  :func:`verify_conjugacy` certifies from the column offsets: each marker
+  :func:`verify_conjugacy` certifies from the column layout: each marker
   stage's zone edges against the markers of
-  :func:`~ergolab.tower.marker_floorset` one stage up, and the floors that
-  two markers share once lifted.  Where that certificate fails, the zone
-  edges and markers are lifted to the stage by the floor-sum kernel
+  :func:`~ergolab.tower.marker_floorset` one stage up, and each stage's
+  columns and markers as disjoint blocks of the tower above it, so that no
+  two marker instances share a floor.  Where that certificate fails, the
+  zone edges and markers are lifted to the stage by the floor-sum kernel
   :func:`~ergolab.tower._offset_sums` and the mismatches counted there.
 
 :func:`verify_windows` checks the window claims exactly, from the stage
@@ -394,17 +395,10 @@ def _pruned_sums(digits: list[dict[int, int]], lo: int, hi: int, what: str) -> d
     return sums
 
 
-def _minus(y: collections.Counter, x: collections.Counter) -> collections.Counter:
-    """The differences ``b - a`` of ``b`` in ``y`` and ``a`` in ``x``, with
-    the number of pairs that give each."""
-    xs = list(x.elements())
-    return collections.Counter([b - a for b in y.elements() for a in xs])
-
-
 def _digit_differences(table: StageTable, stage: int) -> list[collections.Counter]:
     """``O_j ⊖ O_j`` with multiplicities, for ``j`` from ``stage-1`` down to 2."""
-    offsets = map(collections.Counter, map(table.column_offsets, range(stage - 1, 1, -1)))
-    return [_minus(c, c) for c in offsets]
+    offsets = map(table.column_offsets, range(stage - 1, 1, -1))
+    return [collections.Counter(b - a for b in o for a in o) for o in offsets]
 
 
 def _survivors(table: StageTable, stage: int, lo: int, hi: int, what: str, diffs=None) -> list:
@@ -777,6 +771,16 @@ class ConjugacyReport:
         }
 
 
+def _laid_out(table: StageTable, j: int, markers) -> bool:
+    """Whether the stage-``j`` columns ``[o, o + h_j)`` and the floors
+    ``markers`` are disjoint blocks of the stage-``j+1`` tower ``[0, h_{j+1})``."""
+    h = table.height(j)
+    blocks = sorted([(o, o + h) for o in table.column_offsets(j)] + [(m, m + 1) for m in markers])
+    ends = [0] + [end for _, end in blocks]
+    starts = [start for start, _ in blocks] + [table.height(j + 1)]
+    return all(end <= start for end, start in zip(ends, starts))
+
+
 def verify_conjugacy(table: StageTable, stage: int) -> ConjugacyReport:
     """Check ``zone(f) XOR zone(f+1) == marker(f)`` on all ``h_s - 1`` floor
     steps of ``stage`` ``s``, by a certificate that builds no floor of ``s``.
@@ -790,70 +794,49 @@ def verify_conjugacy(table: StageTable, stage: int) -> ConjugacyReport:
 
     Each marker stage ``q < s`` has its edges ``L_q`` (:func:`_local_zones`)
     and its markers ``M_q`` (:func:`~ergolab.tower.marker_floorset`) at
-    stage ``q+1``, ``2*r_q`` floors each, and both lift to ``s`` by the same
-    sumset ``P_{q+1}`` of the column offsets of stages ``q+1 .. s-1``.
-    Parity adds over sumsets, so on the floors that at most one marker
-    instance covers, the mismatches are the floors counted an odd number of
-    times in the sums ``U_q + P_{q+1}``, ``U_q`` the floors counted an odd
-    number of times in ``L_q`` and ``M_q`` together.  A floor that two
-    instances share is a marker, and a mismatch when its edge count is even.
+    stage ``q+1``, and both lift to ``s`` by the same sumset of the column
+    offsets of stages ``q+1 .. s-1``.  Parity adds over sumsets, so where
+    every ``L_q`` equals ``M_q`` mod 2, each floor's edge count has the
+    parity of the number of marker instances on it.  (Two markers of one
+    stage on one floor are one floor of ``M_q`` with two edges on it, so
+    they fail this.)  The certificate holds when, besides that, the column
+    layout puts at most one instance on a floor: from the lowest marker
+    stage up to ``s-1`` the columns of each stage and, on a marker stage,
+    its markers are disjoint blocks of the tower one stage up
+    (:func:`_laid_out`).  By induction over the stages, the marker instances
+    at a stage are distinct floors of its tower: lifting them through
+    disjoint columns inside the next tower is injective and stays inside it,
+    and a stage's own markers avoid its columns, which hold every lifted
+    instance.  So ``marker(f)`` is the instance count, and no floor step
+    mismatches.  The check sorts each stage's ``r_j`` columns and ``2*r_j``
+    markers once, whatever the number of floors.
 
-    Instances of stages ``q <= p`` share a floor once for each way of
-    writing 0 as one difference per stage, top stage first: ``O_j - O_j``
-    (:func:`_digit_differences`) above ``p``, ``M_p - O_p``, then ``-O_j``
-    and ``-M_q`` below (``O_j - O_j`` and ``M_q - M_q`` when ``q = p``, less
-    the pairs of an instance with itself).  That is a pruned search
-    (:func:`_pruned_sums`) in Python ints, whose cost follows the marker
-    stages and cut counts, not the floors.  The certificate: every ``U_q``
-    is empty and no floor is shared, so no floor step mismatches.  Otherwise
-    the zone edges at ``s`` (:func:`_zone_edges`) are counted with every
-    ``M_q`` lifted to ``s`` by :func:`~ergolab.tower._offset_sums`, a floor
-    that several markers share counting once, and the floors counted an odd
-    number of times are the mismatches.  The floors to lift are counted
-    first; past ``_EVENT_BUDGET`` it raises
+    Otherwise the zone edges at ``s`` (:func:`_zone_edges`) are counted with
+    every ``M_q`` lifted to ``s`` by :func:`~ergolab.tower._offset_sums`, a
+    floor that several markers share counting once, and the floors counted
+    an odd number of times are the mismatches.  The floors to lift are
+    counted first; past ``_EVENT_BUDGET`` it raises
     :class:`~ergolab.tower.BudgetExceeded` before lifting any.
     """
     height = table.height(stage)
-    what = f"conjugacy at stage {stage}"
     qs = [q for q in table.params.effective_marker_stages() if q < stage]
-    # the column offsets that lift some marker stage, as multisets
-    cols = {
-        j: collections.Counter(table.column_offsets(j))
-        for j in range(min(qs, default=stage) + 1, stage)
-    }
-    diffs = _digit_differences(table, stage)
     edges, markers = {}, {}
     for q in qs:
         first, last = _local_zones(table, q)
         edges[q] = collections.Counter([f - 1 for f in first] + last)
         markers[q] = collections.Counter(marker_floorset(table, q // 2).floors.tolist())
-    # some U_q is not empty
-    unpaired = any(c % 2 for q in qs for c in (edges[q] + markers[q]).values())
-    above = {p: _minus(markers[p], cols[p]) for p in qs[1:]}
-    # the stage-s floors that one floor of stage q+1 lifts to
-    lifts = {q: math.prod(map(table.cut_count, range(q + 1, stage))) for q in qs}
-
-    def shares(q: int, p: int) -> bool:
-        """Whether an instance of marker stage ``q`` shares a floor with
-        another instance of ``p >= q``."""
-        digits = diffs[: stage - 1 - p]
-        if p == q:
-            digits.append(_minus(markers[q], markers[q]))
-            itself = len(markers[q]) * lifts[q]
-        else:
-            lower = [cols[j] for j in range(p - 1, q, -1)] + [markers[q]]
-            digits += [above[p]] + [{-a: c for a, c in x.items()} for x in lower]
-            itself = 0
-        return _pruned_sums(digits, 0, 0, what).get(0, 0) > itself
-
-    if not unpaired and not any(shares(q, p) for i, q in enumerate(qs) for p in qs[i:]):
+    paired = not any(c % 2 for q in qs for c in (edges[q] + markers[q]).values())
+    layout = (_laid_out(table, j, markers.get(j, ())) for j in range(min(qs, default=stage), stage))
+    if paired and all(layout):
         return ConjugacyReport(stage=stage, floors_checked=height - 1, mismatched_floors=())
 
+    # the stage-s floors that one floor of stage q+1 lifts to
+    lifts = {q: math.prod(map(table.cut_count, range(q + 1, stage))) for q in qs}
     count = sum((edges[q].total() + markers[q].total()) * lifts[q] for q in qs)
     if count > _EVENT_BUDGET:
         raise BudgetExceeded(
-            f"{what} is not certified: its zone edges and markers lift to {count} floors,"
-            f" over the budget of {_EVENT_BUDGET}"
+            f"conjugacy at stage {stage} is not certified: its zone edges and markers lift to"
+            f" {count} floors, over the budget of {_EVENT_BUDGET}"
         )
     marked = [_offset_sums(table, list(markers[q]), q + 1, stage) for q in qs]
     # a floor that several markers share counts once

@@ -42,6 +42,11 @@ class McConfig:
     samples: int = 1_000_000
 
     def __post_init__(self) -> None:
+        # bool is an int subclass; a float seed or count fails later in numpy
+        if type(self.seed) is not int or type(self.samples) is not int:
+            raise ValueError(
+                f"seed and samples must be ints, got {self.seed!r} and {self.samples!r}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.samples < 1:

@@ -46,6 +46,8 @@ class SuspensionModel:
     def __post_init__(self) -> None:
         if self.kind not in ("poisson", "gaussian"):
             raise ValueError(f"unknown suspension kind {self.kind!r}")
+        if type(self.m) is not int:  # bool is an int subclass
+            raise ValueError(f"cylinder count m must be an int, got {self.m!r}")
         if self.m < 0:
             raise ValueError(f"cylinder count m must be >= 0, got {self.m}")
 

@@ -90,6 +90,8 @@ class ConstructionParams:
     def __post_init__(self) -> None:
         if self.preset not in PRESETS:
             raise InvalidConstruction(f"unknown preset {self.preset!r}")
+        if type(self.j_max) is not int:  # bool is an int subclass
+            raise InvalidConstruction(f"j_max must be an int, got {self.j_max!r}")
         if self.j_max < 1:
             raise InvalidConstruction(f"j_max must be >= 1, got {self.j_max}")
         if self.marker_stages is not None:

@@ -369,6 +369,13 @@ def test_checkpoint_bound_covers_the_grid(grid):
     assert _checkpoint_bound(n_max, ratio) >= len(default_checkpoints(n_max, ratio))
 
 
+@pytest.mark.parametrize("ratio", [1.0, 0.5, float("inf"), float("nan")])
+def test_default_checkpoints_refuse_a_ratio_not_finite_and_above_one(ratio):
+    message = f"^checkpoint_ratio must be a finite number > 1, got {ratio}$"
+    with pytest.raises(ValueError, match=message):
+        default_checkpoints(100, ratio)
+
+
 def test_default_checkpoints_shape():
     cps = default_checkpoints(100_000)
     assert cps[0] == 1 and cps[-1] == 100_000

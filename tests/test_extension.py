@@ -379,20 +379,66 @@ def test_conjugacy_on_a_column_stacked_on_its_neighbour():
 @pytest.mark.parametrize("preset", ["basic", "staircase-mixing"])
 def test_conjugacy_certificate_expands_nothing_on_built_tables(preset, monkeypatch):
     """On a built table no marker floor is shared and every stage's edges
-    are its markers, so the certificate alone passes every stage up to 16,
-    past int64, in under 0.2 s each, with the floor-sum kernel refused."""
+    are its markers, so the certificate alone passes every stage below
+    ``j_max`` 17 and 43, past int64, in under 0.2 s each, with the
+    floor-sum kernel and the pruned search refused: it reads the column
+    layout."""
 
     def refuse(*args):
-        raise AssertionError("the certificate expanded floors")
+        raise AssertionError("the certificate expanded floors or searched")
 
     monkeypatch.setattr(ext, "_offset_sums", refuse)
-    table = build_stage_table(ConstructionParams(preset, 17))
-    for stage in range(1, 17):
-        t0 = time.perf_counter()
-        report = verify_conjugacy(table, stage)
-        assert time.perf_counter() - t0 < 0.2
-        assert report.passed and report.floors_checked == table.height(stage) - 1
+    monkeypatch.setattr(ext, "_pruned_sums", refuse)
+    for j_max in (17, 43):
+        table = build_stage_table(ConstructionParams(preset, j_max))
+        for stage in range(1, j_max):
+            t0 = time.perf_counter()
+            report = verify_conjugacy(table, stage)
+            assert time.perf_counter() - t0 < 0.2
+            assert report.passed and report.floors_checked == table.height(stage) - 1
     assert table.height(16) >= 2**63
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["overlapping columns", "column past the top", "marker inside a column", "two equal markers"],
+)
+def test_conjugacy_falls_back_when_the_layout_breaks(case, monkeypatch):
+    """One column moved in ``j_max=6`` (``h_2 = 4``, ``h_4 = 288``; the
+    stage-2 markers lie on floors 4, 8, 16 and 20 of stage 3) breaks one
+    condition of the certificate at stage 6: stage-3 columns that overlap,
+    a stage-3 column that ends past ``h_4``, a stage-4 marker inside a
+    stage-4 column, or two stage-4 markers on one floor (one marker there
+    against two zone edges, so the edges and markers disagree mod 2).  Each
+    move puts two marker instances on one floor, so the identity fails
+    there; the check falls back to lifting the floors and names the
+    reference's mismatches."""
+    table = build_stage_table(ConstructionParams(j_max=6))
+    h = table.height(4)
+    j, column, offset = {
+        # column 1 from floor 4, so its stage-2 marker 4 lands on marker 8
+        "overlapping columns": (3, 1, 4),
+        # the top stage-2 marker of the last column on floor h_4
+        "column past the top": (3, 2, h - 20),
+        # column 1 under column 0's marker 4*h_4, on the stage-2 marker 4
+        "marker inside a column": (4, 1, 4 * h - 4),
+        # column 1's first marker on column 0's second
+        "two equal markers": (4, 1, 3 * h),
+    }[case]
+    offsets = [list(o) for o in table.offsets]
+    offsets[j - 1][column] = offset
+    moved = dataclasses.replace(table, offsets=tuple(map(tuple, offsets)))
+    lifted = []
+
+    def lift(*args):
+        lifted.append(args)
+        return tower._offset_sums(*args)
+
+    monkeypatch.setattr(ext, "_offset_sums", lift)
+    assert verify_conjugacy(table, 6).passed and not lifted
+    report = verify_conjugacy(moved, 6)
+    assert lifted and report.mismatched_floors
+    assert report.mismatched_floors == ref.conjugacy_mismatches(moved, 6)
 
 
 def test_a_window_without_survivors_is_decided_by_its_kind(table, monkeypatch):

@@ -16,7 +16,9 @@ from ergolab import (
     FloorSet,
     InvalidConstruction,
     MarkerOutsideSpacers,
+    McConfig,
     StageOverflow,
+    SuspensionModel,
     base_floorset,
     build_stage_table,
     marker_floorset,
@@ -102,6 +104,28 @@ def test_construction_params_refuse_bad_schedules():
     ):
         with pytest.raises(InvalidConstruction, match=f"^{message}$"):
             ConstructionParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "config, kwargs, message",
+    [
+        (McConfig, {"seed": 1.5}, "seed and samples must be ints, got 1.5 and 1000000"),
+        (McConfig, {"samples": 10.5}, "seed and samples must be ints, got 1 and 10.5"),
+        (McConfig, {"seed": True}, "seed and samples must be ints, got True and 1000000"),
+        (SuspensionModel, {"m": 1.5}, "cylinder count m must be an int, got 1.5"),
+        (SuspensionModel, {"m": True}, "cylinder count m must be an int, got True"),
+        (ConstructionParams, {"j_max": 9.5}, "j_max must be an int, got 9.5"),
+        (ConstructionParams, {"j_max": True}, "j_max must be an int, got True"),
+    ],
+    ids=["seed-float", "samples-float", "seed-bool", "m-float", "m-bool", "j_max-float", "j_max-bool"],
+)
+def test_library_configs_refuse_counts_that_are_not_ints(config, kwargs, message):
+    """A float or a bool count is refused where it is given, not later
+    inside numpy or ``range``, as the CLI's config check refuses it;
+    ``InvalidConstruction`` is a ``ValueError``."""
+    with pytest.raises(ValueError, match=f"^{message}$") as raised:
+        config(**kwargs)
+    assert isinstance(raised.value, InvalidConstruction) == (config is ConstructionParams)
 
 
 def test_cut_count_below_two_rejected():
