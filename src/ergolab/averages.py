@@ -39,6 +39,7 @@ __all__ = [
     "OverlapProfile",
     "event_sweep",
     "Series",
+    "check_checkpoint_ratio",
     "default_checkpoints",
     "average_series",
     "BoundCheck",
@@ -188,7 +189,15 @@ def _checkpoint_bound(n_max: int, ratio: float) -> int:
     return min(n_max, n0 + math.ceil(math.log(max(n_max, n0) / n0) / math.log1p(d / 2)) + 2)
 
 
-def default_checkpoints(n_max: int, ratio: float = 1.05) -> np.ndarray:
+def check_checkpoint_ratio(ratio: float) -> None:
+    """Refuse a checkpoint ratio that is not a finite number > 1."""
+    # the upper bound also refuses inf and nan (json loads Infinity and NaN)
+    # and an integer too large for a float, where math.isfinite would raise
+    if not 1.0 < ratio <= sys.float_info.max:
+        raise ValueError(f"checkpoint_ratio must be a finite number > 1, got {ratio}")
+
+
+def default_checkpoints(n_max: int, ratio: float) -> np.ndarray:
     """Geometric grid of step counts from 1 to n_max inclusive, as a
     read-only int64 array: ``n`` steps to ``max(int(n * ratio), n + 1)``.
     Raises :class:`~ergolab.tower.BudgetExceeded` first if it may pass the
@@ -206,9 +215,7 @@ def default_checkpoints(n_max: int, ratio: float = 1.05) -> np.ndarray:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    # the upper bound also refuses inf and nan, as the CLI does
-    if not 1.0 < ratio <= sys.float_info.max:
-        raise ValueError(f"checkpoint_ratio must be a finite number > 1, got {ratio}")
+    check_checkpoint_ratio(ratio)
     if n_max >= 2**62:
         raise BudgetExceeded(f"checkpoints up to N={n_max} pass 2**62")
     bound = _checkpoint_bound(n_max, ratio)

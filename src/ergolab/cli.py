@@ -36,6 +36,7 @@ _DEFAULTS = {
 # largest m whose c**2, with c = P(m; 1) = 1/(e m!), is a normal float: at
 # m = 98 it is subnormal (1.52e-309) and from m = 102 it is 0, which zeroes
 # the lower bound and report.json's c_squared
+# (the CLI's own rule: SuspensionModel takes any m >= 0)
 _MAX_MODEL_M = 97
 
 
@@ -45,112 +46,71 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    preset: str
-    j_max: int
-    marker_stages: tuple[int, ...] | None  # None means every even stage
-    model_kind: str
-    model_m: int
+    """The library objects a config builds, plus the CLI's own two keys."""
+
+    params: tower.ConstructionParams
+    model: suspension.SuspensionModel
+    mc: oracle.McConfig
     j_top: int
     checkpoint_ratio: float
-    seed: int
-    mc_samples: int
 
     def construction(self) -> tower.ConstructionParams:
-        ms = None if self.marker_stages is None else frozenset(self.marker_stages)
-        return tower.ConstructionParams(
-            preset=self.preset, j_max=self.j_max, marker_stages=ms
-        )
-
-    def suspension_model(self) -> suspension.SuspensionModel:
-        return suspension.SuspensionModel(kind=self.model_kind, m=self.model_m)
+        # the name perfbench/ calls
+        return self.params
 
     def echo(self) -> dict:
+        ms = self.params.marker_stages
         return {
-            "preset": self.preset,
-            "j_max": self.j_max,
-            "marker_stages": (
-                "all-even" if self.marker_stages is None else list(self.marker_stages)
-            ),
-            "model": {"kind": self.model_kind, "m": self.model_m},
+            "preset": self.params.preset,
+            "j_max": self.params.j_max,
+            "marker_stages": "all-even" if ms is None else sorted(ms),
+            "model": asdict(self.model),
             "j_top": self.j_top,
             "checkpoint_ratio": self.checkpoint_ratio,
-            "seed": self.seed,
-            "mc_samples": self.mc_samples,
+            "seed": self.mc.seed,
+            "mc_samples": self.mc.samples,
         }
 
 
-def _expect(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ConfigError(msg)
-
-
-def _is_int(x: object) -> bool:
-    # JSON true/false load as bool, which is an int subclass
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def parse_config(raw: dict) -> RunConfig:
-    _expect(isinstance(raw, dict), "config must be a JSON object")
+    """Check the JSON shape of ``raw``; the library objects it builds check
+    the values."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     unknown = set(raw) - set(_DEFAULTS)
-    _expect(not unknown, f"unknown config keys: {sorted(unknown)}")
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg = {**_DEFAULTS, **raw}
 
-    _expect(cfg["preset"] in tower.PRESETS, f"preset must be one of {tower.PRESETS}")
-    _expect(
-        _is_int(cfg["j_max"]) and cfg["j_max"] >= 1,
-        "j_max must be a positive integer",
-    )
     ms = cfg["marker_stages"]
-    if ms == "all-even":
-        marker_stages = None
-    else:
-        _expect(
-            isinstance(ms, list) and all(_is_int(q) for q in ms),
-            "marker_stages must be 'all-even' or a list of even integers",
+    if ms != "all-even" and not isinstance(ms, list):
+        raise ConfigError(
+            f"marker_stages must be 'all-even' or a list of even integers, got {ms!r}"
         )
-        _expect(
-            all(q >= 2 and q % 2 == 0 for q in ms),
-            "marker stages must be even and >= 2",
-        )
-        marker_stages = tuple(sorted(set(ms)))
     model = cfg["model"]
-    _expect(
-        isinstance(model, dict) and set(model) <= {"kind", "m"},
-        "model must be an object with keys 'kind' and 'm'",
-    )
-    kind = model.get("kind", "poisson")
-    m = model.get("m", 1)
-    _expect(kind in ("poisson", "gaussian"), "model.kind must be poisson or gaussian")
-    _expect(
-        _is_int(m) and 0 <= m <= _MAX_MODEL_M,
-        f"model.m must be an integer in 0..{_MAX_MODEL_M}",
-    )
-    _expect(
-        _is_int(cfg["j_top"]) and cfg["j_top"] >= 1,
-        "j_top must be a positive integer",
-    )
+    if not (isinstance(model, dict) and set(model) <= {"kind", "m"}):
+        raise ConfigError(f"model must be an object with keys 'kind' and 'm', got {model!r}")
+    j_top = cfg["j_top"]
+    if type(j_top) is not int or j_top < 1:  # bool is an int subclass
+        raise ConfigError(f"j_top must be a positive integer, got {j_top!r}")
     ratio = cfg["checkpoint_ratio"]
-    # the upper bound rejects inf and nan (json loads Infinity and NaN) and
-    # an integer too large for a float, where math.isfinite would raise
-    _expect(
-        isinstance(ratio, (int, float)) and 1.0 < ratio <= sys.float_info.max,
-        "checkpoint_ratio must be a finite number > 1",
-    )
-    _expect(_is_int(cfg["seed"]) and cfg["seed"] >= 0, "seed must be an integer >= 0")
-    _expect(
-        _is_int(cfg["mc_samples"]) and cfg["mc_samples"] >= 1,
-        "mc_samples must be a positive integer",
-    )
+    if not isinstance(ratio, (int, float)):
+        raise ConfigError(f"checkpoint_ratio must be a number, got {ratio!r}")
+    try:
+        params = tower.ConstructionParams(
+            preset=cfg["preset"],
+            j_max=cfg["j_max"],
+            marker_stages=None if ms == "all-even" else ms,
+        )
+        model = suspension.SuspensionModel(**model)
+        averages.check_checkpoint_ratio(ratio)
+        mc = oracle.McConfig(seed=cfg["seed"], samples=cfg["mc_samples"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if model.m > _MAX_MODEL_M:
+        raise ConfigError(f"model.m must be at most {_MAX_MODEL_M}, got {model.m}")
     return RunConfig(
-        preset=cfg["preset"],
-        j_max=cfg["j_max"],
-        marker_stages=marker_stages,
-        model_kind=kind,
-        model_m=m,
-        j_top=cfg["j_top"],
-        checkpoint_ratio=float(ratio),
-        seed=cfg["seed"],
-        mc_samples=cfg["mc_samples"],
+        params=params, model=model, mc=mc, j_top=j_top, checkpoint_ratio=float(ratio)
     )
 
 
@@ -278,12 +238,11 @@ def cmd_series(cfg: RunConfig, out_dir: Path) -> int:
     profile = averages.event_sweep(a, ctx, n_max)
     log.info("profile has %d plateaus", len(profile.counts))
     lap("event_sweep")
-    model = cfg.suspension_model()
     checkpoints = averages.default_checkpoints(n_max, cfg.checkpoint_ratio)
     lap("checkpoints")
-    series = averages.average_series(model, profile, checkpoints, milestones)
+    series = averages.average_series(cfg.model, profile, checkpoints, milestones)
     lap("average_series")
-    report = averages.divergence_report(series, milestones, model)
+    report = averages.divergence_report(series, milestones, cfg.model)
     lap("divergence_report")
 
     csv_path = out_dir / "series.csv"
@@ -324,8 +283,7 @@ def cmd_series(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_mc_check(cfg: RunConfig, out_dir: Path) -> int:
-    m = cfg.model_m
-    mc = oracle.McConfig(seed=cfg.seed, samples=cfg.mc_samples)
+    m = cfg.model.m
     poisson = suspension.SuspensionModel("poisson", m)
     gaussian = suspension.SuspensionModel("gaussian")
     lams = {"coincident": 1.0, "independent": 0.0, "generic": 0.4}
@@ -350,8 +308,8 @@ def cmd_mc_check(cfg: RunConfig, out_dir: Path) -> int:
         # runs the family's runner once more, whichever gates missed
         batch = functools.cache(runner)
         for i, (label, exact) in enumerate(gates):
-            res = oracle.three_sigma_gate(exact, lambda c, i=i: batch(c)[i], mc)
-            rows.append({"label": label, "samples": cfg.mc_samples, **asdict(res)})
+            res = oracle.three_sigma_gate(exact, lambda c, i=i: batch(c)[i], cfg.mc)
+            rows.append({"label": label, "samples": cfg.mc.samples, **asdict(res)})
     _write_json(out_dir / "mc_check.json", {"config": cfg.echo(), "rows": rows})
     failed = [r for r in rows if not r["passed"]]
     for r in rows:

@@ -80,7 +80,8 @@ class ConstructionParams:
     unchanged.
 
     ``marker_stages=None`` means every even stage ``q`` with ``q+1 <= j_max``
-    carries markers; an explicit frozenset restricts to those stages.
+    carries markers; an explicit collection of stages, kept as a frozenset,
+    restricts to those stages.
     """
 
     preset: str = "basic"
@@ -95,11 +96,18 @@ class ConstructionParams:
         if self.j_max < 1:
             raise InvalidConstruction(f"j_max must be >= 1, got {self.j_max}")
         if self.marker_stages is not None:
-            bad = [q for q in self.marker_stages if q < 2 or q % 2 != 0]
+            # the types are checked before the set is formed: a set keeps one
+            # of 2 and 2.0, and refuses an unhashable stage
+            stages = tuple(self.marker_stages)
+            wrong = [q for q in stages if type(q) is not int]
+            if wrong:
+                raise InvalidConstruction(f"marker stages must be ints, got {wrong!r}")
+            bad = [q for q in stages if q < 2 or q % 2 != 0]
             if bad:
                 raise InvalidConstruction(
-                    f"marker stages must be even and >= 2, got {sorted(bad)}"
+                    f"marker stages must be even and >= 2, got {sorted(set(bad))}"
                 )
+            object.__setattr__(self, "marker_stages", frozenset(stages))
 
     def cut_count(self, j: int) -> int:
         # r_j = j is degenerate at j=1; the basic override max(j, 2) keeps

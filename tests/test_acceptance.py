@@ -70,7 +70,7 @@ def full_series(table):
     ctx = context_for(table, n_max)
     profile = event_sweep(base_leveled_set(table, ctx.stage), ctx, n_max)
     model = SuspensionModel("poisson", 1)
-    series = average_series(model, profile, default_checkpoints(n_max), milestones)
+    series = average_series(model, profile, default_checkpoints(n_max, 1.05), milestones)
     return divergence_report(series, milestones, model)
 
 

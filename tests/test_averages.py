@@ -377,7 +377,7 @@ def test_default_checkpoints_refuse_a_ratio_not_finite_and_above_one(ratio):
 
 
 def test_default_checkpoints_shape():
-    cps = default_checkpoints(100_000)
+    cps = default_checkpoints(100_000, 1.05)
     assert cps[0] == 1 and cps[-1] == 100_000
     assert all(b > a for a, b in zip(cps, cps[1:]))
     assert len(cps) < 400
@@ -385,7 +385,7 @@ def test_default_checkpoints_shape():
         default_checkpoints(100, ratio=1.0)
     for n_max in (0, -1):
         with pytest.raises(ValueError, match=f"^n_max must be >= 1, got {n_max}$"):
-            default_checkpoints(n_max)
+            default_checkpoints(n_max, 1.05)
     # the series-dense grid passes the preflight; a ratio this near 1 does not
     dense = (77_115_780, 1.00005)
     assert len(default_checkpoints(*dense)) < _checkpoint_bound(*dense) < _CHECKPOINT_BUDGET
@@ -428,7 +428,7 @@ def test_series_default_within_one_ulp_of_the_exact_mean(table, model):
     n_max = miles[-1].n
     ctx = context_for(table, n_max)
     profile = event_sweep(base_leveled_set(table, ctx.stage), ctx, n_max)
-    series = average_series(model, profile, default_checkpoints(n_max), miles)
+    series = average_series(model, profile, default_checkpoints(n_max, 1.05), miles)
     means = ref.exact_running_means(
         profile, lambda x: pair_integrand(model, x), series.n.tolist()
     )
@@ -478,7 +478,7 @@ def test_neumaier_cumsum_matches_scalar_loop_bit_for_bit(monkeypatch):
 
 def test_series_points_stay_between_c_squared_and_c(table, profile6):
     miles = milestone_sequence(table, 2)
-    series = average_series(MODEL, profile6, default_checkpoints(23040), miles)
+    series = average_series(MODEL, profile6, default_checkpoints(23040, 1.05), miles)
     c = cylinder_constant(MODEL)
     lo, hi = c * c - 1e-12, c + 1e-12
     for k, a_n in zip(series.level.tolist(), series.a_n.tolist()):
@@ -501,7 +501,7 @@ def test_series_validates_checkpoint_range(profile6):
 
 def test_divergence_report_j_top_2(table, profile6):
     miles = milestone_sequence(table, 2)
-    series = average_series(MODEL, profile6, default_checkpoints(23040), miles)
+    series = average_series(MODEL, profile6, default_checkpoints(23040, 1.05), miles)
     report = divergence_report(series, miles, MODEL)
     assert not report.insufficient_stages
     a = {m.index: v for m, v in report.milestone_points}
@@ -522,7 +522,7 @@ def test_divergence_report_flags_single_stage(table):
     miles = milestone_sequence(t, 1)
     ctx = context_for(t, miles[-1].n)
     prof = event_sweep(base_leveled_set(t, ctx.stage), ctx, miles[-1].n)
-    series = average_series(MODEL, prof, default_checkpoints(miles[-1].n), miles)
+    series = average_series(MODEL, prof, default_checkpoints(miles[-1].n, 1.05), miles)
     report = divergence_report(series, miles, MODEL)
     assert report.insufficient_stages
 
@@ -540,7 +540,7 @@ def test_divergence_bounds_scale_their_slack_with_c(table, profile6):
     model = SuspensionModel("poisson", 15)
     c = cylinder_constant(model)
     miles = milestone_sequence(table, 2)
-    series = average_series(model, profile6, default_checkpoints(23040), miles)
+    series = average_series(model, profile6, default_checkpoints(23040, 1.05), miles)
     report = divergence_report(series, miles, model)
     assert all(b.passed for b in report.bound_checks)
     (end,) = [b for b in report.bound_checks if (b.j, b.kind) == (1, "disjoint_end")]
@@ -572,7 +572,7 @@ def test_divergence_bounds_hold_with_two_percent_of_c_to_spare(table):
 
 def test_report_json_uses_decimal_strings(table, profile6):
     miles = milestone_sequence(table, 2)
-    series = average_series(MODEL, profile6, default_checkpoints(23040), miles)
+    series = average_series(MODEL, profile6, default_checkpoints(23040, 1.05), miles)
     obj = divergence_report(series, miles, MODEL).to_json_obj()
     assert obj["milestones"][-1]["n"] == "23040"
     assert isinstance(obj["bound_checks"][0]["n"], str)

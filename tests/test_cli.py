@@ -21,6 +21,7 @@ import ergolab
 from ergolab import (
     BudgetExceeded,
     ConstructionParams,
+    SuspensionModel,
     base_floorset,
     build_stage_table,
     claim_windows,
@@ -49,9 +50,21 @@ SMALL = {"j_max": 7, "j_top": 2, "mc_samples": 50_000}
 
 def test_parse_config_defaults():
     cfg = parse_config({})
-    assert cfg.preset == "basic" and cfg.j_max == 9 and cfg.j_top == 3
-    assert cfg.marker_stages is None
-    assert cfg.model_kind == "poisson" and cfg.model_m == 1
+    assert cfg.params == ConstructionParams(preset="basic", j_max=9, marker_stages=None)
+    assert cfg.model == SuspensionModel(kind="poisson", m=1)
+    assert cfg.mc == oracle.McConfig(seed=1, samples=1_000_000)
+    assert cfg.j_top == 3 and cfg.checkpoint_ratio == 1.05
+
+
+def test_echo_gives_the_normalised_config():
+    """The echo that every JSON artifact carries: marker stages sorted and
+    deduplicated, the ratio a float, the model's omitted ``m`` filled in."""
+    echo = parse_config(
+        {"marker_stages": [4, 2, 2], "checkpoint_ratio": 2, "model": {"kind": "gaussian"}}
+    ).echo()
+    assert echo["marker_stages"] == [2, 4]
+    assert echo["checkpoint_ratio"] == 2.0 and type(echo["checkpoint_ratio"]) is float
+    assert echo["model"] == {"kind": "gaussian", "m": 1}
 
 
 def test_parse_config_rejects_bad_input():
@@ -78,10 +91,18 @@ def test_parse_config_rejects_bad_input():
         # c**2 = P(98; 1)**2 is subnormal
         {"model": {"m": 98}},
         {"model": {"m": 171}},
+        # the library objects refuse what is not an int, before any set is formed
+        {"marker_stages": [2.0]},
+        {"marker_stages": ["2"]},
+        {"marker_stages": [[2]]},
+        {"marker_stages": [True]},
+        {"marker_stages": [2, 2.0]},
+        {"model": {"kind": 5}},
+        {"checkpoint_ratio": "1.05"},
     ):
         with pytest.raises(ConfigError):
             parse_config(raw)
-    assert parse_config({"model": {"m": 97}}).model_m == 97
+    assert parse_config({"model": {"m": 97}}).model.m == 97
 
 
 def test_unreadable_config_exits_2_with_one_error_line(tmp_path, capsys):
@@ -135,7 +156,7 @@ def test_series_over_the_checkpoint_budget_exits_2_naming_the_bound(tmp_path, ca
 def test_mc_check_with_a_negative_seed_exits_2(tmp_path, capsys):
     code, out = run(tmp_path, "mc-check", config={"seed": -1})
     assert code == 2
-    assert capsys.readouterr().err == "error: seed must be an integer >= 0\n"
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
     assert not (out / "mc_check.json").exists()
 
 
@@ -396,6 +417,27 @@ VERIFY_DEFAULT_DIGESTS = {
     "verify_j3.json": "9cf3937689c12f8f005380d06ad62a52a53fe6a9f8a7cd30bd686b30eac51bde",
     "conjugacy.json": "29ce5e7651b576a54e875647e8fc184dc10f7d7d6b5dcb3169e17d41cdaa933c",
 }
+
+
+DEFAULT_DIGESTS = {
+    "series": {
+        "report.json": "3f5ad1f274362281121535b7cb8f9b09866d393304f49826edd327872ec8fc7c",
+        "series.csv": "b904427e1a8e98bfb31bc327bc04e5257266382adc148920a9e4500927136670",
+    },
+    "build": {
+        "stages.json": "fd63e04e11f1bf937a9b1a096545470d6d0a96b0db181b86f197b9d429a1837c",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_DIGESTS))
+def test_series_and_build_default_artifacts_are_pinned(tmp_path, command):
+    """``series {}`` and ``build {}`` byte for byte, config echo included."""
+    code, out = run(tmp_path, command, config={})
+    assert code == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == (
+        DEFAULT_DIGESTS[command]
+    )
 
 
 def test_verify_default_artifacts_are_pinned(tmp_path, capsys):

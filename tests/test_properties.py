@@ -465,7 +465,7 @@ def test_series_within_one_ulp_of_the_exact_mean_on_random_tables(table, model, 
         reject()
     n_max = data.draw(st.integers(1, min(room, 1 << 22)), label="n_max")
     profile = event_sweep(a, cocycle_context(table, stage), n_max)
-    checkpoints = [*range(1, min(n_max, 300) + 1), *default_checkpoints(n_max).tolist()]
+    checkpoints = [*range(1, min(n_max, 300) + 1), *default_checkpoints(n_max, 1.05).tolist()]
     series = average_series(model, profile, checkpoints)
     means = ref.exact_running_means(
         profile, lambda x: pair_integrand(model, x), series.n.tolist()

@@ -116,13 +116,31 @@ def test_construction_params_refuse_bad_schedules():
         (SuspensionModel, {"m": True}, "cylinder count m must be an int, got True"),
         (ConstructionParams, {"j_max": 9.5}, "j_max must be an int, got 9.5"),
         (ConstructionParams, {"j_max": True}, "j_max must be an int, got True"),
+        (
+            ConstructionParams,
+            {"marker_stages": frozenset({4.0})},
+            r"marker stages must be ints, got \[4\.0\]",
+        ),
+        (
+            ConstructionParams,
+            {"marker_stages": [True]},
+            r"marker stages must be ints, got \[True\]",
+        ),
+        (
+            ConstructionParams,
+            {"marker_stages": [2, 2.0]},
+            r"marker stages must be ints, got \[2\.0\]",
+        ),
     ],
-    ids=["seed-float", "samples-float", "seed-bool", "m-float", "m-bool", "j_max-float", "j_max-bool"],
+    ids=[
+        "seed-float", "samples-float", "seed-bool", "m-float", "m-bool", "j_max-float",
+        "j_max-bool", "marker-float", "marker-bool", "marker-float-equal-to-an-int",
+    ],
 )
 def test_library_configs_refuse_counts_that_are_not_ints(config, kwargs, message):
-    """A float or a bool count is refused where it is given, not later
-    inside numpy or ``range``, as the CLI's config check refuses it;
-    ``InvalidConstruction`` is a ``ValueError``."""
+    """A float or a bool count or stage is refused where it is given, not
+    later inside numpy or ``range``; the CLI's config has no other check of
+    it.  ``InvalidConstruction`` is a ``ValueError``."""
     with pytest.raises(ValueError, match=f"^{message}$") as raised:
         config(**kwargs)
     assert isinstance(raised.value, InvalidConstruction) == (config is ConstructionParams)
