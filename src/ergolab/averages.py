@@ -47,13 +47,14 @@ __all__ = [
     "divergence_report",
 ]
 
-# most checkpoints a series may emit, each a CSV row and ~9 numpy temporaries
+# most checkpoints a series may emit, each a CSV row and its three output
+# columns (n, level, a_n) and a milestone flag
 _CHECKPOINT_BUDGET = 1 << 22
 
-# terms per block of the compensated running sum: summing series-dense's
-# 196,695 checkpoints as one block raises the process's peak RSS from 49.5
-# to 56.4 MB
-_SUM_BLOCK = 1 << 16
+# checkpoints per block of average_series: on series-dense's 196,695 the
+# call's traced peak is 6.6 MiB, 12.5 MiB at 2**16 (11.2 in one pass) and
+# 6.2 MiB at 2**12, for twice the loop turns
+_SUM_BLOCK = 1 << 13
 
 _MILESTONE_KINDS = ("disjoint_start", "disjoint_end", "coincide_start", "coincide_end")
 
@@ -266,28 +267,21 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
-def _neumaier_cumsum(x: np.ndarray) -> np.ndarray:
-    """Neumaier-compensated running sums of ``x``, each within ~1 ulp.
+def _neumaier_cumsum(x: np.ndarray, s: float, comp: float) -> tuple[np.ndarray, float, float]:
+    """Neumaier-compensated running sums of ``x``, each within ~1 ulp, from
+    the carry ``(s, comp)`` of the terms before, and the carry after ``x``.
 
-    The plain running sum ``s`` and the running sum of its rounding errors are
-    both sequential ``np.cumsum``s from 0.0, so every entry is bit for bit
-    what the scalar loop ``t = s + x; comp += err; s = t`` would give.  They
-    run ``_SUM_BLOCK`` terms at a time, each block's sums starting from the
-    last ones of the block before, so the temporaries are those of a block.
+    The plain running sum ``s`` and the running sum of its rounding errors
+    ``comp`` are both sequential ``np.cumsum``s, so every entry is bit for
+    bit what the scalar loop ``t = s + x; comp += err; s = t`` would give,
+    and terms summed in pieces that pass the carry on give the sums of the
+    whole.
     """
-    out = np.empty_like(x)
-    s = comp = 0.0
-    for i in range(0, x.size, _SUM_BLOCK):
-        block = x[i : i + _SUM_BLOCK]
-        cur = np.cumsum(np.concatenate(([s], block)))
-        prev, cur = cur[:-1], cur[1:]
-        err = np.where(
-            np.abs(prev) >= np.abs(block), (prev - cur) + block, (block - cur) + prev
-        )
-        comps = np.cumsum(np.concatenate(([comp], err)))[1:]
-        np.add(cur, comps, out=out[i : i + _SUM_BLOCK])
-        s, comp = cur[-1], comps[-1]
-    return out
+    cur = np.cumsum(np.concatenate(([s], x)))
+    prev, cur = cur[:-1], cur[1:]
+    err = np.where(np.abs(prev) >= np.abs(x), (prev - cur) + x, (x - cur) + prev)
+    comps = np.cumsum(np.concatenate(([comp], err)))[1:]
+    return cur + comps, cur[-1], comps[-1]
 
 
 def average_series(
@@ -301,11 +295,12 @@ def average_series(
     The running sum steps at every checkpoint and every plateau end, by the
     step's length times the plateau's integrand, so the cost is proportional
     to the number of plateaus plus checkpoints, all of it in numpy but the
-    integrand, once per distinct count.  The checkpoints, the milestones and
-    the plateau ends are sorted runs, so each stable sort below merges them:
-    one for the checkpoints with the milestones, and one argsort that puts
-    the plateau ends among them, whose order gives each stop its plateau
-    and each checkpoint its stop without a search.
+    integrand, once per distinct count.  The sorted checkpoints (with the
+    milestones) go ``_SUM_BLOCK`` at a time: a block's stops are its
+    checkpoints and the plateau ends since the block before, and the
+    compensated sum carries its state and the last stop into the next
+    block, so the temporaries are those of a block and the sums are bit for
+    bit those of one pass.
     """
     out_of_range = ValueError(
         f"checkpoints must be a non-empty subset of [1, {profile.n_max}]"
@@ -336,37 +331,31 @@ def average_series(
         for c in np.flatnonzero(seen).tolist()
     )
     g_of = np.array([g for _, g in levels], dtype=np.float64)
-    # plateau k holds on (edges[k], edges[k+1]], so a stop's plateau is the
-    # number of inner edges below it; the stable argsort puts a checkpoint
-    # before an edge of the same value, so that is the number of edges
-    # before the stop's first occurrence
     edges = profile.edges
-    keys = np.concatenate((t, edges[(edges > 0) & (edges < t[-1])]))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    is_edge = order >= t.size
-    del order
-    first = np.concatenate(([True], keys[1:] != keys[:-1]))
-    stops = keys[first]
-    del keys
-    below = np.cumsum(is_edge)
-    below -= is_edge
-    at = count_of[below[first]]
-    del below, count_of
-    # each stop adds its distance from the stop before times its integrand
-    terms = g_of[at]
-    terms[0] *= stops[0]
-    terms[1:] *= stops[1:] - stops[:-1]
-    del stops
-    sums = _neumaier_cumsum(terms)
-    del terms
-    # a checkpoint's stop is the running count of first occurrences
-    hit = np.cumsum(first)[~is_edge]
-    hit -= 1
+    level = np.empty(t.size, dtype=count_of.dtype)
+    a_n = np.empty(t.size)
+    s = comp = 0.0
+    last = 0
+    for i in range(0, t.size, _SUM_BLOCK):
+        block = t[i : i + _SUM_BLOCK]
+        end = block[-1]
+        lo = np.searchsorted(edges, last, "right")
+        ends = edges[lo : np.searchsorted(edges, end, "right")]
+        stops = _sorted_unique(np.concatenate((block, ends)))
+        # plateau k holds on (edges[k], edges[k+1]], so a stop's plateau is
+        # the number of edges below it, less one, as in count_at: the lo
+        # edges up to last and those of ends below it
+        at = count_of[np.searchsorted(ends, stops) + (lo - 1)]
+        # each stop adds its distance from the stop before times its integrand
+        sums, s, comp = _neumaier_cumsum(g_of[at] * np.diff(stops, prepend=last), s, comp)
+        hit = np.searchsorted(stops, block)
+        level[i : i + _SUM_BLOCK] = at[hit]
+        np.divide(sums[hit], block, out=a_n[i : i + _SUM_BLOCK])
+        last = end
     return Series(
         n=_read_only(t),
-        level=_read_only(at[hit]),
-        a_n=_read_only(sums[hit] / t),
+        level=_read_only(level),
+        a_n=_read_only(a_n),
         is_milestone=_read_only(np.isin(t, miles)),
         levels=levels,
     )

@@ -22,16 +22,9 @@ __all__ = ["RunConfig", "ConfigError", "load_config", "main"]
 
 log = logging.getLogger("ergolab")
 
-_DEFAULTS = {
-    "preset": "basic",
-    "j_max": 9,
-    "marker_stages": "all-even",
-    "model": {"kind": "poisson", "m": 1},
-    "j_top": 3,
-    "checkpoint_ratio": 1.05,
-    "seed": 1,
-    "mc_samples": 1_000_000,
-}
+# the defaults of the CLI's own keys; the library objects default the others
+_CLI_DEFAULTS = {"j_top": 3, "checkpoint_ratio": 1.05}
+_KEYS = {*_CLI_DEFAULTS, "preset", "j_max", "marker_stages", "model", "seed", "mc_samples"}
 
 # largest m whose c**2, with c = P(m; 1) = 1/(e m!), is a normal float: at
 # m = 98 it is subnormal (1.52e-309) and from m = 102 it is 0, which zeroes
@@ -77,17 +70,17 @@ def parse_config(raw: dict) -> RunConfig:
     the values."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - set(_DEFAULTS)
+    unknown = set(raw) - _KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = {**_DEFAULTS, **raw}
+    cfg = {**_CLI_DEFAULTS, **raw}
 
-    ms = cfg["marker_stages"]
+    ms = cfg.get("marker_stages", "all-even")
     if ms != "all-even" and not isinstance(ms, list):
         raise ConfigError(
             f"marker_stages must be 'all-even' or a list of even integers, got {ms!r}"
         )
-    model = cfg["model"]
+    model = cfg.get("model", {})
     if not (isinstance(model, dict) and set(model) <= {"kind", "m"}):
         raise ConfigError(f"model must be an object with keys 'kind' and 'm', got {model!r}")
     j_top = cfg["j_top"]
@@ -97,14 +90,16 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(ratio, (int, float)):
         raise ConfigError(f"checkpoint_ratio must be a number, got {ratio!r}")
     try:
+        # the keys given, so the objects' own defaults fill the others
         params = tower.ConstructionParams(
-            preset=cfg["preset"],
-            j_max=cfg["j_max"],
+            **{k: cfg[k] for k in ("preset", "j_max") if k in cfg},
             marker_stages=None if ms == "all-even" else ms,
         )
         model = suspension.SuspensionModel(**model)
         averages.check_checkpoint_ratio(ratio)
-        mc = oracle.McConfig(seed=cfg["seed"], samples=cfg["mc_samples"])
+        mc = oracle.McConfig(
+            **{f: cfg[k] for k, f in (("seed", "seed"), ("mc_samples", "samples")) if k in cfg}
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if model.m > _MAX_MODEL_M:

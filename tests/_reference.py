@@ -240,30 +240,54 @@ def gaussian_orthant_estimate(rho, cfg):
     return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / cfg.samples)
 
 
+def _running_steps(profile, ns):
+    """The steps of the running sum to the increasing step counts ``ns``:
+    ``(length, k, n)`` for each run of ``length`` steps on plateau ``k``,
+    which holds on ``(edges[k], edges[k+1]]``; ``n`` is the checkpoint the
+    run ends on, or ``None`` where it ends on a plateau end."""
+    ends = profile.edges.tolist()[1:] + [profile.n_max]
+    k, at = 0, 0
+    for n in ns:
+        while ends[k] < n:
+            yield ends[k] - at, k, None
+            at = ends[k]
+            k += 1
+        yield n - at, k, n
+        at = n
+
+
 def exact_running_means(profile, integrand, ns):
     """The exact running means at the increasing step counts ``ns`` of the
     float integrands of ``profile``'s plateaus: plateau ``k`` holds
-    ``integrand(float(counts[k] * width))`` on ``(edges[k], edges[k+1]]``,
-    and the steps are summed as ``Fraction``s, one plateau at a time."""
-    ends = profile.edges.tolist()[1:] + [profile.n_max]
+    ``integrand(float(counts[k] * width))``, and the steps are summed as
+    ``Fraction``s, one plateau at a time."""
     counts = profile.counts.tolist()
     g = {}
-
-    def term(k):
+    out, total = [], Fraction(0)
+    for length, k, n in _running_steps(profile, ns):
         c = counts[k]
         if c not in g:
             g[c] = Fraction(integrand(float(c * profile.width)))
-        return g[c]
+        total += length * g[c]
+        if n is not None:
+            out.append(total / n)
+    return out
 
-    out, total, k, at = [], Fraction(0), 0, 0
-    for n in ns:
-        while ends[k] < n:
-            total += (ends[k] - at) * term(k)
-            at = ends[k]
-            k += 1
-        total += (n - at) * term(k)
-        at = n
-        out.append(total / n)
+
+def compensated_running_means(profile, integrand, ns):
+    """The running means at the increasing step counts ``ns`` as floats, one
+    scalar Neumaier sum of the terms ``length * integrand`` over the same
+    steps as :func:`exact_running_means`: what ``average_series`` gives,
+    bit for bit."""
+    counts = profile.counts.tolist()
+    out, s, comp = [], 0.0, 0.0
+    for length, k, n in _running_steps(profile, ns):
+        x = length * integrand(float(counts[k] * profile.width))
+        t = s + x
+        comp += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+        s = t
+        if n is not None:
+            out.append((s + comp) / n)
     return out
 
 

@@ -456,9 +456,9 @@ def test_overlap_floats_equal_the_floats_of_their_fractions(table):
         assert (c * w.numerator) / w.denominator == float(c * w)
 
 
-def test_neumaier_cumsum_matches_scalar_loop_bit_for_bit(monkeypatch):
+def test_neumaier_cumsum_matches_scalar_loop_bit_for_bit():
     """The vectorised compensated sums equal the scalar accumulator exactly,
-    in one block and in blocks that carry both sums across."""
+    in one piece and in pieces that chain the carry ``(s, comp)``."""
     rng = random.Random(7)
     x = [rng.choice((1.0, -1.0)) * rng.random() * 10.0 ** rng.randint(-12, 12)
          for _ in range(5000)]
@@ -469,11 +469,67 @@ def test_neumaier_cumsum_matches_scalar_loop_bit_for_bit(monkeypatch):
         comp += (s - t) + v if abs(s) >= abs(v) else (v - t) + s
         s = t
         want.append(s + comp)
-    got = _neumaier_cumsum(np.asarray(x)).tolist()
+    got, s, comp = _neumaier_cumsum(np.asarray(x), 0.0, 0.0)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+    got, s, comp = [], 0.0, 0.0
+    for i in range(0, len(x), 97):
+        sums, s, comp = _neumaier_cumsum(np.asarray(x[i : i + 97]), s, comp)
+        got += sums.tolist()
     assert [v.hex() for v in got] == [v.hex() for v in want]
-    monkeypatch.setattr(averages, "_SUM_BLOCK", 97)
-    got = _neumaier_cumsum(np.asarray(x)).tolist()
-    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("block", [1, 2, 97])
+def test_series_blocks_carry_the_sum_bit_for_bit(table, profile6, block, monkeypatch):
+    """Blocks of any size give the series of the default block, bit for bit,
+    and the scalar compensated sum of ``_reference``: on every step to 2,000
+    and on the plateau ends with one step past every third, each with the
+    j <= 2 milestones, so checkpoints and block ends fall on edges."""
+    miles = milestone_sequence(table, 2)
+    edges = profile6.edges.tolist()[1:]
+    edge_set = set(edges)
+    for checkpoints in (range(1, 2001), sorted({*edges, *(e + 1 for e in edges[::3])})):
+        want = average_series(MODEL, profile6, checkpoints, miles)
+        assert len(want) <= averages._SUM_BLOCK
+        ends = want.n[block - 1 :: block].tolist()
+        assert edge_set & set(ends) and edge_set & set(want.n.tolist())
+        with monkeypatch.context() as m:
+            m.setattr(averages, "_SUM_BLOCK", block)
+            got = average_series(MODEL, profile6, checkpoints, miles)
+        for column in ("n", "level", "is_milestone"):
+            assert np.array_equal(getattr(got, column), getattr(want, column)), column
+        assert got.levels == want.levels
+        scalar = ref.compensated_running_means(
+            profile6, lambda x: pair_integrand(MODEL, x), want.n.tolist()
+        )
+        hexes = [v.hex() for v in want.a_n.tolist()]
+        assert [v.hex() for v in got.a_n.tolist()] == hexes
+        assert [v.hex() for v in scalar] == hexes
+
+
+def test_series_memory_is_one_block_past_its_columns():
+    """The call's traced peak is its output columns plus at most 3 MiB: on
+    series-dense's grid (196,695 rows, 4.7 MiB of columns) and on the basic
+    preset at ratio 1.00001 (765,251 rows, 18.3 MiB), where sorting and
+    summing every stop in one pass peaked at 11.2 and 38.5 MiB."""
+    for preset, model, ratio, rows in (
+        ("staircase-mixing", SuspensionModel("gaussian"), 1.00005, 196_695),
+        ("basic", MODEL, 1.00001, 765_251),
+    ):
+        t = build_stage_table(ConstructionParams(preset, j_max=9))
+        miles = milestone_sequence(t, 3)
+        n_max = miles[-1].n
+        ctx = context_for(t, n_max)
+        profile = event_sweep(base_leveled_set(t, ctx.stage), ctx, n_max)
+        checkpoints = default_checkpoints(n_max, ratio)
+        tracemalloc.start()
+        try:
+            series = average_series(model, profile, checkpoints, miles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == rows
+        columns = sum(c.nbytes for c in (series.n, series.level, series.a_n, series.is_milestone))
+        assert peak <= columns + 3 * 2**20, (preset, peak, columns)
 
 
 def test_series_points_stay_between_c_squared_and_c(table, profile6):

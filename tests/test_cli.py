@@ -56,6 +56,44 @@ def test_parse_config_defaults():
     assert cfg.j_top == 3 and cfg.checkpoint_ratio == 1.05
 
 
+def test_parse_config_takes_omitted_keys_from_the_library_defaults(monkeypatch):
+    """An omitted key is left to the default of the object it builds: the
+    CLI holds defaults for its own ``j_top`` and ``checkpoint_ratio`` only."""
+
+    @dataclasses.dataclass(frozen=True)
+    class Params(ConstructionParams):
+        preset: str = "staircase-mixing"
+        j_max: int = 7
+
+    @dataclasses.dataclass(frozen=True)
+    class Model(SuspensionModel):
+        kind: str = "gaussian"
+        m: int = 2
+
+    @dataclasses.dataclass(frozen=True)
+    class Mc(oracle.McConfig):
+        seed: int = 5
+        samples: int = 7
+
+    monkeypatch.setattr(cli.tower, "ConstructionParams", Params)
+    monkeypatch.setattr(cli.suspension, "SuspensionModel", Model)
+    monkeypatch.setattr(cli.oracle, "McConfig", Mc)
+    echo = parse_config({}).echo()
+    assert echo == {
+        "preset": "staircase-mixing",
+        "j_max": 7,
+        "marker_stages": "all-even",
+        "model": {"kind": "gaussian", "m": 2},
+        "j_top": 3,
+        "checkpoint_ratio": 1.05,
+        "seed": 5,
+        "mc_samples": 7,
+    }
+    assert parse_config({"j_max": 8, "model": {"m": 0}, "seed": 2}).echo() == {
+        **echo, "j_max": 8, "model": {"kind": "gaussian", "m": 0}, "seed": 2
+    }
+
+
 def test_echo_gives_the_normalised_config():
     """The echo that every JSON artifact carries: marker stages sorted and
     deduplicated, the ratio a float, the model's omitted ``m`` filled in."""
