@@ -1,12 +1,14 @@
 """Seeded Monte Carlo cross-checks for the suspension functionals.
 
-Randomness comes from numpy's counter-based Philox generator.  Each row of
-draws is its own stream, row ``r`` seeded with ``SeedSequence((seed, r))``:
-rows 0-2 hold the Poisson estimator's three uniforms per sample, rows 0-1
-the Gaussian estimator's ``x`` and ``y``.  The streams are read in blocks of
-``_BLOCK`` samples.  A stream drawn in blocks gives exactly its whole draw,
-so estimates are bit-identical across runs, platforms and block sizes, and
-an estimator holds one block of each row.
+Randomness comes from numpy's PCG64DXSM generator.  Each row of draws is its
+own stream, row ``r`` seeded with ``SeedSequence((seed, r))``: rows 0-2 hold
+the Poisson estimator's three uniforms per sample, rows 0-1 the Gaussian
+estimator's ``x`` and ``y``.  Rows are separate streams read from their
+start and never jumped, so no counter-based generator is needed; numpy
+recommends PCG64DXSM where many independent streams are spawned.  The
+streams are read in blocks of ``_BLOCK`` samples.  A stream drawn in blocks
+gives exactly its whole draw, so estimates are bit-identical across runs,
+platforms and block sizes, and an estimator holds one block of each row.
 
 Each estimator makes one pass per gate family: it takes a sequence of
 parameters (overlap masses, correlations), draws its rows once and tests
@@ -54,10 +56,10 @@ class McConfig:
 
 
 def _streams(seed: int, count: int) -> list[np.random.Generator]:
-    """Rows ``0..count-1`` of draws: Philox streams seeded with
-    ``SeedSequence((seed, r))``."""
+    """Rows ``0..count-1`` of draws: PCG64DXSM streams seeded with
+    ``SeedSequence((seed, r))``, each read from its start and never jumped."""
     return [
-        np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, r))))
+        np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence((seed, r))))
         for r in range(count)
     ]
 
@@ -107,13 +109,18 @@ def mc_pair_integral_poisson(
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"overlap {lam} outside [0, 1]")
     # per overlap, the (common, difference) bucket bounds of every split
-    # c + (m - c) = m whose two buckets both exist
+    # c + (m - c) = m whose two buckets both exist and start below 1.0: a
+    # bucket starting at 1.0 (a count >= 1 of a rate-0 region) holds no
+    # uniform of [0, 1)
     splits = []
     for lam in lams:
         lo0, hi0 = _buckets(_poisson_cdf(lam))
         lo1, hi1 = _buckets(_poisson_cdf(1.0 - lam))
         cs = range(max(0, m - len(lo1) + 1), min(m, len(lo0) - 1) + 1)
-        splits.append([(lo0[c], hi0[c], lo1[m - c], hi1[m - c]) for c in cs])
+        splits.append([
+            (lo0[c], hi0[c], lo1[m - c], hi1[m - c])
+            for c in cs if lo0[c] < 1.0 and lo1[m - c] < 1.0
+        ])
     hits = [0] * len(lams)
     rows = _streams(cfg.seed, 3)
     for start in range(0, cfg.samples, _BLOCK):

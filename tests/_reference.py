@@ -193,9 +193,9 @@ def overlaps(fragments, marker_set, n_max):
 
 def _row_draws(cfg, rows, draw):
     """Each row stream of ``oracle``'s estimators drawn whole: row ``r`` is
-    the Philox stream seeded with ``SeedSequence((cfg.seed, r))``."""
+    the PCG64DXSM stream seeded with ``SeedSequence((cfg.seed, r))``."""
     return [
-        draw(np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, r)))),
+        draw(np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence((cfg.seed, r)))),
              cfg.samples)
         for r in range(rows)
     ]

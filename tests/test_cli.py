@@ -633,7 +633,7 @@ def test_mc_check_default_artifact_is_pinned(tmp_path):
     code, out = run(tmp_path, "mc-check", config={})
     assert code == 0
     digest = hashlib.sha256((out / "mc_check.json").read_bytes()).hexdigest()
-    assert digest == "ee1eddd2634140b47c570b016ee921d9ed99d2ae0e0b8e94437c3066bd9f42df"
+    assert digest == "71c96d9135a85a5d266722818981685d278960692f826ae713a8624901bc9ad4"
 
 
 def test_mc_check_passes_a_gate_whose_event_is_too_rare_to_hit(tmp_path):

@@ -167,8 +167,8 @@ def test_batches_equal_single_parameter_runs():
 @pytest.mark.parametrize("seed, r", [(1, 0), (3001, 2)])
 def test_a_row_stream_drawn_in_blocks_equals_its_whole_draw(seed, r, n):
     """The estimators rest on this: row ``r``'s stream, drawn in blocks of
-    mixed sizes that are not multiples of 4 (Philox yields 4 draws per
-    counter step), gives its whole draw, for uniforms and normals."""
+    mixed sizes that are not multiples of 4, gives its whole draw, for
+    uniforms and normals."""
     # blocks of 1, 3, 5, 7 and 1001 draws, the last one cut at n
     bounds = [0] + [b for b in (1, 4, 9, 16, 1017) if b < n] + [n]
     for draw in (np.random.Generator.random, np.random.Generator.standard_normal):

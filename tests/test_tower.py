@@ -94,6 +94,30 @@ def test_offset_telescoping(table):
         assert offs[-1] + table.height(j) + spc[-1] == table.height(j + 1)
 
 
+@pytest.mark.parametrize("preset", ["basic", "staircase-mixing"])
+def test_offsets_and_heights_in_closed_form_to_stage_123(preset):
+    """The closed forms the lemma for every j rests on, at every stage to 123.
+
+    With uniform spacers ``j*h_j`` (basic, and staircase marker stages)
+    ``O_j = {i*(j+1)*h_j : i < r_j}`` and ``h_{j+1} = r_j*(j+1)*h_j``, so
+    ``(r_j - 1)*(j+1)*h_j = h_{j+1} - (j+1)*h_j``.  Staircase stages without
+    markers shift column ``i`` (0-based) up by ``i*(i+1)/2``.
+    """
+    t = build_stage_table(ConstructionParams(preset=preset, j_max=124))
+    for j in range(1, 124):
+        h, r = t.height(j), t.cut_count(j)
+        step = (j + 1) * h
+        if preset == "basic" or t.params.carries_markers(j):
+            assert t.column_offsets(j) == tuple(i * step for i in range(r))
+            assert t.height(j + 1) == r * step
+            assert (r - 1) * step == t.height(j + 1) - step
+        else:
+            assert t.column_offsets(j) == tuple(
+                i * step + i * (i + 1) // 2 for i in range(r)
+            )
+            assert t.height(j + 1) == r * step + r * (r + 1) // 2
+
+
 def test_construction_params_refuse_bad_schedules():
     for kwargs, message in (
         ({"preset": "spiral"}, "unknown preset 'spiral'"),
